@@ -254,25 +254,24 @@ def scale_features(
 
     warnings: list[str] = []
     if mode == "sparse01":
-        csc = dataset.matrix().tocsc()
-        data = csc.data.copy()
-        for j in range(dataset.n):
-            lo_ptr, hi_ptr = csc.indptr[j], csc.indptr[j + 1]
-            seg = data[lo_ptr:hi_ptr]
-            nz = seg != 0.0  # explicit stored zeros stay 0 and set no range
-            if not nz.any():
-                continue
-            lo, hi = seg[nz].min(), seg[nz].max()
-            if hi > lo:
-                seg[nz] = (seg[nz] - lo) / (hi - lo)
-            else:
-                seg[nz] = 1.0
-            data[lo_ptr:hi_ptr] = seg
-        scaled = sp.csc_matrix((data, csc.indices, csc.indptr), shape=csc.shape).tocsr()
-        points: list[tuple[Vector, int]] = []
-        for i, (_, y) in enumerate(dataset.points):
-            row = scaled.getrow(i)
-            points.append((SparseVec(row.indices, row.data, dataset.n), y))
+        csr = dataset.matrix()
+        cols, data = csr.indices, csr.data.copy()
+        nz = data != 0.0  # explicit stored zeros stay 0 and set no range
+        nz_cols, nz_vals = cols[nz], data[nz]
+        lo = np.full(dataset.n, np.inf)
+        hi = np.full(dataset.n, -np.inf)
+        np.minimum.at(lo, nz_cols, nz_vals)
+        np.maximum.at(hi, nz_cols, nz_vals)
+        lo, hi = lo[nz_cols], hi[nz_cols]
+        span = hi > lo
+        scaled = np.ones_like(nz_vals)
+        scaled[span] = (nz_vals[span] - lo[span]) / (hi[span] - lo[span])
+        data[nz] = scaled
+        ptr = csr.indptr
+        points: list[tuple[Vector, int]] = [
+            (SparseVec(cols[ptr[i]:ptr[i + 1]], data[ptr[i]:ptr[i + 1]], dataset.n), y)
+            for i, (_, y) in enumerate(dataset.points)
+        ]
         return Dataset(points, dataset.n), warnings
 
     dense = np.asarray(dataset.matrix().todense(), dtype=np.float64)

@@ -1,11 +1,21 @@
 """Lockstep execution of many trials for the built-in oracle factories.
 
 All trials advance together with one vectorized update per iteration over a
-stacked (trials, dim) state. Per-trial noise is pre-drawn from each trial's
-own RNG stream in exactly the order the scalar oracles consume it, and every
-update applies the same elementwise arithmetic as the sequential loop, so
-the per-trial results match the sequential runner (bitwise for
+stacked (trials, dim) state, and per-trial randomness is pre-drawn from each
+trial's own RNG stream in exactly the order the scalar oracles consume it.
+
+Quadratic problems apply the same elementwise arithmetic as the sequential
+loop, so their results match the sequential runner (bitwise for
 one-dimensional problems, up to summation order for dense dot products).
+
+SVM problems cost O(nnz) per trial and step. Each trial's iterate is held as
+w = s*v with a scalar s, so the shrink by (1 - eta*lam) touches only s and
+the hinge step touches only the sampled row's columns of v (the scaled-weight
+trick of Pegasos). Each running sum sum_i a_i w_i behind the uniform, suffix
+and t-weighted averages is held as A*v - U with a scalar A, and U changes only
+where v does (the lazily updated average of ASGD). Dense vectors are built
+only at checkpoints and at folds, which write the pending scale into v. The
+results agree with the sequential runner up to rounding, not bitwise.
 
 Trajectory recording is not available here; workflows that need stored
 iterates use the sequential engine.
@@ -25,20 +35,32 @@ from ..oracles import (
     RngStream,
     SvmOracleFactory,
 )
-from ..sgd import RunConfig, checkpoint_iterations
+from ..sgd import RunAborted, RunConfig, checkpoint_iterations
 
 __all__ = ["unsupported_reason", "run_all"]
 
 # Pre-drawn noise/index tables are capped to keep memory within ~1.6 GB.
 _MAX_PREDRAW = 200_000_000
 
+# An SVM trial folds its scale into v before a step takes |s| below this, or
+# above 1 (a step size with eta*lam > 2). The rounding error of A*v - U grows
+# like 1/_MIN_SCALE (v is up to 1/_MIN_SCALE times w): at 1e-6 the objectives
+# drifted 1.9e-12 from the sequential engine's under an L2 ball, at 1e-2 they
+# agree to a few ulps. Folds stay rare (about log10(T) of them under the
+# default schedule), and the check catches the exact zero of 1 - eta*lam at
+# t = 1.
+_MIN_SCALE = 1e-2
+
+_NON_FINITE = "non-finite iterate (NaN/Inf)"
+
 
 def unsupported_reason(problem: Problem, oracle_factory, config: RunConfig) -> str | None:
     """None when the batched engine can reproduce the sequential run."""
     if config.record_iterates:
         return "trajectory recording requires the sequential engine"
-    if not isinstance(problem.feasible, (Unconstrained, Interval, L2Ball)):
-        return f"unsupported feasible set {type(problem.feasible).__name__}"
+    feasible = problem.feasible
+    if not isinstance(feasible, (Unconstrained, Interval, L2Ball)):
+        return f"unsupported feasible set {type(feasible).__name__}"
     if isinstance(oracle_factory, QuadraticOracleFactory):
         noise = oracle_factory.noise
         if isinstance(noise, (NoNoise, GaussianNoise)):
@@ -49,11 +71,32 @@ def unsupported_reason(problem: Problem, oracle_factory, config: RunConfig) -> s
             return "ball noise draws interleave per query above one dimension"
         return f"unsupported noise model {type(noise).__name__}"
     if isinstance(oracle_factory, SvmOracleFactory):
-        d = oracle_factory.dataset
-        if d.m * d.n > _MAX_PREDRAW:
-            return "dataset too large for a dense row gather"
+        if isinstance(feasible, Interval):
+            return "the interval box has no O(nnz) projection of a scaled SVM iterate"
+        if isinstance(feasible, L2Ball) and np.any(feasible.center != 0.0):
+            return "a ball off the origin has no O(nnz) projection of a scaled SVM iterate"
         return None
     return f"unsupported oracle factory {type(oracle_factory).__name__}"
+
+
+def _failure(trial: int, base_seed: int, t: int, reason: str):
+    from .harness import trial_failure
+
+    return trial_failure(trial, base_seed, RunAborted(t, reason))
+
+
+def _evaluate(objective, reports: dict[str, np.ndarray], t: int, base_seed: int):
+    """Objective of every trial's report per scheme; a non-finite value
+    fails the trial at this checkpoint."""
+    vals: dict[str, np.ndarray] = {}
+    for nm, rows in reports.items():
+        v = np.array([float(objective(row)) for row in rows])
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise _failure(int(np.argmax(bad)), base_seed, t,
+                           f"non-finite {nm} objective at checkpoint")
+        vals[nm] = v
+    return vals
 
 
 class _Quadratic:
@@ -79,32 +122,6 @@ class _Quadratic:
         if self.noise_table is None:
             return G.copy()
         return G - self.noise_table[:, t - 1, :]
-
-
-class _Svm:
-    def __init__(self, factory: SvmOracleFactory, trials, T, base_seed):
-        d = factory.dataset
-        self.lam = factory.lam
-        self.rows = np.asarray(d.matrix().todense(), dtype=np.float64)
-        self.labels = d.labels()
-        if trials * T > _MAX_PREDRAW:
-            raise MemoryError("index pre-draw exceeds the batched engine's cap")
-        idx = np.empty((trials, T), dtype=np.int64)
-        for i in range(trials):
-            gen = RngStream(base_seed, i).generator()
-            idx[i] = gen.integers(d.m, size=T)
-        self.idx = idx
-
-    def ghat(self, W, t):
-        sel = self.idx[:, t - 1]
-        Xi = self.rows[sel]
-        yi = self.labels[sel]
-        margins = np.einsum("ij,ij->i", W, Xi) * yi
-        Ghat = self.lam * W
-        mask = margins < 1.0
-        if mask.any():
-            Ghat[mask] -= yi[mask, None] * Xi[mask]
-        return Ghat
 
 
 def _project_batch(feasible, Y):
@@ -157,11 +174,181 @@ class _StackedAveragers:
                 else:
                     z += (X - z) / self.suffix_count
 
-    def defined(self, nm) -> bool:
-        return self.state.get(nm) is not None
+    def reports(self) -> dict[str, np.ndarray]:
+        return {nm: z for nm, z in self.state.items() if z is not None}
 
-    def rows(self, nm) -> np.ndarray:
-        return self.state[nm]
+
+def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, suffix_alpha):
+    dim = config.x1.shape[0]
+    plan = _Quadratic(factory, trials, config.T, dim, base_seed)
+    X = np.tile(np.asarray(config.x1, dtype=np.float64), (trials, 1))
+    avs = _StackedAveragers(scheme_names, config.T, suffix_alpha, trials, dim)
+    sched = config.schedule
+    denom_scale = problem.mu if sched.mu_scaled else 1.0
+    cp_set = set(checkpoint_iterations(config))
+    feasible = problem.feasible
+
+    cp_values: list[tuple[int, dict[str, np.ndarray]]] = []
+    for t in range(1, config.T + 1):
+        avs.observe(X, t)
+        Ghat = plan.ghat(X, t)
+        if t in cp_set:
+            cp_values.append((t, _evaluate(problem.objective, avs.reports(), t, base_seed)))
+        eta = sched.c / (denom_scale * (t + sched.shift))
+        Y = X - eta * Ghat
+        if not np.isfinite(Y).all():
+            bad = int(np.nonzero(~np.isfinite(Y).all(axis=1))[0][0])
+            raise _failure(bad, base_seed, t, _NON_FINITE)
+        X = _project_batch(feasible, Y)
+    return cp_values
+
+
+class _ScaledSvm:
+    """Stacked SVM trials with iterates w = s*v and, per averaged scheme k,
+    sums A[k]*v - U[k]; see the module docstring. ``radius`` is set for an
+    L2 ball about the origin, whose projection rescales s using the running
+    ||v||^2 in ``vv``."""
+
+    def __init__(self, problem, factory: SvmOracleFactory, config, scheme_names,
+                 trials, base_seed, suffix_alpha):
+        d = factory.dataset
+        if trials * config.T > _MAX_PREDRAW:
+            raise MemoryError("index pre-draw exceeds the batched engine's cap")
+        # (T, trials): step t reads one contiguous row
+        self.idx = np.empty((config.T, trials), dtype=np.int64)
+        for i in range(trials):
+            self.idx[:, i] = RngStream(base_seed, i).generator().integers(d.m, size=config.T)
+        csr = d.matrix()
+        self.starts, self.indices, self.data = csr.indptr[:-1], csr.indices, csr.data
+        self.lens = np.diff(csr.indptr)
+        self.labels = d.labels()
+        self.lam = factory.lam
+        self.base_seed = base_seed
+        self.names = list(scheme_names)
+        self.averaged = [nm for nm in self.names if nm != "final"]
+        self.suffix_start = suffix_window_start(config.T, suffix_alpha)
+        self.s = np.ones(trials)
+        self.v = np.tile(np.asarray(config.x1, dtype=np.float64), (trials, 1))
+        self.A = np.zeros((len(self.averaged), trials))
+        self.U = np.zeros((len(self.averaged), trials, d.n))
+        feasible = problem.feasible
+        self.radius = feasible.radius if isinstance(feasible, L2Ball) else None
+        self.vv = np.einsum("ij,ij->i", self.v, self.v) if self.radius is not None else None
+        # flat views for the scatter updates; v and U are only written in place
+        self.v_flat = self.v.reshape(-1)
+        self.U_flat = [U.reshape(-1) for U in self.U]
+        self.row_base = np.arange(trials) * d.n
+        self.trial_ids = np.arange(trials)
+
+    def _weight(self, nm, t) -> float:
+        """a_t of the sum behind scheme ``nm``."""
+        if nm == "nonuniform":
+            return float(t)
+        if nm == "suffix" and t < self.suffix_start:
+            return 0.0
+        return 1.0
+
+    def _total(self, nm, t) -> float:
+        """The sum of a_i over i <= t, which divides the sum into the average."""
+        if nm == "uniform":
+            return float(t)
+        if nm == "nonuniform":
+            return t * (t + 1) / 2.0
+        return float(max(0, t - self.suffix_start + 1))
+
+    def observe(self, t):
+        if self.averaged:
+            a = np.array([self._weight(nm, t) for nm in self.averaged])
+            self.A += a[:, None] * self.s
+
+    def reports(self, t) -> dict[str, np.ndarray]:
+        out = {}
+        for nm in self.names:
+            if nm == "final":
+                out[nm] = self.s[:, None] * self.v
+                continue
+            k = self.averaged.index(nm)
+            total = self._total(nm, t)
+            if total:
+                out[nm] = (self.A[k][:, None] * self.v - self.U[k]) / total
+        return out
+
+    def fold(self, rows, scale, t):
+        """Write the sums densely into U, then v <- scale*v, s <- 1 and A <- 0
+        for the given trials."""
+        v = self.v[rows]
+        self.U[:, rows] -= self.A[:, rows, None] * v
+        self.A[:, rows] = 0.0
+        v *= scale[:, None]
+        if not np.isfinite(v).all():
+            bad = int(rows[np.nonzero(~np.isfinite(v).all(axis=1))[0][0]])
+            raise _failure(bad, self.base_seed, t, _NON_FINITE)
+        self.v[rows] = v
+        self.s[rows] = 1.0
+        if self.vv is not None:
+            self.vv[rows] = np.einsum("ij,ij->i", v, v)
+
+    def step(self, t, eta):
+        sel = self.idx[t - 1]
+        starts = self.starts[sel]
+        lens = self.lens[sel]
+        ends = lens.cumsum()
+        # positions of the sampled rows' entries in the CSR arrays, trial-major
+        pos = np.arange(ends[-1]) + (starts - ends + lens).repeat(lens)
+        owner = self.trial_ids.repeat(lens)
+        flat = self.row_base.repeat(lens) + self.indices[pos]
+        vals = self.data[pos]
+        vflat = self.v_flat
+        y = self.labels[sel]
+        margins = self.s * np.bincount(owner, weights=vflat[flat] * vals,
+                                       minlength=len(sel)) * y
+
+        s = self.s * (1.0 - eta * self.lam)
+        self.s = s
+        # keeping _MIN_SCALE <= |s| <= 1 makes every entry of w finite
+        # exactly when the same entry of v is
+        out = ~((abs(s) >= _MIN_SCALE) & (abs(s) <= 1.0))
+        if out.any():
+            rows = np.nonzero(out)[0]
+            self.fold(rows, s[rows], t)
+
+        active = margins < 1.0
+        if active.any():
+            if not active.all():
+                keep = active[owner]
+                owner, flat, vals = owner[keep], flat[keep], vals[keep]
+            delta = (eta * y / s)[owner] * vals
+            old = vflat[flat]
+            new = old + delta
+            vflat[flat] = new
+            for A, U in zip(self.A, self.U_flat):
+                U[flat] += A[owner] * delta
+            if self.vv is not None:
+                self.vv += np.bincount(owner, weights=new * new - old * old,
+                                       minlength=len(sel))
+            bad = ~np.isfinite(new)
+            if bad.any():
+                raise _failure(int(owner[np.argmax(bad)]), self.base_seed, t, _NON_FINITE)
+        if self.radius is not None:
+            # the running sum's rounding can leave vv just below 0 near v = 0
+            nrm = abs(s) * np.sqrt(np.maximum(self.vv, 0.0))
+            over = nrm > self.radius * (1.0 + _BALL_SLACK)
+            if over.any():
+                s[over] *= self.radius / nrm[over]
+
+
+def _run_svm(problem, factory, config, scheme_names, trials, base_seed, suffix_alpha):
+    plan = _ScaledSvm(problem, factory, config, scheme_names, trials, base_seed, suffix_alpha)
+    sched = config.schedule
+    denom_scale = problem.mu if sched.mu_scaled else 1.0
+    cp_set = set(checkpoint_iterations(config))
+    cp_values: list[tuple[int, dict[str, np.ndarray]]] = []
+    for t in range(1, config.T + 1):
+        plan.observe(t)
+        if t in cp_set:
+            cp_values.append((t, _evaluate(problem.objective, plan.reports(t), t, base_seed)))
+        plan.step(t, sched.c / (denom_scale * (t + sched.shift)))
+    return cp_values
 
 
 def run_all(
@@ -174,49 +361,15 @@ def run_all(
     suffix_alpha: float,
 ):
     """Same output as mapping the sequential trial runner over all indices."""
-    dim = config.x1.shape[0]
     if isinstance(oracle_factory, QuadraticOracleFactory):
-        plan = _Quadratic(oracle_factory, trials, config.T, dim, base_seed)
+        run = _run_quadratic
     elif isinstance(oracle_factory, SvmOracleFactory):
-        plan = _Svm(oracle_factory, trials, config.T, base_seed)
+        run = _run_svm
     else:  # pragma: no cover - guarded by unsupported_reason
         raise TypeError(f"unsupported factory {type(oracle_factory).__name__}")
-
-    X = np.tile(np.asarray(config.x1, dtype=np.float64), (trials, 1))
-    avs = _StackedAveragers(scheme_names, config.T, suffix_alpha, trials, dim)
-    sched = config.schedule
-    denom_scale = problem.mu if sched.mu_scaled else 1.0
-    cp_set = set(checkpoint_iterations(config))
-    objective = problem.objective
-    feasible = problem.feasible
-
-    cp_values: list[tuple[int, dict[str, np.ndarray]]] = []
-    for t in range(1, config.T + 1):
-        avs.observe(X, t)
-        Ghat = plan.ghat(X, t)
-        if t in cp_set:
-            vals: dict[str, np.ndarray] = {}
-            for nm in scheme_names:
-                if not avs.defined(nm):
-                    continue
-                rows = avs.rows(nm)
-                vals[nm] = np.array([float(objective(rows[i])) for i in range(trials)])
-            cp_values.append((t, vals))
-        eta = sched.c / (denom_scale * (t + sched.shift))
-        Y = X - eta * Ghat
-        if not np.isfinite(Y).all():
-            bad = np.nonzero(~np.isfinite(Y).all(axis=1))[0]
-            from .harness import TrialFailure
-
-            raise TrialFailure(
-                f"trial {int(bad[0])} (base seed {base_seed}, stream index {int(bad[0])}) "
-                f"failed: run aborted at iteration {t}: non-finite iterate (NaN/Inf)"
-            )
-        X = _project_batch(feasible, Y)
-
-    rows = []
-    for i in range(trials):
-        rows.append(
-            [(t, {nm: float(v[i]) for nm, v in vals.items()}) for t, vals in cp_values]
-        )
-    return rows
+    cp_values = run(problem, oracle_factory, config, scheme_names, trials, base_seed,
+                    suffix_alpha)
+    return [
+        [(t, {nm: float(v[i]) for nm, v in vals.items()}) for t, vals in cp_values]
+        for i in range(trials)
+    ]

@@ -24,6 +24,13 @@ class TrialFailure(RuntimeError):
     """One trial of a batch aborted; carries the trial index and seed."""
 
 
+def trial_failure(index: int, base_seed: int, exc: Exception) -> TrialFailure:
+    """The failure of trial ``index``, in the same words on both engines."""
+    return TrialFailure(
+        f"trial {index} (base seed {base_seed}, stream index {index}) failed: {exc}"
+    )
+
+
 @dataclass(eq=False)
 class TrialMatrix:
     """Objective gaps indexed [trial][checkpoint][scheme].
@@ -84,9 +91,7 @@ def _one_trial(args) -> list[tuple[int, dict[str, float]]]:
     try:
         record = run_sgd(problem, oracle, config, avs)
     except Exception as exc:
-        raise TrialFailure(
-            f"trial {index} (base seed {base_seed}, stream index {index}) failed: {exc}"
-        ) from exc
+        raise trial_failure(index, base_seed, exc) from exc
     return record.checkpoints
 
 
@@ -107,7 +112,8 @@ def run_trials(
     execution strategy: "sequential" runs each trial through run_sgd,
     "batched" advances all trials in lockstep with vectorized updates
     (available for the built-in oracle factories; same per-trial streams,
-    same results), "auto" picks batched when supported.
+    same results), "auto" picks batched when supported. ``meta`` names the
+    engine that ran and, when "auto" fell back, the reason.
     """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
@@ -120,14 +126,12 @@ def run_trials(
     if engine not in ("auto", "sequential", "batched"):
         raise InputError(f"unknown engine {engine!r}")
 
-    use_batched = False
-    if engine == "batched":
+    reason = None
+    if engine != "sequential":
         reason = batched.unsupported_reason(problem, oracle_factory, config)
-        if reason:
+        if reason and engine == "batched":
             raise InputError(f"batched engine unavailable: {reason}")
-        use_batched = True
-    elif engine == "auto":
-        use_batched = batched.unsupported_reason(problem, oracle_factory, config) is None
+    use_batched = engine != "sequential" and reason is None
 
     if use_batched:
         rows = batched.run_all(
@@ -165,6 +169,8 @@ def run_trials(
         "schedule": [config.schedule.c, config.schedule.shift, config.schedule.mu_scaled],
         "schemes": scheme_names,
         "suffix_alpha": suffix_alpha,
+        "engine": "batched" if use_batched else "sequential",
+        "engine_reason": reason,
     }
     matrix = TrialMatrix(gaps=gaps, checkpoints=cps, scheme_names=scheme_names, meta=meta)
     matrix.validate()

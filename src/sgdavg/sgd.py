@@ -22,7 +22,8 @@ __all__ = ["RunAborted", "RunConfig", "RunRecord", "run_sgd", "checkpoint_iterat
 
 
 class RunAborted(RuntimeError):
-    """A run hit a non-finite iterate or a failing oracle; names the iteration."""
+    """A run hit a non-finite iterate or objective, or a failing oracle;
+    names the iteration."""
 
     def __init__(self, iteration: int, reason: str):
         self.iteration = iteration
@@ -82,9 +83,9 @@ def run_sgd(
 ) -> RunRecord:
     """Execute exactly T oracle queries of projected subgradient descent.
 
-    Aborts with RunAborted on a failing oracle or a non-finite iterate,
-    naming the iteration. Checkpoint values use the full deterministic
-    objective of each scheme's current report.
+    Aborts with RunAborted on a failing oracle, a non-finite iterate or a
+    non-finite checkpoint objective, naming the iteration. Checkpoint values
+    use the full deterministic objective of each scheme's current report.
     """
     if not schemes:
         raise InputError("at least one averaging scheme is required")
@@ -124,9 +125,12 @@ def run_sgd(
             vals: dict[str, float] = {}
             for av in schemes:
                 try:
-                    vals[av.name] = float(objective(av.report()))
+                    value = float(objective(av.report()))
                 except WindowNotStarted:
                     continue
+                if not math.isfinite(value):
+                    raise RunAborted(t, f"non-finite {av.name} objective at checkpoint")
+                vals[av.name] = value
             checkpoints.append((t, vals))
         eta = c / (denom_scale * (t + shift))
         y = x - eta * sample.ghat

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sgdavg
@@ -140,6 +141,26 @@ class TestTrials:
         )
         assert code == 1
         assert "/nonexistent-dir" in err
+
+
+class TestDivergence:
+    # the checkpoint objective overflows at t = 200 while the iterate is finite
+    ARGS = ["--problem", "quadratic", "--dim", "1", "--noise", "ball", "--step-c",
+            "1000", "--T", "600", "--eval-every", "100", "--seed", "1"]
+
+    @pytest.mark.parametrize("engine", ["batched", "sequential"])
+    def test_trials_exit_one_naming_trial_and_iteration(self, capsys, engine):
+        with np.errstate(over="ignore"):
+            code, _, err = run_cli(["trials", *self.ARGS, "--trials", "2",
+                                    "--engine", engine], capsys)
+        assert code == 1
+        assert "trial 0 " in err and "iteration 200:" in err
+
+    def test_run_exits_one_naming_iteration(self, capsys):
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(["run", *self.ARGS], capsys)
+        assert code == 1
+        assert "iteration 200:" in err and "inf" not in out
 
 
 class TestLb:

@@ -156,6 +156,14 @@ class TestScaling:
         out, _ = scale_features(Dataset(pts, 10), "sparse01")
         for x, _ in out.points:
             assert np.all(x.values >= 0.0) and np.all(x.values <= 1.0)
+        # per column, the smallest stored nonzero maps to exactly 0 and the
+        # largest to exactly 1
+        for j in range(10):
+            before = [x.values[x.indices == j] for x, _ in pts]
+            after = [x.values[x.indices == j] for x, _ in out.points]
+            before, after = np.concatenate(before), np.concatenate(after)
+            assert after[np.argmin(before)] == 0.0
+            assert after[np.argmax(before)] == 1.0
 
     def test_standardize_columns(self):
         rng = np.random.default_rng(1)

@@ -4,8 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sgdavg.core import DEFAULT_SCHEDULE, InputError, Interval
-from sgdavg.data import synthetic_separable_dataset
+from sgdavg.core import (
+    DEFAULT_SCHEDULE,
+    InputError,
+    Interval,
+    L2Ball,
+    SparseVec,
+    Unconstrained,
+)
+from sgdavg.data import Dataset, parse_libsvm, synthetic_separable_dataset
 from sgdavg.oracles import (
     BoundedUniformBall,
     LowerBoundOracle,
@@ -43,6 +50,21 @@ from sgdavg.experiments import (
     verify_diameter_bound,
     verify_recursive_bound,
 )
+
+
+# Rows with different feature counts, one with none, and both labels.
+SPARSE_TEXT = """\
++1 1:0.5 3:1.2 7:-0.4
+-1 2:0.9 4:0.3
++1
+-1 1:-1.1 2:0.2 3:0.7 5:1.5 6:-0.3 8:0.8 9:0.1 10:-0.6 11:0.4
++1 6:2.0
+-1 3:-0.5 9:1.1 12:0.6
++1 2:0.4 4:-0.8 5:0.9 7:0.2 8:-1.3
+-1 10:0.7 11:-0.2
++1 1:0.3 12:-0.9
+-1 4:1.4 5:-0.1 6:0.6 9:-0.7
+"""
 
 
 def quad_ball_setting(T, dim=1, eval_every=None, x1=1.0, bound=1.0):
@@ -242,6 +264,97 @@ class TestRunTrials:
         seq = run_trials(problem, factory, config, schemes, 4, 3, engine="sequential")
         bat = run_trials(problem, factory, config, schemes, 4, 3, engine="batched")
         assert np.nanmax(np.abs(seq.gaps - bat.gaps)) <= 1e-12
+
+    @pytest.mark.parametrize("radius", [None, 0.4])
+    def test_scaled_svm_matches_sequential_on_sparse_rows(self, radius):
+        # rows with 0 to 9 features; T = 1600 crosses the fold at t = 1, the
+        # folds where the iterate's scale gets small, and the suffix window
+        ds = parse_libsvm(SPARSE_TEXT)
+        lam = 1.0 / ds.m
+        feasible = Unconstrained() if radius is None else L2Ball(radius, np.zeros(ds.n))
+        problem = svm_problem(ds, lam, feasible=feasible)
+        factory = SvmOracleFactory(ds, lam)
+        config = RunConfig(T=1600, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
+                           eval_every=200)
+        schemes = ["final", "uniform", "suffix", "nonuniform"]
+        seq = run_trials(problem, factory, config, schemes, 3, 8, engine="sequential")
+        bat = run_trials(problem, factory, config, schemes, 3, 8, engine="batched")
+        assert bat.meta["engine"] == "batched"
+        assert np.nanmax(np.abs(seq.gaps - bat.gaps)) <= 1e-12
+        if radius is not None:
+            # the projection fires: iterates land on the sphere
+            rec = run_sgd(problem, factory(RngStream(8, 0)),
+                          RunConfig(T=1600, schedule=DEFAULT_SCHEDULE,
+                                    x1=np.zeros(ds.n), record_iterates=True),
+                          [make_averager("final")])
+            norms = np.array([np.linalg.norm(x) for x, _ in rec.trajectory])
+            assert np.sum(np.abs(norms - radius) <= 1e-9 * radius) > 100
+
+    def test_batched_svm_runs_wide_sparse_dataset(self):
+        # m * n = 3e8: no dense m-by-n row matrix is built
+        m, n = 1000, 300_000
+        rng = np.random.default_rng(6)
+        points = []
+        for i in range(m):
+            idx = np.sort(rng.choice(n, size=5, replace=False))
+            points.append((SparseVec(idx, rng.random(5), n), 1 if i % 2 else -1))
+        ds = Dataset(points, n)
+        lam = 1.0 / m
+        problem = svm_problem(ds, lam)
+        factory = SvmOracleFactory(ds, lam)
+        config = RunConfig(T=60, schedule=DEFAULT_SCHEDULE, x1=np.zeros(n), eval_every=30)
+        bat = run_trials(problem, factory, config, ["final", "nonuniform"], 2, 4)
+        assert bat.meta["engine"] == "batched"
+        seq = run_trials(problem, factory, config, ["final", "nonuniform"], 2, 4,
+                         engine="sequential")
+        assert np.nanmax(np.abs(seq.gaps - bat.gaps)) <= 1e-12
+
+    @pytest.mark.parametrize("lam, c, mu_scaled, feature_scale, iteration", [
+        (None, 1e12, True, 1.0, 29),       # |1 - eta*lam| > 1 grows the iterate
+        (1e-300, 1e300, False, 1e10, 1),   # the hinge step overflows entries
+    ])
+    def test_diverging_svm_trial_names_trial_and_iteration(
+        self, lam, c, mu_scaled, feature_scale, iteration
+    ):
+        from sgdavg.core import StepSchedule
+        from sgdavg.experiments import TrialFailure
+
+        base = synthetic_separable_dataset(50, 6, seed=2)
+        ds = Dataset([(x * feature_scale, y) for x, y in base.points], 6)
+        lam = lam or 1.0 / ds.m
+        problem = svm_problem(ds, lam)
+        factory = SvmOracleFactory(ds, lam)
+        config = RunConfig(T=400, schedule=StepSchedule(c=c, mu_scaled=mu_scaled),
+                           x1=np.zeros(6))
+        messages = []
+        for engine in ("sequential", "batched"):
+            with pytest.raises(TrialFailure) as err, np.errstate(all="ignore"):
+                run_trials(problem, factory, config, ["final", "uniform"], 3, 5,
+                           engine=engine)
+            messages.append(str(err.value))
+        assert messages[0].startswith("trial 0 "), messages[0]
+        assert f"iteration {iteration}: non-finite iterate" in messages[0]
+        assert messages[1] == messages[0]
+
+    def test_engine_and_fallback_reason_in_meta(self):
+        ds = synthetic_separable_dataset(40, 3, seed=1)
+        lam = 1.0 / ds.m
+        config = RunConfig(T=20, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3))
+        factory = SvmOracleFactory(ds, lam)
+        box = run_trials(svm_problem(ds, lam, feasible=Interval(-1, 1)), factory,
+                         config, ["final"], 2, 0, engine="auto")
+        assert box.meta["engine"] == "sequential"
+        assert "interval" in box.meta["engine_reason"]
+        off = L2Ball(1.0, np.array([0.1, 0.0, 0.0]))
+        assert "ball off the origin" in run_trials(
+            svm_problem(ds, lam, feasible=off), factory, config, ["final"], 2, 0
+        ).meta["engine_reason"]
+        plain = run_trials(svm_problem(ds, lam), factory, config, ["final"], 2, 0)
+        assert plain.meta["engine"] == "batched" and plain.meta["engine_reason"] is None
+        chosen = run_trials(svm_problem(ds, lam), factory, config, ["final"], 2, 0,
+                            engine="sequential")
+        assert chosen.meta["engine"] == "sequential"
+        assert chosen.meta["engine_reason"] is None
 
     def test_svm_runs_through_process_pool(self):
         # problem/factory/config must survive pickling into worker processes
