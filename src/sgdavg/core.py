@@ -250,6 +250,15 @@ class Problem:
     def fstar(self) -> Optional[float]:
         return None if self.optimum is None else self.optimum[1]
 
+    def objective_rows(self, X: np.ndarray) -> np.ndarray:
+        """The objective of each row of a (B, dim) array: one call of
+        ``objective.rows`` when the objective has it, else one call of
+        ``objective`` per row."""
+        rows = getattr(self.objective, "rows", None)
+        if rows is not None:
+            return np.asarray(rows(X), dtype=np.float64)
+        return np.array([float(self.objective(x)) for x in X], dtype=np.float64)
+
     def gap(self, x: np.ndarray) -> float:
         """f(x) - f(x*), or the raw objective when the optimum is unknown."""
         val = float(self.objective(x))

@@ -85,12 +85,12 @@ def _failure(trial: int, base_seed: int, t: int, reason: str):
     return trial_failure(trial, base_seed, RunAborted(t, reason))
 
 
-def _evaluate(objective, reports: dict[str, np.ndarray], t: int, base_seed: int):
+def _evaluate(problem: Problem, reports: dict[str, np.ndarray], t: int, base_seed: int):
     """Objective of every trial's report per scheme; a non-finite value
     fails the trial at this checkpoint."""
     vals: dict[str, np.ndarray] = {}
     for nm, rows in reports.items():
-        v = np.array([float(objective(row)) for row in rows])
+        v = problem.objective_rows(rows)
         bad = ~np.isfinite(v)
         if bad.any():
             raise _failure(int(np.argmax(bad)), base_seed, t,
@@ -193,7 +193,7 @@ def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, su
         avs.observe(X, t)
         Ghat = plan.ghat(X, t)
         if t in cp_set:
-            cp_values.append((t, _evaluate(problem.objective, avs.reports(), t, base_seed)))
+            cp_values.append((t, _evaluate(problem, avs.reports(), t, base_seed)))
         eta = sched.c / (denom_scale * (t + sched.shift))
         Y = X - eta * Ghat
         if not np.isfinite(Y).all():
@@ -346,7 +346,7 @@ def _run_svm(problem, factory, config, scheme_names, trials, base_seed, suffix_a
     for t in range(1, config.T + 1):
         plan.observe(t)
         if t in cp_set:
-            cp_values.append((t, _evaluate(problem.objective, plan.reports(t), t, base_seed)))
+            cp_values.append((t, _evaluate(problem, plan.reports(t), t, base_seed)))
         plan.step(t, sched.c / (denom_scale * (t + sched.shift)))
     return cp_values
 
@@ -360,16 +360,14 @@ def run_all(
     base_seed: int,
     suffix_alpha: float,
 ):
-    """Same output as mapping the sequential trial runner over all indices."""
+    """The objectives the sequential trial runner reports, as one
+    (t, {scheme: (trials,) array}) pair per checkpoint; a scheme is absent
+    at checkpoints where its report is not yet defined."""
     if isinstance(oracle_factory, QuadraticOracleFactory):
         run = _run_quadratic
     elif isinstance(oracle_factory, SvmOracleFactory):
         run = _run_svm
     else:  # pragma: no cover - guarded by unsupported_reason
         raise TypeError(f"unsupported factory {type(oracle_factory).__name__}")
-    cp_values = run(problem, oracle_factory, config, scheme_names, trials, base_seed,
-                    suffix_alpha)
-    return [
-        [(t, {nm: float(v[i]) for nm, v in vals.items()}) for t, vals in cp_values]
-        for i in range(trials)
-    ]
+    return run(problem, oracle_factory, config, scheme_names, trials, base_seed,
+               suffix_alpha)

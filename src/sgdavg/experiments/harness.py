@@ -134,9 +134,10 @@ def run_trials(
     use_batched = engine != "sequential" and reason is None
 
     if use_batched:
-        rows = batched.run_all(
+        # one entry for all trials, holding a (trials,) array per scheme and checkpoint
+        results = [(slice(None), batched.run_all(
             problem, oracle_factory, config, scheme_names, trials, base_seed, suffix_alpha
-        )
+        ))]
     else:
         arglist = [
             (problem, oracle_factory, config, scheme_names, suffix_alpha, base_seed, i)
@@ -148,11 +149,13 @@ def run_trials(
                 rows = list(pool.map(_one_trial, arglist, chunksize=chunk))
         else:
             rows = [_one_trial(a) for a in arglist]
+        results = enumerate(rows)
 
     cps = checkpoint_iterations(config)
     fstar = problem.fstar if problem.optimum is not None else 0.0
+    # allocated only now, after the batched engine has freed its pre-drawn tables
     gaps = np.full((trials, len(cps), len(scheme_names)), np.nan)
-    for i, row in enumerate(rows):
+    for i, row in results:
         if [t for t, _ in row] != cps:
             raise TrialFailure(f"trial {i} produced unexpected checkpoints")
         for ci, (_, vals) in enumerate(row):

@@ -9,7 +9,6 @@ rides along in a ``# meta:`` comment so a round trip is exact.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -36,13 +35,30 @@ def export_csv(
         lines.append(f"# {c}")
     lines.append(f"# meta: {json.dumps(matrix.meta, sort_keys=True)}")
     lines.append(CSV_HEADER)
-    for trial in range(matrix.gaps.shape[0]):
-        for ci, cp in enumerate(matrix.checkpoints):
-            for si, scheme in enumerate(matrix.scheme_names):
-                v = matrix.gaps[trial, ci, si]
-                if math.isnan(v):
-                    continue
-                lines.append(f"{trial},{cp},{scheme},{v:.17g}")
+    # one "%"-template per trial row, in [checkpoint][scheme] cell order;
+    # rows with undefined cells use the template of their mask's cells
+    cells = [
+        f"{cp},{scheme.replace('%', '%%')},%.17g"
+        for cp in matrix.checkpoints
+        for scheme in matrix.scheme_names
+    ]
+    flat = matrix.gaps.reshape(matrix.gaps.shape[0], -1)
+    defined = ~np.isnan(flat)
+    by_mask: dict[bytes, list[str]] = {}
+    for trial, (row, mask) in enumerate(zip(flat, defined)):
+        if mask.all():
+            row_cells = cells
+        else:
+            row_cells = by_mask.get(mask.tobytes())
+            if row_cells is None:
+                row_cells = by_mask[mask.tobytes()] = [
+                    c for c, keep in zip(cells, mask) if keep
+                ]
+            if not row_cells:
+                continue
+            row = row[mask]
+        head = f"{trial},"
+        lines.append((head + f"\n{head}".join(row_cells)) % tuple(row.tolist()))
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -124,10 +140,11 @@ def render_svg(
     sx = _scale(float(xs.min()), float(xs.max()), _PANEL_W)
     sy = _scale(y_lo, y_hi, _PANEL_H)
 
-    def pixel(panel: int, cp_i: int, v: float) -> str:
-        px = _MARGIN + panel * (_PANEL_W + _MARGIN) + sx(xs[cp_i])
-        py = _MARGIN + (_PANEL_H - sy(v))
-        return f"{px:.2f},{py:.2f}"
+    def py(v):
+        return _MARGIN + (_PANEL_H - sy(v))
+
+    py_all = np.broadcast_to(py(matrix.gaps), matrix.gaps.shape)
+    defined_all = ~np.isnan(matrix.gaps)
 
     width = _MARGIN + len(names) * (_PANEL_W + _MARGIN)
     height = 2 * _MARGIN + _PANEL_H
@@ -148,30 +165,32 @@ def render_svg(
             'fill="none" stroke="#999" stroke-width="1"/>'
         )
         for label, v in ((f"{y_hi:.4g}", y_hi), (f"{y_lo:.4g}", y_lo)):
-            py = _MARGIN + (_PANEL_H - sy(v))
             parts.append(
-                f'<text x="{x0 - 4}" y="{py:.2f}" text-anchor="end" '
+                f'<text x="{x0 - 4}" y="{py(v):.2f}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="10">{label}</text>'
             )
-        for trial in range(matrix.gaps.shape[0]):
-            col = matrix.gaps[trial, :, si]
-            pts = [
-                pixel(panel, ci, col[ci])
-                for ci in range(len(matrix.checkpoints))
-                if not math.isnan(col[ci])
-            ]
-            if len(pts) >= 2:
-                parts.append(
-                    f'<polyline points="{" ".join(pts)}" fill="none" '
-                    'stroke="#1f77b4" stroke-width="1" stroke-opacity="0.08"/>'
+        # "x,%.2f" per checkpoint; a trial's polyline fills the points it defines
+        points = [f"{x0 + sx(x):.2f},%.2f" for x in xs]
+        by_mask: dict[bytes, str] = {}
+        for py_row, mask in zip(py_all[:, :, si], defined_all[:, :, si]):
+            if mask.sum() < 2:
+                continue
+            template = by_mask.get(mask.tobytes())
+            if template is None:
+                template = by_mask[mask.tobytes()] = " ".join(
+                    p for p, keep in zip(points, mask) if keep
                 )
+            parts.append(
+                f'<polyline points="{template % tuple(py_row[mask].tolist())}" fill="none" '
+                'stroke="#1f77b4" stroke-width="1" stroke-opacity="0.08"/>'
+            )
         col = matrix.gaps[:, :, si]
-        defined = ~np.isnan(col)
+        defined = defined_all[:, :, si]
         mean_pts = []
         for ci in range(len(matrix.checkpoints)):
             mask = defined[:, ci]
             if mask.any():
-                mean_pts.append(pixel(panel, ci, float(col[mask, ci].mean())))
+                mean_pts.append(points[ci] % py(float(col[mask, ci].mean())))
         if len(mean_pts) >= 2:
             parts.append(
                 f'<polyline points="{" ".join(mean_pts)}" fill="none" '

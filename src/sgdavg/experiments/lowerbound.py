@@ -104,7 +104,8 @@ def kolmogorov_gap(samples, pmf: list[tuple[float, Fraction]]) -> float:
             snapped = np.where(close, support[cand], snapped)
     points = np.union1d(support, snapped)
     emp = np.searchsorted(np.sort(snapped), points, side="right") / snapped.size
-    exact = np.array([float(probs[support <= x].sum()) for x in points])
+    cdf = np.concatenate(([0.0], np.cumsum(probs)))
+    exact = cdf[np.searchsorted(support, points, side="right")]
     return float(np.max(np.abs(emp - exact)))
 
 

@@ -188,13 +188,22 @@ def svm_oracle_query(
 
 def full_svm_objective(w: np.ndarray, dataset: Dataset, lam: float) -> float:
     """(lam/2)*||w||^2 + mean hinge loss over the whole dataset."""
+    return float(_svm_objective_rows(np.asarray(w)[None, :], dataset, lam)[0])
+
+
+def _svm_objective_rows(W: np.ndarray, dataset: Dataset, lam: float) -> np.ndarray:
+    """full_svm_objective of each row of a (B, n) array, with one sparse
+    product for all the hinge terms."""
     if not lam > 0:
         raise InputError(f"regularization parameter must be positive, got {lam}")
     if dataset.m == 0:
         raise InputError("dataset is empty")
-    margins = dataset.labels() * dataset.dot_all(w)
+    W = np.asarray(W, dtype=np.float64)
+    # (B, m) in C order: each row's hinge mean is then summed exactly as a
+    # lone row's is, whatever B
+    margins = dataset.labels() * np.ascontiguousarray(dataset.matrix().dot(W.T).T)
     hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * lam * float(w @ w) + float(hinge.mean())
+    return 0.5 * lam * np.einsum("ij,ij->i", W, W) + hinge.mean(axis=1)
 
 
 def quadratic_oracle_query(
@@ -349,7 +358,12 @@ class QuadraticObjective:
     mu: float = 1.0
 
     def __call__(self, x: np.ndarray) -> float:
-        return 0.5 * self.mu * float(x @ x)
+        return float(self.rows(np.asarray(x)[None, :])[0])
+
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """The objective of each row of a (B, dim) array."""
+        X = np.asarray(X, dtype=np.float64)
+        return 0.5 * self.mu * np.einsum("ij,ij->i", X, X)
 
 
 @dataclass(frozen=True)
@@ -401,6 +415,10 @@ class SvmObjective:
 
     def __call__(self, w: np.ndarray) -> float:
         return full_svm_objective(w, self.dataset, self.lam)
+
+    def rows(self, W: np.ndarray) -> np.ndarray:
+        """The objective of each row of a (B, n) array."""
+        return _svm_objective_rows(W, self.dataset, self.lam)
 
 
 @dataclass(frozen=True, eq=False)

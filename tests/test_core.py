@@ -225,6 +225,26 @@ class TestProblem:
         )
         assert p.gap(np.array([1.0, 0.0])) == pytest.approx(1.0)
 
+    def test_objective_rows_calls_a_plain_objective_per_row(self):
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return float(x @ x) + 1.0
+
+        p = Problem(
+            objective=objective,
+            subgradient=lambda x: 2 * x,
+            feasible=Unconstrained(),
+            mu=2.0,
+            lipschitz=math.inf,
+        )
+        X = np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+        got = p.objective_rows(X)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, [2.0, 6.0, 1.0])
+        assert len(calls) == 3
+
     def test_norm_helper(self):
         assert norm(SparseVec([1], [3.0], 4)) == 3.0
         assert norm(np.array([3.0, 4.0])) == 5.0

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from sgdavg.oracles import (
 )
 from sgdavg.sgd import RunConfig, run_sgd
 from sgdavg.averaging import make_averager
+from sgdavg.experiments.io import _MARGIN, _PANEL_H, _PANEL_W, _scale
 from sgdavg.experiments import (
     TrialMatrix,
     chicken_and_egg_coefficients,
@@ -183,6 +185,35 @@ class TestLbSimulation:
         # all mass at f = 0 sits Kolmogorov distance 1/2 from the exact pmf
         gap = kolmogorov_gap(np.zeros(1000), lb_exact_distribution(8))
         assert gap == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("T", [8, 32, 60])
+    def test_kolmogorov_gap_matches_per_point_sum(self, T):
+        # the per-point masked sum that the cumulative-sum CDF replaced
+        def reference(samples, pmf):
+            samples = np.asarray(samples, dtype=np.float64)
+            support = np.array([v for v, _ in pmf])
+            probs = np.array([float(p) for _, p in pmf])
+            snapped = samples.copy()
+            pos = np.clip(np.searchsorted(support, samples), 0, support.size - 1)
+            left = np.clip(pos - 1, 0, support.size - 1)
+            for cand in (pos, left):
+                close = np.abs(support[cand] - snapped) <= 1e-9
+                snapped = np.where(close, support[cand], snapped)
+            points = np.union1d(support, snapped)
+            emp = np.searchsorted(np.sort(snapped), points, side="right") / snapped.size
+            exact = np.array([float(probs[support <= x].sum()) for x in points])
+            return float(np.max(np.abs(emp - exact)))
+
+        pmf = lb_exact_distribution(T)
+        support = np.array([v for v, _ in pmf])
+        rng = np.random.default_rng(T)
+        for trial in range(20):
+            n = int(rng.integers(1, 300))
+            on = rng.choice(support, size=n)
+            jitter = rng.uniform(-2e-9, 2e-9, size=n) * rng.integers(0, 2, size=n)
+            off = rng.uniform(-0.1, support.max() + 0.1, size=n)
+            samples = np.where(rng.random(n) < 0.7, on + jitter, off)
+            assert abs(kolmogorov_gap(samples, pmf) - reference(samples, pmf)) <= 1e-15
 
     def test_report_equals_half_mean_of_signs(self):
         T = 16
@@ -647,3 +678,149 @@ class TestSvg:
         render_svg(m, path, schemes=["nonuniform"])
         text = path.read_text()
         assert text.count("stroke-opacity") == 5
+
+
+def reference_export_csv(matrix, path, comments=()):
+    """The per-cell CSV writer the per-row templates replaced."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(f"# meta: {json.dumps(matrix.meta, sort_keys=True)}")
+    lines.append("trial,checkpoint_iter,scheme,objective")
+    for trial in range(matrix.gaps.shape[0]):
+        for ci, cp in enumerate(matrix.checkpoints):
+            for si, scheme in enumerate(matrix.scheme_names):
+                v = matrix.gaps[trial, ci, si]
+                if math.isnan(v):
+                    continue
+                lines.append(f"{trial},{cp},{scheme},{v:.17g}")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def reference_render_svg(matrix, path, schemes=None):
+    """The per-point SVG writer the per-row templates replaced."""
+    names = list(schemes) if schemes else list(matrix.scheme_names)
+    xs = np.asarray(matrix.checkpoints, dtype=np.float64)
+    finite = matrix.gaps[~np.isnan(matrix.gaps)]
+    y_lo = float(finite.min()) if finite.size else 0.0
+    y_hi = float(finite.max()) if finite.size else 1.0
+    sx = _scale(float(xs.min()), float(xs.max()), _PANEL_W)
+    sy = _scale(y_lo, y_hi, _PANEL_H)
+
+    def pixel(panel, cp_i, v):
+        px = _MARGIN + panel * (_PANEL_W + _MARGIN) + sx(xs[cp_i])
+        py = _MARGIN + (_PANEL_H - sy(v))
+        return f"{px:.2f},{py:.2f}"
+
+    width = _MARGIN + len(names) * (_PANEL_W + _MARGIN)
+    height = 2 * _MARGIN + _PANEL_H
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+    ]
+    for panel, nm in enumerate(names):
+        si = matrix.scheme_index(nm)
+        x0 = _MARGIN + panel * (_PANEL_W + _MARGIN)
+        parts.append(
+            f'<text x="{x0 + _PANEL_W / 2:.2f}" y="{_MARGIN - 16}" '
+            f'text-anchor="middle" font-family="sans-serif" font-size="15">{nm}</text>'
+        )
+        parts.append(
+            f'<rect x="{x0}" y="{_MARGIN}" width="{_PANEL_W}" height="{_PANEL_H}" '
+            'fill="none" stroke="#999" stroke-width="1"/>'
+        )
+        for label, v in ((f"{y_hi:.4g}", y_hi), (f"{y_lo:.4g}", y_lo)):
+            py = _MARGIN + (_PANEL_H - sy(v))
+            parts.append(
+                f'<text x="{x0 - 4}" y="{py:.2f}" text-anchor="end" '
+                f'font-family="sans-serif" font-size="10">{label}</text>'
+            )
+        for trial in range(matrix.gaps.shape[0]):
+            col = matrix.gaps[trial, :, si]
+            pts = [
+                pixel(panel, ci, col[ci])
+                for ci in range(len(matrix.checkpoints))
+                if not math.isnan(col[ci])
+            ]
+            if len(pts) >= 2:
+                parts.append(
+                    f'<polyline points="{" ".join(pts)}" fill="none" '
+                    'stroke="#1f77b4" stroke-width="1" stroke-opacity="0.08"/>'
+                )
+        col = matrix.gaps[:, :, si]
+        defined = ~np.isnan(col)
+        mean_pts = []
+        for ci in range(len(matrix.checkpoints)):
+            mask = defined[:, ci]
+            if mask.any():
+                mean_pts.append(pixel(panel, ci, float(col[mask, ci].mean())))
+        if len(mean_pts) >= 2:
+            parts.append(
+                f'<polyline points="{" ".join(mean_pts)}" fill="none" '
+                'stroke="#222" stroke-width="2" stroke-dasharray="5 4"/>'
+            )
+    parts.append("</svg>")
+    path.write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
+
+
+def _suffix_not_open_matrix():
+    problem, factory, config = quad_ball_setting(T=60, eval_every=10)
+    return run_trials(problem, factory, config,
+                      ["final", "uniform", "suffix", "nonuniform"], 4, 5)
+
+
+def _ragged_nan_matrix():
+    # per-trial NaN masks: a trial with no defined cell, one with a single
+    # defined point per scheme, the same mask on two trials, and masks with
+    # equal counts of defined cells in different places
+    rng = np.random.default_rng(11)
+    gaps = rng.standard_normal((8, 5, 3)) * 10.0 ** rng.integers(-20, 20, size=(8, 5, 3))
+    gaps[0] = np.nan
+    gaps[1, 1:] = np.nan
+    gaps[2, :2, 1] = np.nan
+    gaps[3, :2, 1] = np.nan
+    gaps[4, 3, :] = np.nan
+    gaps[5, 2, 2] = -0.0
+    gaps[6, 0, 0] = np.nan
+    gaps[7, 4, 2] = np.nan
+    return TrialMatrix(gaps=gaps, checkpoints=[1, 4, 9, 16, 400],
+                       scheme_names=["final", "suffix", "nonuniform"],
+                       meta={"note": "ragged"})
+
+
+def _constant_matrix():
+    return TrialMatrix(gaps=np.full((3, 4, 2), 2.5), checkpoints=[10, 20, 30, 40],
+                       scheme_names=["uniform", "nonuniform"], meta={})
+
+
+def _single_checkpoint_matrix():
+    gaps = np.random.default_rng(2).uniform(0.0, 1.0, size=(5, 1, 2))
+    return TrialMatrix(gaps=gaps, checkpoints=[100], scheme_names=["final", "uniform"],
+                       meta={"T": 100})
+
+
+class TestEmittersMatchPerCellReference:
+    @pytest.mark.parametrize("make", [_suffix_not_open_matrix, _ragged_nan_matrix,
+                                      _constant_matrix, _single_checkpoint_matrix])
+    @pytest.mark.parametrize("comments", [(), ("config: x=1", "100% sure")])
+    def test_csv_bytes(self, tmp_path, make, comments):
+        m = make()
+        export_csv(m, tmp_path / "new.csv", comments=comments)
+        reference_export_csv(m, tmp_path / "ref.csv", comments=comments)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("make", [_suffix_not_open_matrix, _ragged_nan_matrix,
+                                      _constant_matrix, _single_checkpoint_matrix])
+    def test_svg_bytes(self, tmp_path, make):
+        m = make()
+        for schemes in (None, m.scheme_names[-1:], m.scheme_names[::-1][:2]):
+            render_svg(m, tmp_path / "new.svg", schemes=schemes)
+            reference_render_svg(m, tmp_path / "ref.svg", schemes=schemes)
+            new = (tmp_path / "new.svg").read_bytes()
+            assert new == (tmp_path / "ref.svg").read_bytes(), schemes
+
+    def test_percent_in_scheme_name_is_literal(self, tmp_path):
+        m = TrialMatrix(gaps=np.ones((2, 2, 1)), checkpoints=[1, 2],
+                        scheme_names=["50%d"], meta={})
+        export_csv(m, tmp_path / "new.csv")
+        reference_export_csv(m, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

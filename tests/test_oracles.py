@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdavg.core import InputError, SparseVec
-from sgdavg.data import Dataset
+from sgdavg.data import Dataset, parse_libsvm, synthetic_separable_dataset
 from sgdavg.oracles import (
     BoundedUniformBall,
     GaussianNoise,
     LowerBoundOracle,
     NoNoise,
+    QuadraticObjective,
     RngStream,
+    SvmObjective,
     SvmOracle,
     empirical_mgf_check,
     full_svm_objective,
@@ -142,6 +146,61 @@ class TestFullSvmObjective:
     def test_two_point_hand_evaluation(self):
         w = np.array([0.5])
         assert full_svm_objective(w, two_point_dataset(), 1.0) == pytest.approx(0.625)
+
+
+def reference_svm_objective(w, dataset, lam):
+    """The one-vector formula the row-wise SVM objective replaced."""
+    margins = dataset.labels() * dataset.dot_all(w)
+    hinge = np.maximum(0.0, 1.0 - margins)
+    return 0.5 * lam * float(w @ w) + float(hinge.mean())
+
+
+class TestRowObjectives:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 6),
+        st.floats(1e-2, 1e2),
+        st.data(),
+    )
+    def test_quadratic_rows_match_per_row_formula(self, dim, rows, mu, data):
+        X = np.array(data.draw(st.lists(
+            st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim),
+            min_size=rows, max_size=rows)))
+        obj = QuadraticObjective(mu)
+        got = obj.rows(X)
+        assert got.shape == (rows,)
+        for x, g in zip(X, got):
+            want = 0.5 * mu * np.sum(x * x)
+            if dim == 1:
+                assert g == want
+            else:
+                assert abs(g - want) <= 1e-15 * abs(want)
+            # the scalar objective is the one-row case of the same formula
+            assert obj(x) == g
+
+    @pytest.mark.parametrize("ds", [
+        parse_libsvm("+1 1:0.5 3:1.2 7:-0.4\n-1 2:0.9 4:0.3\n+1\n"
+                     "-1 1:-1.1 2:0.2 3:0.7 5:1.5 6:-0.3\n+1 6:2.0 7:0.1\n"),
+        synthetic_separable_dataset(300, 6, seed=2),
+    ])
+    def test_svm_rows_match_reference_formula(self, ds):
+        lam = 0.3
+        W = np.random.default_rng(4).standard_normal((9, ds.n))
+        W[0] = 0.0
+        obj = SvmObjective(ds, lam)
+        got = obj.rows(W)
+        assert got.shape == (9,)
+        for w, g in zip(W, got):
+            want = reference_svm_objective(w, ds, lam)
+            assert abs(g - want) <= 1e-12 * abs(want)
+            assert obj(w) == g == full_svm_objective(w, ds, lam)
+
+    def test_svm_rows_validate_like_the_scalar_objective(self):
+        with pytest.raises(InputError):
+            SvmObjective(one_point_dataset(), 0.0).rows(np.zeros((2, 3)))
+        with pytest.raises(InputError):
+            full_svm_objective(np.zeros(3), Dataset([], 3), 1.0)
 
 
 class TestQuadraticOracle:
