@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Iterable, Optional, TextIO, Union
+from typing import TYPE_CHECKING, Iterable, Optional, TextIO, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import InputError, SparseVec, Vector
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ParseError",
@@ -72,8 +74,11 @@ class Dataset:
         return self._labels
 
     def matrix(self) -> sp.csr_matrix:
-        """The m-by-n feature matrix in CSR form (cached)."""
+        """The m-by-n feature matrix in CSR form (cached). scipy is imported
+        here, so runs that never build the matrix do not load it."""
         if self._matrix is None:
+            import scipy.sparse as sp
+
             indptr = [0]
             indices: list[np.ndarray] = []
             data: list[np.ndarray] = []

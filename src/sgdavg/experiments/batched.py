@@ -4,9 +4,13 @@ All trials advance together with one vectorized update per iteration over a
 stacked (trials, dim) state, and per-trial randomness is pre-drawn from each
 trial's own RNG stream in exactly the order the scalar oracles consume it.
 
-Quadratic problems apply the same elementwise arithmetic as the sequential
-loop, so their results match the sequential runner (bitwise for
-one-dimensional problems, up to summation order for dense dot products).
+Quadratic and lower-bound problems apply the same elementwise arithmetic as
+the sequential loop, so their results match the sequential runner (bitwise
+for one-dimensional problems, up to summation order for dense dot
+products). When the config sets ``record_iterates``, they also record every
+trial's trajectory: x_t, zhat_t and ghat_t as (T, trials, dim) arrays in one
+``Trajectory``, bitwise equal to what ``run_sgd`` records trial by trial.
+The verifier fleet and the lower-bound simulation run this way.
 
 SVM problems cost O(nnz) per trial and step. Each trial's iterate is held as
 w = s*v with a scalar s, so the shrink by (1 - eta*lam) touches only s and
@@ -15,32 +19,35 @@ trick of Pegasos). Each running sum sum_i a_i w_i behind the uniform, suffix
 and t-weighted averages is held as A*v - U with a scalar A, and U changes only
 where v does (the lazily updated average of ASGD). Dense vectors are built
 only at checkpoints and at folds, which write the pending scale into v. The
-results agree with the sequential runner up to rounding, not bitwise.
-
-Trajectory recording is not available here; workflows that need stored
-iterates use the sequential engine.
+results agree with the sequential runner up to rounding, not bitwise, and no
+trajectory is recorded.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from ..averaging import suffix_window_start
-from ..core import Interval, L2Ball, Problem, Unconstrained, _BALL_SLACK
+from ..core import InputError, Interval, L2Ball, Problem, Unconstrained, _BALL_SLACK
 from ..oracles import (
     BoundedUniformBall,
     GaussianNoise,
+    LowerBoundOracleFactory,
     NoNoise,
     QuadraticOracleFactory,
     RngStream,
     SvmOracleFactory,
 )
-from ..sgd import RunAborted, RunConfig, checkpoint_iterations
+from ..sgd import RunAborted, RunConfig, RunRecord, Trajectory, checkpoint_iterations
 
-__all__ = ["unsupported_reason", "run_all"]
+__all__ = ["LockstepRun", "unsupported_reason", "run_all"]
 
-# Pre-drawn noise/index tables are capped to keep memory within ~1.6 GB.
-_MAX_PREDRAW = 200_000_000
+# Pre-drawn noise/index tables and recorded trajectories together stay
+# within this many bytes.
+_BUDGET_BYTES = 1_600_000_000
 
 # An SVM trial folds its scale into v before a step takes |s| below this, or
 # above 1 (a step size with eta*lam > 2). The rounding error of A*v - U grows
@@ -56,8 +63,6 @@ _NON_FINITE = "non-finite iterate (NaN/Inf)"
 
 def unsupported_reason(problem: Problem, oracle_factory, config: RunConfig) -> str | None:
     """None when the batched engine can reproduce the sequential run."""
-    if config.record_iterates:
-        return "trajectory recording requires the sequential engine"
     feasible = problem.feasible
     if not isinstance(feasible, (Unconstrained, Interval, L2Ball)):
         return f"unsupported feasible set {type(feasible).__name__}"
@@ -70,13 +75,57 @@ def unsupported_reason(problem: Problem, oracle_factory, config: RunConfig) -> s
                 return None
             return "ball noise draws interleave per query above one dimension"
         return f"unsupported noise model {type(noise).__name__}"
+    if isinstance(oracle_factory, LowerBoundOracleFactory):
+        if config.x1.shape[0] != 1:
+            return "the lower-bound oracle is one-dimensional"
+        if oracle_factory.T % 4 != 0:
+            return "the lower-bound oracle's horizon is not divisible by 4"
+        if config.T != oracle_factory.T:
+            return "the lower-bound oracle's horizon differs from the run's"
+        return None
     if isinstance(oracle_factory, SvmOracleFactory):
+        if config.record_iterates:
+            return "a scaled SVM iterate has no recorded trajectory"
         if isinstance(feasible, Interval):
             return "the interval box has no O(nnz) projection of a scaled SVM iterate"
         if isinstance(feasible, L2Ball) and np.any(feasible.center != 0.0):
             return "a ball off the origin has no O(nnz) projection of a scaled SVM iterate"
         return None
     return f"unsupported oracle factory {type(oracle_factory).__name__}"
+
+
+def _reserve(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, tables larger than the byte budget."""
+    if nbytes > _BUDGET_BYTES:
+        raise MemoryError(
+            f"{what} need {nbytes} bytes, above the batched engine's budget of "
+            f"{_BUDGET_BYTES} bytes"
+        )
+
+
+@dataclass(eq=False)
+class LockstepRun:
+    """The results of all trials of one lockstep run.
+
+    ``checkpoints`` holds one (t, {scheme: (trials,) array}) pair per
+    checkpoint (a scheme is absent where its report is not yet defined),
+    ``reported`` the final (trials, dim) report per scheme, and
+    ``trajectory`` the recorded (T, trials, dim) arrays when the config asks
+    for them.
+    """
+
+    checkpoints: list[tuple[int, dict[str, np.ndarray]]]
+    reported: dict[str, np.ndarray]
+    trajectory: Optional[Trajectory] = None
+
+    def record(self, b: int) -> RunRecord:
+        """Trial b's results, as ``run_sgd`` returns them."""
+        return RunRecord(
+            reported={nm: z[b] for nm, z in self.reported.items()},
+            checkpoints=[(t, {nm: float(v[b]) for nm, v in vals.items()})
+                         for t, vals in self.checkpoints],
+            trajectory=self.trajectory.trial(b) if self.trajectory is not None else None,
+        )
 
 
 def _failure(trial: int, base_seed: int, t: int, reason: str):
@@ -99,29 +148,28 @@ def _evaluate(problem: Problem, reports: dict[str, np.ndarray], t: int, base_see
     return vals
 
 
-class _Quadratic:
-    def __init__(self, factory: QuadraticOracleFactory, trials, T, dim, base_seed):
-        self.mu = factory.mu
-        noise = factory.noise
-        if isinstance(noise, NoNoise):
-            self.noise_table = None
+def _noise_table(factory, trials: int, T: int, dim: int, base_seed: int) -> np.ndarray:
+    """(trials, T, dim) noise zhat_t of every trial, drawn from the trial's
+    own stream in the order its oracle draws it."""
+    table = np.zeros((trials, T, dim))
+    if isinstance(factory, LowerBoundOracleFactory):
+        # one uniform sign per step t in (T/2, 3T/4], scaled as lb_oracle_query scales it
+        lo, hi = T // 2, (3 * T) // 4
+        coeff = (T + 1.0) / (T - np.arange(lo + 1, hi + 1))
+        for i in range(trials):
+            r = RngStream(base_seed, i).generator().random(hi - lo)
+            table[i, lo:hi, 0] = coeff * np.where(r < 0.5, 1.0, -1.0)
+        return table
+    noise = factory.noise
+    if isinstance(noise, NoNoise):
+        return table
+    for i in range(trials):
+        gen = RngStream(base_seed, i).generator()
+        if isinstance(noise, BoundedUniformBall):
+            table[i, :, 0] = gen.uniform(-noise.bound, noise.bound, size=T)
         else:
-            if trials * T * dim > _MAX_PREDRAW:
-                raise MemoryError("noise pre-draw exceeds the batched engine's cap")
-            table = np.empty((trials, T, dim))
-            for i in range(trials):
-                gen = RngStream(base_seed, i).generator()
-                if isinstance(noise, BoundedUniformBall):
-                    table[i, :, 0] = gen.uniform(-noise.bound, noise.bound, size=T)
-                else:
-                    table[i] = noise.sample_batch(T, dim, gen)
-            self.noise_table = table
-
-    def ghat(self, X, t):
-        G = X if self.mu == 1.0 else self.mu * X
-        if self.noise_table is None:
-            return G.copy()
-        return G - self.noise_table[:, t - 1, :]
+            table[i] = noise.sample_batch(T, dim, gen)
+    return table
 
 
 def _project_batch(feasible, Y):
@@ -179,19 +227,35 @@ class _StackedAveragers:
 
 
 def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, suffix_alpha):
-    dim = config.x1.shape[0]
-    plan = _Quadratic(factory, trials, config.T, dim, base_seed)
+    """Quadratic and lower-bound trials: ghat = mu*x - zhat with the noise
+    pre-drawn (the lower-bound oracle's mu is 1)."""
+    T, dim = config.T, config.x1.shape[0]
+    record = config.record_iterates
+    mu = factory.mu if isinstance(factory, QuadraticOracleFactory) else 1.0
+    noiseless = isinstance(getattr(factory, "noise", None), NoNoise)
+    # the noise table, plus the recorded iterates and ghat
+    tables = (0 if noiseless and not record else 1) + (2 if record else 0)
+    _reserve(tables * trials * T * dim * 8,
+             "pre-drawn noise and recorded trajectories" if record else "pre-drawn noise")
+    table = None if noiseless and not record else _noise_table(factory, trials, T, dim, base_seed)
+    if record:
+        Xs = np.empty((T, trials, dim))
+        Gs = np.empty((T, trials, dim))
     X = np.tile(np.asarray(config.x1, dtype=np.float64), (trials, 1))
-    avs = _StackedAveragers(scheme_names, config.T, suffix_alpha, trials, dim)
+    avs = _StackedAveragers(scheme_names, T, suffix_alpha, trials, dim)
     sched = config.schedule
     denom_scale = problem.mu if sched.mu_scaled else 1.0
     cp_set = set(checkpoint_iterations(config))
     feasible = problem.feasible
 
     cp_values: list[tuple[int, dict[str, np.ndarray]]] = []
-    for t in range(1, config.T + 1):
+    for t in range(1, T + 1):
         avs.observe(X, t)
-        Ghat = plan.ghat(X, t)
+        G = X if mu == 1.0 else mu * X
+        Ghat = G if table is None else G - table[:, t - 1, :]
+        if record:
+            Xs[t - 1] = X
+            Gs[t - 1] = Ghat
         if t in cp_set:
             cp_values.append((t, _evaluate(problem, avs.reports(), t, base_seed)))
         eta = sched.c / (denom_scale * (t + sched.shift))
@@ -200,7 +264,8 @@ def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, su
             bad = int(np.nonzero(~np.isfinite(Y).all(axis=1))[0][0])
             raise _failure(bad, base_seed, t, _NON_FINITE)
         X = _project_batch(feasible, Y)
-    return cp_values
+    trajectory = Trajectory(Xs, Gs, table.transpose(1, 0, 2)) if record else None
+    return LockstepRun(cp_values, avs.reports(), trajectory)
 
 
 class _ScaledSvm:
@@ -212,8 +277,7 @@ class _ScaledSvm:
     def __init__(self, problem, factory: SvmOracleFactory, config, scheme_names,
                  trials, base_seed, suffix_alpha):
         d = factory.dataset
-        if trials * config.T > _MAX_PREDRAW:
-            raise MemoryError("index pre-draw exceeds the batched engine's cap")
+        _reserve(trials * config.T * 8, "pre-drawn sample indices")
         # (T, trials): step t reads one contiguous row
         self.idx = np.empty((config.T, trials), dtype=np.int64)
         for i in range(trials):
@@ -346,9 +410,11 @@ def _run_svm(problem, factory, config, scheme_names, trials, base_seed, suffix_a
     for t in range(1, config.T + 1):
         plan.observe(t)
         if t in cp_set:
-            cp_values.append((t, _evaluate(problem, plan.reports(t), t, base_seed)))
+            reports = plan.reports(t)
+            cp_values.append((t, _evaluate(problem, reports, t, base_seed)))
         plan.step(t, sched.c / (denom_scale * (t + sched.shift)))
-    return cp_values
+    # T is always a checkpoint, so these are the final reports
+    return LockstepRun(cp_values, reports)
 
 
 def run_all(
@@ -359,15 +425,12 @@ def run_all(
     trials: int,
     base_seed: int,
     suffix_alpha: float,
-):
-    """The objectives the sequential trial runner reports, as one
-    (t, {scheme: (trials,) array}) pair per checkpoint; a scheme is absent
-    at checkpoints where its report is not yet defined."""
-    if isinstance(oracle_factory, QuadraticOracleFactory):
-        run = _run_quadratic
-    elif isinstance(oracle_factory, SvmOracleFactory):
-        run = _run_svm
-    else:  # pragma: no cover - guarded by unsupported_reason
-        raise TypeError(f"unsupported factory {type(oracle_factory).__name__}")
+) -> LockstepRun:
+    """Trials 0..trials-1 of the sequential trial runner, in lockstep; trial
+    i draws from RngStream(base_seed, i)."""
+    reason = unsupported_reason(problem, oracle_factory, config)
+    if reason:
+        raise InputError(f"batched engine unavailable: {reason}")
+    run = _run_svm if isinstance(oracle_factory, SvmOracleFactory) else _run_quadratic
     return run(problem, oracle_factory, config, scheme_names, trials, base_seed,
                suffix_alpha)

@@ -128,7 +128,12 @@ def run_trials(
 
     reason = None
     if engine != "sequential":
-        reason = batched.unsupported_reason(problem, oracle_factory, config)
+        if config.record_iterates:
+            # a TrialMatrix holds no trajectory; the lockstep engine records
+            # only for callers that read it (batched.run_all)
+            reason = "trajectory recording requires the sequential engine"
+        else:
+            reason = batched.unsupported_reason(problem, oracle_factory, config)
         if reason and engine == "batched":
             raise InputError(f"batched engine unavailable: {reason}")
     use_batched = engine != "sequential" and reason is None
@@ -137,7 +142,7 @@ def run_trials(
         # one entry for all trials, holding a (trials,) array per scheme and checkpoint
         results = [(slice(None), batched.run_all(
             problem, oracle_factory, config, scheme_names, trials, base_seed, suffix_alpha
-        ))]
+        ).checkpoints)]
     else:
         arglist = [
             (problem, oracle_factory, config, scheme_names, suffix_alpha, base_seed, i)

@@ -4,7 +4,9 @@ simulation-versus-enumeration comparison.
 With the 1/(t+1) step sizes, start 0, and the adversarial noise, the
 weighted report collapses to (1/2) * (mean of the T/4 realized signs), so
 its objective value has an exactly enumerable distribution. The simulator
-runs the full SGD pipeline and measures the Kolmogorov distance to that law.
+runs the full SGD pipeline for all trials in lockstep (the batched engine,
+bitwise equal to ``run_sgd`` trial by trial) and measures the Kolmogorov
+distance to that law.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..averaging import NonUniformAverage
 from ..core import InputError, Interval, LOWER_BOUND_SCHEDULE
-from ..oracles import LowerBoundOracle, RngStream, quadratic_problem
-from ..sgd import RunConfig, RunRecord, run_sgd
+from ..oracles import LowerBoundOracleFactory, quadratic_problem
+from ..sgd import RunConfig, RunRecord
+from . import batched
 
 __all__ = [
     "lb_exact_distribution_rational",
@@ -76,16 +78,21 @@ def lb_run_config(T: int, record: bool = True) -> RunConfig:
     )
 
 
+def _identity_error(X: np.ndarray, Z: np.ndarray) -> float:
+    """max_t |x_t - (1/t) * sum_{i<t} zhat_i| over (T, ...) arrays of
+    iterates and noise, for every trial and coordinate at once."""
+    T = X.shape[0]
+    partial = np.concatenate((np.zeros_like(Z[:1]), np.cumsum(Z[:-1], axis=0)))
+    predicted = partial / np.arange(1, T + 1).reshape((T,) + (1,) * (Z.ndim - 1))
+    return float(np.max(np.abs(X - predicted)))
+
+
 def iterate_identity_error(record: RunRecord) -> float:
     """max_t |x_t - (1/t) * sum_{i<t} zhat_i| over the stored trajectory."""
-    if record.trajectory is None:
+    traj = record.trajectory
+    if traj is None or traj.zhat is None:
         raise InputError("trajectory recording is required for the identity check")
-    xs = np.array([x[0] for x, _ in record.trajectory])
-    zs = np.array([s.zhat[0] for _, s in record.trajectory])
-    T = xs.size
-    partial = np.concatenate(([0.0], np.cumsum(zs[:-1])))
-    predicted = partial / np.arange(1, T + 1)
-    return float(np.max(np.abs(xs - predicted)))
+    return _identity_error(traj.X, traj.zhat)
 
 
 def kolmogorov_gap(samples, pmf: list[tuple[float, Fraction]]) -> float:
@@ -118,20 +125,17 @@ class LbMatchResult:
 
 def lb_simulate_and_match(T: int, trials: int, base_seed: int) -> LbMatchResult:
     """Run the full pipeline (quadratic problem on [-6,6], adversarial
-    oracle, 1/(t+1) steps, x1 = 0) for ``trials`` streams and compare the
-    reported objective's empirical law against the exact enumeration."""
+    oracle, 1/(t+1) steps, x1 = 0) for ``trials`` streams in lockstep and
+    compare the reported objective's empirical law against the exact
+    enumeration. Trial i draws from RngStream(base_seed, i)."""
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
     exact = lb_exact_distribution(T)
-    problem = lb_problem()
-    config = lb_run_config(T, record=True)
-    values = np.empty(trials)
-    worst_identity = 0.0
-    for i in range(trials):
-        oracle = LowerBoundOracle(T, RngStream(base_seed, i))
-        record = run_sgd(problem, oracle, config, [NonUniformAverage()])
-        values[i] = problem.objective(record.reported["nonuniform"])
-        worst_identity = max(worst_identity, iterate_identity_error(record))
+    run = batched.run_all(lb_problem(), LowerBoundOracleFactory(T), lb_run_config(T),
+                          ["nonuniform"], trials, base_seed, suffix_alpha=0.5)
+    (_, final), = run.checkpoints  # eval_every = T: the final report's objective
+    values = final["nonuniform"]
+    worst_identity = _identity_error(run.trajectory.X, run.trajectory.zhat)
     gap = kolmogorov_gap(values, exact)
     return LbMatchResult(
         kolmogorov_gap=gap, max_identity_error=worst_identity, objective_values=values

@@ -12,18 +12,18 @@ from typing import Optional
 
 import numpy as np
 
-from ..averaging import make_averager
 from ..core import DEFAULT_SCHEDULE, InputError, Interval
 from ..oracles import (
     BoundedUniformBall,
     GaussianNoise,
-    QuadraticOracle,
+    QuadraticOracleFactory,
     RngStream,
     empirical_mgf_check,
     gaussian_mgf_exact,
     quadratic_problem,
 )
-from ..sgd import RunConfig, run_sgd
+from ..sgd import RunConfig, Trajectory
+from . import batched
 
 __all__ = [
     "CheckResult",
@@ -79,17 +79,27 @@ def literal_telescoping_product(i: int, t: int) -> float:
 
 
 def product_identity_sweep(max_t: int = 200) -> CheckResult:
-    """Closed form versus the literal product over all 3 <= i < t <= max_t."""
+    """Closed form versus the literal product over all 3 <= i < t <= max_t.
+
+    For each i, one cumulative product of the factors 1 - 4/(j+1) gives the
+    literal product at every t > i, multiplied in the order
+    ``literal_telescoping_product`` uses. The worst pair is the first
+    maximum in t-major, then i, order.
+    """
     worst = 0.0
     worst_pair = (3, 4)
-    for t in range(4, max_t + 1):
-        for i in range(3, t):
-            lit = literal_telescoping_product(i, t)
-            closed = telescoping_product_coeff(i, t)
-            err = abs(closed - lit) / max(abs(lit), 1e-300)
-            if err > worst:
-                worst = err
-                worst_pair = (i, t)
+    j = np.arange(4, max_t + 1, dtype=np.float64)
+    factors = 1.0 - 4.0 / (j + 1.0)
+    den = (j - 2.0) * (j - 1.0) * j * (j + 1.0)  # closed-form denominator at t = j
+    for i in range(3, max_t):
+        lit = np.cumprod(factors[i - 3:])  # t = i+1 .. max_t
+        closed = (i - 2.0) * (i - 1.0) * i * (i + 1.0) / den[i - 3:]
+        err = np.abs(closed - lit) / np.maximum(np.abs(lit), 1e-300)
+        k = int(np.argmax(err))
+        t = i + 1 + k
+        if err[k] > worst or (err[k] == worst and worst > 0.0 and t < worst_pair[1]):
+            worst = float(err[k])
+            worst_pair = (i, t)
     return CheckResult(
         name="product-identity",
         value=worst,
@@ -100,19 +110,21 @@ def product_identity_sweep(max_t: int = 200) -> CheckResult:
 
 
 def _trajectory_arrays(trajectory, xstar, need_decomposition=True):
+    """(X, D, Z, Ghat) of a Trajectory or a sequence of (x_t, sample)
+    pairs, with D = X - xstar."""
     if trajectory is None or len(trajectory) == 0:
         raise InputError("a recorded trajectory is required")
     if xstar is None:
         raise InputError("the problem optimum is required")
-    X = np.stack([x for x, _ in trajectory])
+    if not isinstance(trajectory, Trajectory):
+        trajectory = Trajectory.from_pairs(trajectory)
+    X = trajectory.X
     D = X - np.asarray(xstar, dtype=np.float64)
     if not need_decomposition:
         return X, D, None, None
-    if any(s.zhat is None or s.g is None for _, s in trajectory):
+    if trajectory.zhat is None:
         raise InputError("trajectory lacks the oracle's noise decomposition")
-    Z = np.stack([s.zhat for _, s in trajectory])
-    Ghat = np.stack([s.ghat for _, s in trajectory])
-    return X, D, Z, Ghat
+    return X, D, trajectory.zhat, trajectory.ghat
 
 
 def verify_diameter_bound(trajectory, L: float, mu: float, xstar) -> CheckResult:
@@ -253,13 +265,16 @@ def chicken_and_egg_coefficients(T: int, mu: float, L: float) -> tuple[np.ndarra
 
 
 def verify_chicken_and_egg(
-    trajectory, mu: float, L: float, xstar, beta_scale: float = 1.0
+    trajectory, mu: float, L: float, xstar, beta_scale: float = 1.0,
+    coefficients: Optional[tuple[np.ndarray, float]] = None,
 ) -> CheckResult:
     """Checks the self-bounding inequality V_T <= sum_i alpha_i d_i + beta
     on a bounded-noise trajectory (requires ||zhat_t|| <= 1). Returns the
     slack (bound - V_T); passes when it clears -1e-9 * beta.
 
     ``beta_scale`` rescales beta and exists as a negative-control hook.
+    ``coefficients`` passes ``chicken_and_egg_coefficients(T, mu, L)`` in,
+    for callers that check many trajectories of one horizon.
     """
     if not math.isfinite(L):
         raise InputError("a finite Lipschitz bound is required")
@@ -277,7 +292,11 @@ def verify_chicken_and_egg(
     ts = np.arange(1, T + 1, dtype=np.float64)
     v_total = math.fsum((ts * ts * dist2).tolist())
 
-    alpha, beta = chicken_and_egg_coefficients(T, mu, L)
+    if coefficients is None:
+        coefficients = chicken_and_egg_coefficients(T, mu, L)
+    alpha, beta = coefficients
+    if alpha.shape != (T + 1,):
+        raise InputError(f"coefficients of {alpha.shape[0] - 1} steps for a {T}-step trajectory")
     beta *= beta_scale
     d = ts * u  # d_i = i * <zhat_i, x_i - x*>
     bound = math.fsum((alpha[1 : T + 1] * d).tolist()) + beta
@@ -306,7 +325,9 @@ def fleet_trajectories(
 ):
     """Seeded bounded-noise quadratic runs on [-6, 6] with trajectories
     recorded: the standard fixture the inequality verifiers are checked on.
-    Yields (problem, record) pairs."""
+    Run i draws from RngStream(base_seed, i). All runs advance in one
+    lockstep call; yields (problem, record) pairs, each record a view of one
+    run, bitwise equal to its ``run_sgd`` record."""
     problem = quadratic_problem(1, mu=1.0, feasible=Interval(-6.0, 6.0))
     config = RunConfig(
         T=T,
@@ -315,11 +336,11 @@ def fleet_trajectories(
         eval_every=T,
         record_iterates=True,
     )
-    noise = BoundedUniformBall(noise_bound)
+    factory = QuadraticOracleFactory(BoundedUniformBall(noise_bound))
+    run = batched.run_all(problem, factory, config, ["nonuniform"], runs, base_seed,
+                          suffix_alpha=0.5)
     for i in range(runs):
-        oracle = QuadraticOracle(noise, RngStream(base_seed, i))
-        record = run_sgd(problem, oracle, config, [make_averager("nonuniform")])
-        yield problem, record
+        yield problem, run.record(i)
 
 
 _FLEET_CHECKS = ("diameter", "recursive", "chicken-and-egg", "product-identity", "mgf")
@@ -346,6 +367,7 @@ def run_verification_fleet(
     traj_checks = {"diameter", "recursive", "chicken-and-egg"} & set(selected)
     if traj_checks:
         worst: dict[str, CheckResult] = {}
+        coefficients = None  # one horizon and problem: computed once per fleet
         for problem, record in fleet_trajectories(runs, T, base_seed, noise_bound):
             traj = record.trajectory
             L, mu, xstar = problem.lipschitz, problem.mu, problem.xstar
@@ -358,7 +380,10 @@ def run_verification_fleet(
                 if "recursive" not in worst or r.value < worst["recursive"].value:
                     worst["recursive"] = r
             if "chicken-and-egg" in traj_checks:
-                r = verify_chicken_and_egg(traj, mu, L, xstar, beta_scale=beta_scale)
+                if coefficients is None and len(traj) >= 5:
+                    coefficients = chicken_and_egg_coefficients(len(traj), mu, L)
+                r = verify_chicken_and_egg(traj, mu, L, xstar, beta_scale=beta_scale,
+                                           coefficients=coefficients)
                 if (
                     "chicken-and-egg" not in worst
                     or r.value < worst["chicken-and-egg"].value

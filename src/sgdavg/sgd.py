@@ -18,7 +18,14 @@ from .averaging import Averager, WindowNotStarted
 from .core import InputError, Problem, StepSchedule
 from .oracles import GradientSample
 
-__all__ = ["RunAborted", "RunConfig", "RunRecord", "run_sgd", "checkpoint_iterations"]
+__all__ = [
+    "RunAborted",
+    "RunConfig",
+    "RunRecord",
+    "Trajectory",
+    "run_sgd",
+    "checkpoint_iterations",
+]
 
 
 class RunAborted(RuntimeError):
@@ -64,6 +71,54 @@ def checkpoint_iterations(config: RunConfig) -> list[int]:
     return pts
 
 
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """A recorded run: the iterates x_t and the oracle's replies stacked
+    along a leading step axis, so ``X[t-1]`` is x_t. ``zhat`` is None when
+    the oracle does not report its noise. A lockstep run stores (T, B, n)
+    arrays and ``trial(b)`` is one trial's (T, n) view.
+
+    Item ``t-1`` is the pair (x_t, GradientSample) that the oracle replied
+    at step t; its true subgradient is ghat + zhat, as the oracles that
+    know their noise compute it.
+    """
+
+    X: np.ndarray
+    ghat: np.ndarray
+    zhat: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "Trajectory":
+        """Stack (x_t, GradientSample) pairs; the noise is kept only when
+        every sample carries the full decomposition."""
+        pairs = list(pairs)
+        if not pairs:
+            raise InputError("a recorded trajectory is required")
+        decomposed = all(s.zhat is not None and s.g is not None for _, s in pairs)
+        return cls(
+            X=np.stack([x for x, _ in pairs]),
+            ghat=np.stack([s.ghat for _, s in pairs]),
+            zhat=np.stack([s.zhat for _, s in pairs]) if decomposed else None,
+        )
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
+
+    def __getitem__(self, k: int) -> tuple[np.ndarray, GradientSample]:
+        ghat = self.ghat[k]
+        if self.zhat is None:
+            return self.X[k], GradientSample(ghat)
+        z = self.zhat[k]
+        return self.X[k], GradientSample(ghat, ghat + z, z)
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def trial(self, b: int) -> "Trajectory":
+        return Trajectory(self.X[:, b], self.ghat[:, b],
+                          None if self.zhat is None else self.zhat[:, b])
+
+
 @dataclass(eq=False)
 class RunRecord:
     """Per-run artifacts: final report per scheme, checkpoint objective
@@ -72,7 +127,7 @@ class RunRecord:
 
     reported: dict[str, np.ndarray]
     checkpoints: list[tuple[int, dict[str, float]]]
-    trajectory: Optional[list[tuple[np.ndarray, GradientSample]]] = None
+    trajectory: Optional[Trajectory] = None
 
 
 def run_sgd(
@@ -107,7 +162,7 @@ def run_sgd(
 
     cp_set = set(checkpoint_iterations(config))
     checkpoints: list[tuple[int, dict[str, float]]] = []
-    trajectory: Optional[list] = [] if config.record_iterates else None
+    recorded: Optional[list] = [] if config.record_iterates else None
     objective = problem.objective
     query = oracle.query
     proj = feasible.project
@@ -119,8 +174,8 @@ def run_sgd(
             sample = query(x, t)
         except Exception as exc:
             raise RunAborted(t, f"oracle failure: {exc}") from exc
-        if trajectory is not None:
-            trajectory.append((x, sample))
+        if recorded is not None:
+            recorded.append((x, sample))
         if t in cp_set:
             vals: dict[str, float] = {}
             for av in schemes:
@@ -139,4 +194,5 @@ def run_sgd(
         x = proj(y)
 
     reported = {av.name: av.report() for av in schemes}
+    trajectory = Trajectory.from_pairs(recorded) if recorded is not None else None
     return RunRecord(reported=reported, checkpoints=checkpoints, trajectory=trajectory)

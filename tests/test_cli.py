@@ -243,6 +243,28 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert "1/8" in proc.stdout
 
+    def test_scipy_loaded_only_by_dataset_runs(self, tmp_path):
+        # scipy.sparse is imported by Dataset.matrix(), so the CLI and a
+        # quadratic trials run start without it
+        script = (
+            "import sys\n"
+            "import sgdavg.cli\n"
+            "assert 'scipy' not in sys.modules, 'after import'\n"
+            "code = sgdavg.cli.main(['trials', '--problem', 'quadratic', '--dim', '1',\n"
+            "                        '--noise', 'ball', '--T', '50', '--trials', '3',\n"
+            "                        '--seed', '1', '--csv', 'q.csv'])\n"
+            "assert code == 0\n"
+            "assert 'scipy' not in sys.modules, 'after a quadratic trials run'\n"
+            "from sgdavg.data import synthetic_separable_dataset\n"
+            "synthetic_separable_dataset(5, 3, 1).matrix()\n"
+            "assert 'scipy' in sys.modules, 'after matrix()'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.skipif(shutil.which("sgdavg") is None,
                         reason="sgdavg console script is not installed")
     def test_installed_console_script_works(self, tmp_path):

@@ -1,0 +1,307 @@
+"""Recorded lockstep runs: the batched engine's trajectories, reports and
+checkpoints against run_sgd trial by trial, the lower-bound pre-draw, the
+byte budget of its tables, and the verifier fleet built on them."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgdavg.averaging import SCHEME_NAMES, make_averager
+from sgdavg.core import DEFAULT_SCHEDULE, LOWER_BOUND_SCHEDULE, InputError, Interval
+from sgdavg.data import synthetic_separable_dataset
+from sgdavg.experiments import (
+    batched,
+    fleet_trajectories,
+    iterate_identity_error,
+    kolmogorov_gap,
+    lb_exact_distribution,
+    lb_problem,
+    lb_run_config,
+    lb_simulate_and_match,
+    literal_telescoping_product,
+    product_identity_sweep,
+    TrialFailure,
+    run_trials,
+    run_verification_fleet,
+    telescoping_product_coeff,
+    verify,
+)
+from sgdavg.oracles import (
+    BoundedUniformBall,
+    LowerBoundOracle,
+    LowerBoundOracleFactory,
+    QuadraticOracle,
+    QuadraticOracleFactory,
+    RngStream,
+    SvmOracleFactory,
+    quadratic_problem,
+    svm_problem,
+)
+from sgdavg.sgd import RunConfig, Trajectory, run_sgd
+
+
+def assert_same_record(got, want):
+    """Bitwise equality of two RunRecords, trajectory included."""
+    assert got.reported.keys() == want.reported.keys()
+    for nm in want.reported:
+        assert np.array_equal(got.reported[nm], want.reported[nm]), nm
+    assert got.checkpoints == want.checkpoints
+    for field in ("X", "zhat", "ghat"):
+        a, b = getattr(got.trajectory, field), getattr(want.trajectory, field)
+        assert a.shape == b.shape, field
+        assert np.array_equal(a, b), field
+
+
+class TestRecordedRunsMatchRunSgd:
+    @settings(max_examples=30, deadline=None)
+    @given(T=st.integers(5, 400), runs=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), x1=st.floats(-6.0, 6.0))
+    def test_fleet_setting(self, T, runs, seed, x1):
+        # 1-D ball noise on [-6, 6] under the default schedule
+        fleet = list(fleet_trajectories(runs=runs, T=T, base_seed=seed, x1=x1))
+        assert len(fleet) == runs
+        config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.array([x1]),
+                           eval_every=T, record_iterates=True)
+        for i, (problem, record) in enumerate(fleet):
+            oracle = QuadraticOracle(BoundedUniformBall(1.0), RngStream(seed, i))
+            want = run_sgd(problem, oracle, config, [make_averager("nonuniform")])
+            assert_same_record(record, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(quarter=st.integers(1, 40), trials=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), x1=st.floats(-6.0, 6.0),
+           eval_every=st.integers(1, 50))
+    def test_lower_bound_setting(self, quarter, trials, seed, x1, eval_every):
+        T = 4 * quarter
+        problem = lb_problem()
+        config = RunConfig(T=T, schedule=LOWER_BOUND_SCHEDULE, x1=np.array([x1]),
+                           eval_every=eval_every, record_iterates=True)
+        run = batched.run_all(problem, LowerBoundOracleFactory(T), config,
+                              list(SCHEME_NAMES), trials, seed, 0.5)
+        assert run.trajectory.X.shape == (T, trials, 1)
+        for i in range(trials):
+            avs = [make_averager(nm, T=T) for nm in SCHEME_NAMES]
+            want = run_sgd(problem, LowerBoundOracle(T, RngStream(seed, i)), config, avs)
+            assert_same_record(run.record(i), want)
+
+    def test_noiseless_quadratic_records_zero_noise(self):
+        problem = quadratic_problem(2, mu=0.5)
+        factory = QuadraticOracleFactory(mu=0.5)
+        config = RunConfig(T=30, schedule=DEFAULT_SCHEDULE, x1=np.array([1.0, -2.0]),
+                           eval_every=7, record_iterates=True)
+        run = batched.run_all(problem, factory, config, ["final", "uniform"], 3, 5, 0.5)
+        for i in range(3):
+            avs = [make_averager("final"), make_averager("uniform")]
+            want = run_sgd(problem, factory(RngStream(5, i)), config, avs)
+            assert_same_record(run.record(i), want)
+        assert not run.trajectory.zhat.any()
+
+    def test_run_without_recording_holds_no_trajectory(self):
+        problem = lb_problem()
+        run = batched.run_all(problem, LowerBoundOracleFactory(8), lb_run_config(8, record=False),
+                              ["nonuniform"], 2, 0, 0.5)
+        assert run.trajectory is None
+        assert run.record(1).trajectory is None
+
+
+class TestLowerBoundFactory:
+    def test_run_trials_uses_the_lockstep_engine(self):
+        T = 16
+        config = lb_run_config(T, record=False)
+        auto = run_trials(lb_problem(), LowerBoundOracleFactory(T), config,
+                          list(SCHEME_NAMES), 6, 9)
+        seq = run_trials(lb_problem(), LowerBoundOracleFactory(T), config,
+                         list(SCHEME_NAMES), 6, 9, engine="sequential")
+        assert auto.meta["engine"] == "batched"
+        assert np.array_equal(auto.gaps, seq.gaps, equal_nan=True)
+
+    @pytest.mark.parametrize("dim, T, factory_T, reason, sequential_error", [
+        (2, 8, 8, "one-dimensional", TrialFailure),
+        (1, 10, 10, "not divisible by 4", InputError),
+        (1, 12, 8, "differs", TrialFailure),
+    ])
+    def test_unsupported_settings_fall_back(self, dim, T, factory_T, reason,
+                                            sequential_error):
+        problem = quadratic_problem(dim, feasible=Interval(-6, 6))
+        config = RunConfig(T=T, schedule=LOWER_BOUND_SCHEDULE, x1=np.zeros(dim))
+        factory = LowerBoundOracleFactory(factory_T)
+        assert reason in batched.unsupported_reason(problem, factory, config)
+        with pytest.raises(InputError, match=reason):
+            batched.run_all(problem, factory, config, ["final"], 2, 0, 0.5)
+        # the sequential engine the auto choice falls back to reports the
+        # oracle's own error
+        with pytest.raises(sequential_error):
+            run_trials(problem, factory, config, ["final"], 2, 0)
+
+    def test_simulation_matches_per_trial_runs(self):
+        # the per-trial loop lb_simulate_and_match ran before it went lockstep
+        for T, trials, seed in ((8, 40, 3), (32, 25, 777)):
+            problem = lb_problem()
+            config = lb_run_config(T)
+            values = np.empty(trials)
+            identity = 0.0
+            for i in range(trials):
+                rec = run_sgd(problem, LowerBoundOracle(T, RngStream(seed, i)), config,
+                              [make_averager("nonuniform")])
+                values[i] = problem.objective(rec.reported["nonuniform"])
+                xs = np.array([x[0] for x, _ in rec.trajectory])
+                zs = np.array([s.zhat[0] for _, s in rec.trajectory])
+                predicted = np.concatenate(([0.0], np.cumsum(zs[:-1]))) / np.arange(1, T + 1)
+                err = float(np.max(np.abs(xs - predicted)))
+                assert iterate_identity_error(rec) == err
+                identity = max(identity, err)
+            res = lb_simulate_and_match(T, trials, seed)
+            assert np.array_equal(res.objective_values, values)
+            assert res.max_identity_error == identity
+            assert res.kolmogorov_gap == kolmogorov_gap(values, lb_exact_distribution(T))
+
+
+class TestPredrawBudget:
+    def _expect_refusal(self, monkeypatch, call, nbytes):
+        monkeypatch.setattr(batched, "_BUDGET_BYTES", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError) as err:
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        msg = str(err.value)
+        assert f"{nbytes} bytes" in msg and "budget of 1000 bytes" in msg
+        assert peak < nbytes // 10  # refused before the tables were allocated
+
+    def test_recorded_quadratic_run(self, monkeypatch):
+        T, trials = 50_000, 4
+        problem = quadratic_problem(1, feasible=Interval(-6, 6))
+        factory = QuadraticOracleFactory(BoundedUniformBall(1.0))
+        config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.ones(1),
+                           record_iterates=True)
+        # the noise table, the recorded iterates and the recorded ghat
+        self._expect_refusal(monkeypatch, lambda: batched.run_all(
+            problem, factory, config, ["final"], trials, 0, 0.5), 3 * T * trials * 8)
+
+    def test_quadratic_trials(self, monkeypatch):
+        T, trials = 50_000, 4
+        problem = quadratic_problem(1, feasible=Interval(-6, 6))
+        factory = QuadraticOracleFactory(BoundedUniformBall(1.0))
+        config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.ones(1))
+        self._expect_refusal(monkeypatch, lambda: run_trials(
+            problem, factory, config, ["final"], trials, 0, engine="batched"),
+            T * trials * 8)
+
+    def test_svm_index_table(self, monkeypatch):
+        T, trials = 50_000, 4
+        ds = synthetic_separable_dataset(20, 3, 1)
+        problem = svm_problem(ds, 0.1)
+        config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3))
+        self._expect_refusal(monkeypatch, lambda: run_trials(
+            problem, SvmOracleFactory(ds, 0.1), config, ["final"], trials, 0,
+            engine="batched"), T * trials * 8)
+
+
+class TestTrajectory:
+    def test_items_and_trial_views(self):
+        X = np.arange(12.0).reshape(3, 2, 2)
+        G = -X
+        Z = X / 4
+        traj = Trajectory(X, G, Z)
+        assert len(traj) == 3
+        one = traj.trial(1)
+        assert len(one) == 3 and np.array_equal(one.X, X[:, 1])
+        x, s = one[2]
+        assert np.array_equal(x, X[2, 1]) and np.array_equal(s.ghat, G[2, 1])
+        assert np.array_equal(s.zhat, Z[2, 1]) and np.array_equal(s.g, G[2, 1] + Z[2, 1])
+        assert [x[0] for x, _ in one] == list(X[:, 1, 0])
+
+    def test_from_pairs_keeps_noise_only_when_every_sample_has_it(self):
+        from sgdavg.oracles import GradientSample
+
+        full = [(np.ones(1), GradientSample(np.ones(1), np.ones(1), np.zeros(1)))] * 3
+        assert Trajectory.from_pairs(full).zhat.shape == (3, 1)
+        partial = full + [(np.ones(1), GradientSample(np.ones(1)))]
+        assert Trajectory.from_pairs(partial).zhat is None
+        with pytest.raises(InputError):
+            Trajectory.from_pairs([])
+
+
+def reference_product_identity_sweep(max_t):
+    """The t-major double loop that product_identity_sweep replaced."""
+    worst = 0.0
+    worst_pair = (3, 4)
+    for t in range(4, max_t + 1):
+        for i in range(3, t):
+            lit = literal_telescoping_product(i, t)
+            closed = telescoping_product_coeff(i, t)
+            err = abs(closed - lit) / max(abs(lit), 1e-300)
+            if err > worst:
+                worst = err
+                worst_pair = (i, t)
+    return worst, list(worst_pair)
+
+
+class TestVerifierFleetChecks:
+    @pytest.mark.parametrize("max_t", [3, 4, 5, 17, 64, 200, 251])
+    def test_product_sweep_matches_double_loop(self, max_t):
+        res = product_identity_sweep(max_t=max_t)
+        worst, pair = reference_product_identity_sweep(max_t)
+        assert res.value == worst
+        assert res.detail["worst_pair"] == pair
+        assert res.detail["max_t"] == max_t
+
+    @pytest.mark.parametrize("pairs, first", [
+        (((5, 30), (10, 20)), [10, 20]),  # the smaller t wins over the smaller i
+        (((10, 20), (5, 20)), [5, 20]),  # then the smaller i
+    ])
+    def test_product_sweep_tie_rule(self, monkeypatch, pairs, first):
+        # literal products equal to the closed form except at two pairs, where
+        # they are twice it: both errors are exactly 0.5
+        max_t = 40
+
+        def fake_cumprod(factors):
+            i = max_t - factors.size
+            t = np.arange(i + 1, max_t + 1, dtype=np.float64)
+            lit = (i - 2.0) * (i - 1.0) * i * (i + 1.0) / ((t - 2.0) * (t - 1.0) * t * (t + 1.0))
+            for pi, pt in pairs:
+                if pi == i:
+                    lit[pt - i - 1] *= 2.0
+            return lit
+
+        monkeypatch.setattr(np, "cumprod", fake_cumprod)
+        res = product_identity_sweep(max_t=max_t)
+        assert res.value == 0.5
+        assert res.detail["worst_pair"] == first
+
+    def test_product_sweep_default_value(self):
+        res = product_identity_sweep()
+        assert res.value == 1.9176599344523934e-15
+        assert res.detail["worst_pair"] == [8, 198]
+
+    def test_coefficients_computed_once_per_fleet(self, monkeypatch):
+        calls = []
+        original = verify.chicken_and_egg_coefficients
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(verify, "chicken_and_egg_coefficients", counting)
+        results = run_verification_fleet(runs=4, T=300, base_seed=5,
+                                         only=["chicken-and-egg"])
+        assert calls == [(300, 1.0, 6.0)]
+        # the same worst case as checking each run on its own
+        expected = min(
+            (verify.verify_chicken_and_egg(rec.trajectory, p.mu, p.lipschitz, p.xstar)
+             for p, rec in fleet_trajectories(runs=4, T=300, base_seed=5)),
+            key=lambda r: r.value)
+        assert results[0].value == expected.value
+        assert results[0].detail == {**expected.detail, "runs": 4}
+
+    def test_coefficients_of_another_horizon_rejected(self):
+        (problem, record), = fleet_trajectories(runs=1, T=50, base_seed=2)
+        with pytest.raises(InputError, match="49 steps for a 50-step"):
+            verify.verify_chicken_and_egg(
+                record.trajectory, problem.mu, problem.lipschitz, problem.xstar,
+                coefficients=verify.chicken_and_egg_coefficients(49, 1.0, 6.0))

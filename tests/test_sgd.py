@@ -98,6 +98,32 @@ class TestInvariants:
             replay = fs.project(x_t - eta * sample.ghat)
             assert np.array_equal(replay, rec.trajectory[t][0])
 
+    @pytest.mark.parametrize("make_oracle", [
+        lambda: QuadraticOracle(BoundedUniformBall(1.0), RngStream(4), mu=0.7),
+        lambda: LowerBoundOracle(16, RngStream(4)),
+    ])
+    def test_trajectory_items_rebuild_the_oracle_replies(self, make_oracle):
+        class KeepingOracle:
+            def __init__(self):
+                self.inner = make_oracle()
+                self.replies = []
+
+            def query(self, x, t):
+                sample = self.inner.query(x, t)
+                self.replies.append((x.copy(), sample))
+                return sample
+
+        problem = quadratic_problem(1, mu=0.7, feasible=Interval(-6, 6))
+        config = RunConfig(T=16, schedule=DEFAULT_SCHEDULE, x1=np.array([2.0]),
+                           record_iterates=True)
+        oracle = KeepingOracle()
+        rec = run_sgd(problem, oracle, config, [make_averager("final")])
+        assert len(rec.trajectory) == len(oracle.replies) == 16
+        for (x, s), (x_ref, s_ref) in zip(rec.trajectory, oracle.replies):
+            assert np.array_equal(x, x_ref)
+            for field in ("ghat", "g", "zhat"):
+                assert np.array_equal(getattr(s, field), getattr(s_ref, field)), field
+
     def test_exactly_T_queries(self):
         class CountingOracle:
             def __init__(self):
