@@ -15,9 +15,6 @@ from .core import (
     StepSchedule,
     Unconstrained,
     UsageError,
-    Vector,
-    axpy,
-    dot,
     gamma_weight,
     norm,
     project,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -267,10 +268,13 @@ def cmd_lb(args) -> int:
         if seed is None:
             seed = _resolve_seed(args)
         result = lb_simulate_and_match(args.T, args.trials, seed)
+        # the gap's sampling error: the DKW inequality (Massart's constant) puts
+        # an empirical CDF of this many runs within the band with prob. >= 95%
+        band = math.sqrt(math.log(2 / 0.05) / (2 * args.trials))
         print(
             f"simulated {args.trials} runs at T={args.T}: kolmogorov gap "
-            f"{result.kolmogorov_gap:.6f}, max iterate-identity error "
-            f"{result.max_identity_error:.3e}"
+            f"{result.kolmogorov_gap:.6f}, 95% DKW band {band:.6f}, "
+            f"max iterate-identity error {result.max_identity_error:.3e}"
         )
         if result.kolmogorov_gap > args.gap_threshold:
             print(f"FAIL gap exceeds {args.gap_threshold}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Vectors, feasible sets, problem definitions, and the shared scalar formulas.
 
-Dense vectors are plain float64 numpy arrays. Sparse vectors carry sorted
-index/value pairs plus a fixed dimension; they appear as data points only.
-Iterates are always dense (one gradient step densifies them anyway).
+Iterates are plain float64 numpy arrays (one gradient step densifies them
+anyway). ``SparseVec`` is the row type of ``Dataset.points``, a per-row view
+of a dataset's CSR arrays.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ __all__ = [
     "InputError",
     "UsageError",
     "SparseVec",
-    "Vector",
-    "dimension",
-    "as_dense",
-    "dot",
-    "axpy",
     "norm",
     "FeasibleSet",
     "Unconstrained",
@@ -83,57 +78,7 @@ class SparseVec:
         return f"SparseVec({{{pairs}}}, n={self.n})"
 
 
-Vector = Union[np.ndarray, SparseVec]
-
-
-def dimension(v: Vector) -> int:
-    if isinstance(v, SparseVec):
-        return v.n
-    return int(np.asarray(v).shape[0])
-
-
-def as_dense(v: Vector) -> np.ndarray:
-    if isinstance(v, SparseVec):
-        return v.to_dense()
-    return np.asarray(v, dtype=np.float64)
-
-
-def _check_dims(a: Vector, b: Vector) -> None:
-    na, nb = dimension(a), dimension(b)
-    if na != nb:
-        raise InputError(f"dimension mismatch: {na} vs {nb}")
-
-
-def dot(a: Vector, b: Vector) -> float:
-    """Inner product for any dense/sparse representation pair."""
-    _check_dims(a, b)
-    a_sp = isinstance(a, SparseVec)
-    b_sp = isinstance(b, SparseVec)
-    if not a_sp and not b_sp:
-        return float(np.dot(a, b))
-    if a_sp and not b_sp:
-        return float(np.dot(b[a.indices], a.values))
-    if b_sp and not a_sp:
-        return float(np.dot(a[b.indices], b.values))
-    _, ia, ib = np.intersect1d(
-        a.indices, b.indices, assume_unique=True, return_indices=True
-    )
-    return float(np.dot(a.values[ia], b.values[ib]))
-
-
-def axpy(alpha: float, x: Vector, y: np.ndarray) -> np.ndarray:
-    """In-place y += alpha * x; y must be dense."""
-    if isinstance(y, SparseVec):
-        raise InputError("axpy target must be dense")
-    _check_dims(x, y)
-    if isinstance(x, SparseVec):
-        y[x.indices] += alpha * x.values
-    else:
-        y += alpha * x
-    return y
-
-
-def norm(v: Vector) -> float:
+def norm(v: Union[np.ndarray, SparseVec]) -> float:
     if isinstance(v, SparseVec):
         return v.norm()
     return float(np.linalg.norm(v))

@@ -7,10 +7,11 @@ from __future__ import annotations
 import io
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, TextIO, Union
+from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
-from .core import InputError, SparseVec, Vector
+from .core import InputError, SparseVec
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -34,77 +35,98 @@ class ParseError(InputError):
 
 
 class Dataset:
-    """Labeled points (x_i, y_i) with y_i in {+1, -1} and a shared dimension n.
+    """Labeled points (x_i, y_i) with y_i in {+1, -1} and a shared dimension n,
+    stored once in CSR form: row i's column indices are
+    ``indices[indptr[i]:indptr[i+1]]`` (strictly increasing, below n) and its
+    values the same slice of ``data``; ``labels`` holds the y_i as floats.
 
-    Immutable after construction; share freely across threads.
+    The arrays are validated once here and are read-only views afterwards;
+    share freely across threads.
     """
 
-    def __init__(self, points: list[tuple[Vector, int]], n: int):
-        if not points:
+    def __init__(self, indptr, indices, data, labels, n: int):
+        if any(a.size and not np.issubdtype(a.dtype, np.integer)
+               for a in map(np.asarray, (indptr, indices))):
+            raise InputError("indptr and indices must hold integers")
+        indptr, indices, data, labels = (
+            _frozen(a, dt) for a, dt in ((indptr, np.int64), (indices, np.int64),
+                                         (data, np.float64), (labels, np.float64)))
+        n = int(n)
+        if labels.ndim != 1 or labels.size == 0:
             raise InputError("dataset must contain at least one point")
-        for x, y in points:
-            if y not in (+1, -1):
-                raise InputError(f"labels must be +1 or -1, got {y}")
-            xdim = x.n if isinstance(x, SparseVec) else np.asarray(x).shape[0]
-            if xdim != n:
-                raise InputError(f"point dimension {xdim} != dataset dimension {n}")
-        self.points = points
-        self.n = int(n)
-        self._labels: Optional[np.ndarray] = None
+        bad = (labels != 1.0) & (labels != -1.0)
+        if bad.any():
+            raise InputError(f"labels must be +1 or -1, got {labels[bad][0]:g}")
+        if indptr.shape != (labels.size + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+            raise InputError(f"indptr must rise from 0 in {labels.size + 1} entries")
+        if indices.ndim != 1 or indices.shape != data.shape or indices.size != indptr[-1]:
+            raise InputError(f"indices and data must be 1-D with indptr[-1] = {indptr[-1]} entries")
+        # -1 before each row's first entry also checks the lower bound
+        if np.any(indices <= _previous_in_row(indices, indptr, -1)):
+            raise InputError("column indices must be nonnegative and strictly increasing per row")
+        if indices.size and indices.max() >= n:
+            raise InputError(f"column index {indices.max()} out of range for dimension {n}")
+        self.indptr, self.indices, self.data, self.labels = indptr, indices, data, labels
+        self.n = n
         self._matrix: Optional[sp.csr_matrix] = None
+
+    @classmethod
+    def from_dense(cls, X, labels) -> "Dataset":
+        """The dataset of the rows of a dense (m, n) array; zeros are not stored."""
+        X = np.asarray(X, dtype=np.float64)
+        stored = X != 0.0
+        return cls(np.cumsum([0, *stored.sum(axis=1)]), np.nonzero(stored)[1], X[stored],
+                   labels, X.shape[1])
 
     @property
     def m(self) -> int:
-        return len(self.points)
+        return int(self.labels.size)
 
     @property
     def density(self) -> float:
         """Fraction of stored nonzero entries."""
-        nnz = 0
-        for x, _ in self.points:
-            if isinstance(x, SparseVec):
-                nnz += int(np.count_nonzero(x.values))
-            else:
-                nnz += int(np.count_nonzero(x))
-        return nnz / (self.m * self.n)
+        return int(np.count_nonzero(self.data)) / (self.m * self.n)
 
-    def labels(self) -> np.ndarray:
-        if self._labels is None:
-            self._labels = np.array([y for _, y in self.points], dtype=np.float64)
-        return self._labels
+    @property
+    def points(self) -> tuple[tuple[SparseVec, int], ...]:
+        """A read-only per-row view, (x_i, y_i) pairs built from the CSR
+        arrays on each read: O(m) Python objects, for inspection only."""
+        ptr = self.indptr.tolist()
+        return tuple(
+            (SparseVec(self.indices[a:b], self.data[a:b], self.n), int(y))
+            for a, b, y in zip(ptr, ptr[1:], self.labels.tolist())
+        )
 
     def matrix(self) -> sp.csr_matrix:
-        """The m-by-n feature matrix in CSR form (cached). scipy is imported
-        here, so runs that never build the matrix do not load it."""
+        """The m-by-n feature matrix as a scipy CSR matrix (cached). scipy is
+        imported here, so runs that never build the matrix do not load it."""
         if self._matrix is None:
             import scipy.sparse as sp
 
-            indptr = [0]
-            indices: list[np.ndarray] = []
-            data: list[np.ndarray] = []
-            for x, _ in self.points:
-                if isinstance(x, SparseVec):
-                    indices.append(x.indices)
-                    data.append(x.values)
-                    indptr.append(indptr[-1] + x.indices.size)
-                else:
-                    nz = np.nonzero(x)[0]
-                    indices.append(nz)
-                    data.append(np.asarray(x)[nz])
-                    indptr.append(indptr[-1] + nz.size)
             self._matrix = sp.csr_matrix(
-                (
-                    np.concatenate(data) if data else np.empty(0),
-                    np.concatenate(indices) if indices else np.empty(0, dtype=np.int64),
-                    np.asarray(indptr, dtype=np.int64),
-                ),
-                shape=(self.m, self.n),
+                (self.data, self.indices, self.indptr), shape=(self.m, self.n)
             )
         return self._matrix
 
     def dot_all(self, w: np.ndarray) -> np.ndarray:
         """X @ w for every point at once."""
         return self.matrix().dot(w)
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only view of ``a`` as ``dtype`` (the caller's array stays writable)."""
+    view = np.asarray(a, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+def _previous_in_row(indices: np.ndarray, indptr: np.ndarray, fill: int) -> np.ndarray:
+    """indices shifted by one within each row segment, ``fill`` at each row's
+    first entry: the value every index must exceed."""
+    prev = np.roll(indices, 1)
+    starts = indptr[:-1]
+    prev[starts[starts < indices.size]] = fill
+    return prev
 
 
 def _map_labels(tokens: dict[float, str]) -> dict[float, int]:
@@ -133,23 +155,91 @@ def _map_labels(tokens: dict[float, str]) -> dict[float, int]:
     return {neg: -1, pos: +1}
 
 
+# Feature tokens per conversion call: bounds the parser's temporary token
+# list, whatever the file size. A chunk ends at the end of a line.
+_CHUNK_TOKENS = 65536
+_TOKEN_DTYPE = np.dtype([("i", np.int64), ("v", np.float64)])
+
+
+def _convert(tokens: list[str]) -> np.ndarray:
+    """``idx:val`` tokens as (int64, float64) records, by numpy's number
+    parser (ASCII digits, no ``_`` separators, int64 indices). numpy releases
+    that read a float index (``2.5``, ``1e3``) by truncation only warn: an error here."""
+    if not tokens:
+        return np.empty(0, dtype=_TOKEN_DTYPE)
+    with catch_warnings():
+        simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(tokens, delimiter=":", comments=None, dtype=_TOKEN_DTYPE,
+                              ndmin=1)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
+
+
+def _convert_rows(
+    tokens: list[str], lens: list[int], linenos: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """0-based indices and values of whole rows' feature tokens (row r has
+    lens[r] tokens, on line linenos[r]), or the ParseError a token-by-token
+    reading would meet first."""
+    try:
+        pairs, malformed = _convert(tokens), None
+    except ValueError:
+        # bisect for the first token numpy rejects
+        malformed, bad = 0, len(tokens)  # tokens[:malformed] converts, tokens[:bad] not
+        while bad - malformed > 1:
+            mid = (malformed + bad) // 2
+            try:
+                _convert(tokens[:mid])
+                malformed = mid
+            except ValueError:
+                bad = mid
+        pairs = _convert(tokens[:malformed])
+    idx = pairs["i"]
+    indptr = np.cumsum([0] + lens)
+    prev = _previous_in_row(idx, indptr, 0)
+    wrong = np.flatnonzero(idx <= prev)
+    if wrong.size or malformed is not None:
+        k = int(wrong[0]) if wrong.size else malformed
+        line = linenos[int(np.searchsorted(indptr, k, side="right")) - 1]
+        if wrong.size:
+            raise ParseError(
+                f"indices must be strictly increasing 1-based, got {idx[k]} after {prev[k]}",
+                line,
+            )
+        raise ParseError(f"malformed feature token {tokens[k]!r}", line)
+    return idx - 1, pairs["v"]
+
+
 def parse_libsvm(
     source: Union[str, TextIO, Iterable[str]], n: Optional[int] = None
 ) -> Dataset:
     """Parse sparse ``<label> <idx>:<val> ...`` lines into a Dataset.
 
     ``#`` starts a comment, blank lines are skipped, on-disk indices are
-    1-based and strictly increasing per line. ``n`` overrides the inferred
-    dimension (max index + 1), e.g. to align train/test sets.
+    1-based and strictly increasing per line. Labels are read by Python's
+    ``float``; feature tokens by numpy's parser, which takes ASCII digits
+    only, no ``_`` separators, and indices that fit in int64. ``n``
+    overrides the inferred dimension (max index + 1), e.g. to align
+    train/test sets.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = io.StringIO(source)
-    else:
-        lines = source
+    lines: Iterable[str] = io.StringIO(source) if isinstance(source, str) else source
 
-    rows: list[tuple[float, np.ndarray, np.ndarray]] = []
+    # per row: its label, its number of feature tokens and its line number
+    labels, lens, linenos = [], [], []
     tokens: dict[float, str] = {}
-    max_index = -1
+    pending: list[str] = []  # the feature tokens of rows done, done + 1, ...
+    done = 0
+    indices, values = [], []  # converted chunks
+
+    def convert_pending() -> None:
+        nonlocal done
+        idx, val = _convert_rows(pending, lens[done:], linenos[done:])
+        indices.append(idx)
+        values.append(val)
+        pending.clear()
+        done = len(lens)
+
     for lineno, rawline in enumerate(lines, start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -159,47 +249,34 @@ def parse_libsvm(
         try:
             label_value = float(label_token)
         except ValueError:
+            convert_pending()  # an earlier line's error comes first
             raise ParseError(f"malformed label {label_token!r}", lineno) from None
         if label_value not in tokens:
             if len(tokens) == 2:
+                convert_pending()
                 raise ParseError(
                     f"more than two distinct labels (saw {label_token!r})", lineno
                 )
             tokens[label_value] = label_token
-        idxs: list[int] = []
-        vals: list[float] = []
-        prev = 0
-        for tok in parts[1:]:
-            try:
-                stridx, strval = tok.split(":", 1)
-                idx = int(stridx)
-                val = float(strval)
-            except ValueError:
-                raise ParseError(f"malformed feature token {tok!r}", lineno) from None
-            if idx <= prev:
-                raise ParseError(
-                    f"indices must be strictly increasing 1-based, got {idx} after {prev}",
-                    lineno,
-                )
-            prev = idx
-            idxs.append(idx - 1)
-            vals.append(val)
-        if idxs:
-            max_index = max(max_index, idxs[-1])
-        rows.append((label_value, np.asarray(idxs, dtype=np.int64), np.asarray(vals)))
+        labels.append(label_value)
+        pending.extend(parts[1:])
+        lens.append(len(parts) - 1)
+        linenos.append(lineno)
+        if len(pending) >= _CHUNK_TOKENS:
+            convert_pending()
+    convert_pending()
 
-    if not rows:
+    if not labels:
         raise ParseError("no data lines found")
-    inferred = max_index + 1
+    idx = np.concatenate(indices)
+    inferred = int(idx.max()) + 1 if idx.size else 0
     if n is None:
         n = inferred
     elif n < inferred:
         raise InputError(f"requested dimension {n} is below observed maximum {inferred}")
     mapping = _map_labels(tokens)
-    points: list[tuple[Vector, int]] = [
-        (SparseVec(idx, val, n), mapping[label]) for label, idx, val in rows
-    ]
-    return Dataset(points, n)
+    return Dataset(np.cumsum([0] + lens), idx, np.concatenate(values),
+                   [mapping[label] for label in labels], n)
 
 
 def load_libsvm(path: Union[str, Path], n: Optional[int] = None) -> Dataset:
@@ -209,15 +286,11 @@ def load_libsvm(path: Union[str, Path], n: Optional[int] = None) -> Dataset:
 
 def serialize_libsvm(dataset: Dataset) -> str:
     """Render a dataset back to text; parse(serialize(d)) reproduces d."""
-    out = []
-    for x, y in dataset.points:
-        if isinstance(x, SparseVec):
-            pairs = zip(x.indices, x.values)
-        else:
-            nz = np.nonzero(x)[0]
-            pairs = zip(nz, np.asarray(x)[nz])
-        feats = " ".join(f"{int(i) + 1}:{v:.17g}" for i, v in pairs)
-        out.append(f"{y:+d} {feats}".rstrip())
+    feats = [f"{i}:{v:.17g}" for i, v in zip((dataset.indices + 1).tolist(),
+                                              dataset.data.tolist())]
+    ptr = dataset.indptr.tolist()
+    out = [f"{int(y):+d} {' '.join(feats[a:b])}".rstrip()
+           for a, b, y in zip(ptr, ptr[1:], dataset.labels.tolist())]
     return "\n".join(out) + "\n"
 
 
@@ -235,10 +308,7 @@ def synthetic_separable_dataset(
     raw = xs @ w
     ys = np.where(raw >= 0.0, 1, -1)
     xs += (margin * ys)[:, None] * w[None, :]
-    points: list[tuple[Vector, int]] = [
-        (xs[i].copy(), int(ys[i])) for i in range(m)
-    ]
-    return Dataset(points, n)
+    return Dataset.from_dense(xs, ys)
 
 
 def scale_features(
@@ -249,7 +319,7 @@ def scale_features(
     ``sparse01`` affinely maps each column's stored nonzero values onto
     [0, 1] (a single distinct nonzero maps to 1), preserving sparsity.
     ``standardize`` shifts/scales every column to zero mean and unit
-    variance, producing dense points; zero-variance columns are centered
+    variance, storing every nonzero result; zero-variance columns are centered
     only and flagged. ``auto`` picks sparse01 when density < 0.5.
     """
     if mode not in ("auto", "sparse01", "standardize"):
@@ -257,14 +327,11 @@ def scale_features(
     if mode == "auto":
         mode = "sparse01" if dataset.density < 0.5 else "standardize"
 
-    warnings: list[str] = []
     if mode == "sparse01":
-        csr = dataset.matrix()
-        cols, data = csr.indices, csr.data.copy()
+        cols, data = dataset.indices, dataset.data.copy()
         nz = data != 0.0  # explicit stored zeros stay 0 and set no range
         nz_cols, nz_vals = cols[nz], data[nz]
-        lo = np.full(dataset.n, np.inf)
-        hi = np.full(dataset.n, -np.inf)
+        lo, hi = np.full(dataset.n, np.inf), np.full(dataset.n, -np.inf)
         np.minimum.at(lo, nz_cols, nz_vals)
         np.maximum.at(hi, nz_cols, nz_vals)
         lo, hi = lo[nz_cols], hi[nz_cols]
@@ -272,21 +339,13 @@ def scale_features(
         scaled = np.ones_like(nz_vals)
         scaled[span] = (nz_vals[span] - lo[span]) / (hi[span] - lo[span])
         data[nz] = scaled
-        ptr = csr.indptr
-        points: list[tuple[Vector, int]] = [
-            (SparseVec(cols[ptr[i]:ptr[i + 1]], data[ptr[i]:ptr[i + 1]], dataset.n), y)
-            for i, (_, y) in enumerate(dataset.points)
-        ]
-        return Dataset(points, dataset.n), warnings
+        return Dataset(dataset.indptr, cols, data, dataset.labels, dataset.n), []
 
-    dense = np.asarray(dataset.matrix().todense(), dtype=np.float64)
+    dense = dataset.matrix().toarray()
     mean = dense.mean(axis=0)
-    var = dense.var(axis=0)
-    std = np.sqrt(var)
+    std = np.sqrt(dense.var(axis=0))
     degenerate = std <= 1e-15 * np.maximum(1.0, np.abs(mean))
-    for j in np.nonzero(degenerate)[0]:
-        warnings.append(f"column {int(j)} has zero variance; centered only")
+    warnings = [f"column {int(j)} has zero variance; centered only"
+                for j in np.nonzero(degenerate)[0]]
     safe_std = np.where(degenerate, 1.0, std)
-    dense = (dense - mean) / safe_std
-    points = [(dense[i].copy(), y) for i, (_, y) in enumerate(dataset.points)]
-    return Dataset(points, dataset.n), warnings
+    return Dataset.from_dense((dense - mean) / safe_std, dataset.labels), warnings

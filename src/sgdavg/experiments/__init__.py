@@ -1,4 +1,4 @@
-"""Multi-trial harness, tail analysis, the exact lower-bound enumeration,
+"""Multi-trial harness, tail analysis, the exact lower-bound law,
 trajectory verifiers, and CSV/SVG emission."""
 
 from .harness import TrialFailure, TrialMatrix, run_trials

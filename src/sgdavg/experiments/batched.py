@@ -94,13 +94,14 @@ def unsupported_reason(problem: Problem, oracle_factory, config: RunConfig) -> s
     return f"unsupported oracle factory {type(oracle_factory).__name__}"
 
 
-def _reserve(nbytes: int, what: str) -> None:
-    """Refuse, before allocating, tables larger than the byte budget."""
+def _reserve(nbytes: int, what: str) -> int:
+    """Refuse, before allocating, tables over the byte budget; returns ``nbytes``."""
     if nbytes > _BUDGET_BYTES:
         raise MemoryError(
             f"{what} need {nbytes} bytes, above the batched engine's budget of "
             f"{_BUDGET_BYTES} bytes"
         )
+    return nbytes
 
 
 @dataclass(eq=False)
@@ -111,11 +112,13 @@ class LockstepRun:
     checkpoint (a scheme is absent where its report is not yet defined),
     ``reported`` the final (trials, dim) report per scheme, and
     ``trajectory`` the recorded (T, trials, dim) arrays when the config asks
-    for them.
+    for them, and ``predraw_bytes`` the bytes reserved against the budget for
+    the pre-drawn tables and the recording.
     """
 
     checkpoints: list[tuple[int, dict[str, np.ndarray]]]
     reported: dict[str, np.ndarray]
+    predraw_bytes: int
     trajectory: Optional[Trajectory] = None
 
     def record(self, b: int) -> RunRecord:
@@ -235,8 +238,8 @@ def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, su
     noiseless = isinstance(getattr(factory, "noise", None), NoNoise)
     # the noise table, plus the recorded iterates and ghat
     tables = (0 if noiseless and not record else 1) + (2 if record else 0)
-    _reserve(tables * trials * T * dim * 8,
-             "pre-drawn noise and recorded trajectories" if record else "pre-drawn noise")
+    reserved = _reserve(tables * trials * T * dim * 8, "pre-drawn noise and recorded "
+                        "trajectories" if record else "pre-drawn noise")
     table = None if noiseless and not record else _noise_table(factory, trials, T, dim, base_seed)
     if record:
         Xs = np.empty((T, trials, dim))
@@ -265,7 +268,7 @@ def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, su
             raise _failure(bad, base_seed, t, _NON_FINITE)
         X = _project_batch(feasible, Y)
     trajectory = Trajectory(Xs, Gs, table.transpose(1, 0, 2)) if record else None
-    return LockstepRun(cp_values, avs.reports(), trajectory)
+    return LockstepRun(cp_values, avs.reports(), reserved, trajectory)
 
 
 class _ScaledSvm:
@@ -277,15 +280,14 @@ class _ScaledSvm:
     def __init__(self, problem, factory: SvmOracleFactory, config, scheme_names,
                  trials, base_seed, suffix_alpha):
         d = factory.dataset
-        _reserve(trials * config.T * 8, "pre-drawn sample indices")
+        self.reserved = _reserve(trials * config.T * 8, "pre-drawn sample indices")
         # (T, trials): step t reads one contiguous row
         self.idx = np.empty((config.T, trials), dtype=np.int64)
         for i in range(trials):
             self.idx[:, i] = RngStream(base_seed, i).generator().integers(d.m, size=config.T)
-        csr = d.matrix()
-        self.starts, self.indices, self.data = csr.indptr[:-1], csr.indices, csr.data
-        self.lens = np.diff(csr.indptr)
-        self.labels = d.labels()
+        self.starts, self.indices, self.data = d.indptr[:-1], d.indices, d.data
+        self.lens = np.diff(d.indptr)
+        self.labels = d.labels
         self.lam = factory.lam
         self.base_seed = base_seed
         self.names = list(scheme_names)
@@ -414,7 +416,7 @@ def _run_svm(problem, factory, config, scheme_names, trials, base_seed, suffix_a
             cp_values.append((t, _evaluate(problem, reports, t, base_seed)))
         plan.step(t, sched.c / (denom_scale * (t + sched.shift)))
     # T is always a checkpoint, so these are the final reports
-    return LockstepRun(cp_values, reports)
+    return LockstepRun(cp_values, reports, plan.reserved)
 
 
 def run_all(

@@ -139,10 +139,10 @@ def run_trials(
     use_batched = engine != "sequential" and reason is None
 
     if use_batched:
+        run = batched.run_all(problem, oracle_factory, config, scheme_names, trials,
+                              base_seed, suffix_alpha)
         # one entry for all trials, holding a (trials,) array per scheme and checkpoint
-        results = [(slice(None), batched.run_all(
-            problem, oracle_factory, config, scheme_names, trials, base_seed, suffix_alpha
-        ).checkpoints)]
+        results = [(slice(None), run.checkpoints)]
     else:
         arglist = [
             (problem, oracle_factory, config, scheme_names, suffix_alpha, base_seed, i)
@@ -179,6 +179,8 @@ def run_trials(
         "suffix_alpha": suffix_alpha,
         "engine": "batched" if use_batched else "sequential",
         "engine_reason": reason,
+        "predraw_bytes": run.predraw_bytes if use_batched else 0,
+        "budget_bytes": batched._BUDGET_BYTES,
     }
     matrix = TrialMatrix(gaps=gaps, checkpoints=cps, scheme_names=scheme_names, meta=meta)
     matrix.validate()

@@ -3,7 +3,7 @@ simulation-versus-enumeration comparison.
 
 With the 1/(t+1) step sizes, start 0, and the adversarial noise, the
 weighted report collapses to (1/2) * (mean of the T/4 realized signs), so
-its objective value has an exactly enumerable distribution. The simulator
+its objective value has an exact binomial distribution. The simulator
 runs the full SGD pipeline for all trials in lockstep (the batched engine,
 bitwise equal to ``run_sgd`` trial by trial) and measures the Kolmogorov
 distance to that law.
@@ -12,7 +12,6 @@ distance to that law.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,26 +34,17 @@ __all__ = [
     "lb_exceedance_probability",
 ]
 
-_MAX_ENUM_T = 60  # 2^(T/4) outcomes; keeps enumeration under 2^15
-
-
 def lb_exact_distribution_rational(T: int) -> list[tuple[Fraction, Fraction]]:
-    """Exact pmf of the reported objective value, enumerated over all
-    2^(T/4) sign patterns; values and probabilities are exact rationals."""
+    """Exact pmf of the reported objective value. The sum of the T/4 signs
+    is 2j - T/4 with j ~ Binomial(T/4, 1/2), so the pmf has O(T) terms;
+    values and probabilities are exact rationals."""
     if T % 4 != 0 or T < 4:
         raise InputError(f"horizon must be a positive multiple of 4, got {T}")
-    if T > _MAX_ENUM_T:
-        raise InputError(f"horizon {T} too large to enumerate (max {_MAX_ENUM_T})")
     m = T // 4
-    counts: Counter[int] = Counter()
-    for pattern in range(1 << m):
-        k = 2 * bin(pattern).count("1") - m  # sum of m signs
-        counts[k] += 1
-    total = 1 << m
     pmf: dict[Fraction, Fraction] = {}
-    for k, c in counts.items():
-        value = Fraction(1, 2) * Fraction(k, T // 2) ** 2
-        pmf[value] = pmf.get(value, Fraction(0)) + Fraction(c, total)
+    for j in range(m + 1):
+        value = Fraction(1, 2) * Fraction(2 * j - m, T // 2) ** 2
+        pmf[value] = pmf.get(value, Fraction(0)) + Fraction(math.comb(m, j), 2**m)
     return sorted(pmf.items())
 
 

@@ -21,9 +21,6 @@ from .core import (
     Problem,
     Unconstrained,
     FeasibleSet,
-    axpy,
-    dot,
-    norm as vector_norm,
     project,
 )
 from .data import Dataset
@@ -175,14 +172,17 @@ def svm_oracle_query(
     """
     if not lam > 0:
         raise InputError(f"regularization parameter must be positive, got {lam}")
-    if dataset.m == 0:
-        raise InputError("dataset is empty")
+    if w.shape != (dataset.n,):
+        raise InputError(f"dimension mismatch: iterate has shape {w.shape}, "
+                         f"dataset dimension is {dataset.n}")
     rng = as_generator(rng)
     i = int(rng.integers(dataset.m))
-    x_i, y_i = dataset.points[i]
+    lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
+    idx, vals = dataset.indices[lo:hi], dataset.data[lo:hi]
+    y_i = dataset.labels[i]
     ghat = lam * w
-    if y_i * dot(x_i, w) < 1.0:
-        axpy(-float(y_i), x_i, ghat)
+    if y_i * np.dot(w[idx], vals) < 1.0:
+        ghat[idx] += -y_i * vals
     return GradientSample(ghat)
 
 
@@ -196,12 +196,10 @@ def _svm_objective_rows(W: np.ndarray, dataset: Dataset, lam: float) -> np.ndarr
     product for all the hinge terms."""
     if not lam > 0:
         raise InputError(f"regularization parameter must be positive, got {lam}")
-    if dataset.m == 0:
-        raise InputError("dataset is empty")
     W = np.asarray(W, dtype=np.float64)
     # (B, m) in C order: each row's hinge mean is then summed exactly as a
     # lone row's is, whatever B
-    margins = dataset.labels() * np.ascontiguousarray(dataset.matrix().dot(W.T).T)
+    margins = dataset.labels * np.ascontiguousarray(dataset.matrix().dot(W.T).T)
     hinge = np.maximum(0.0, 1.0 - margins)
     return 0.5 * lam * np.einsum("ij,ij->i", W, W) + hinge.mean(axis=1)
 
@@ -431,9 +429,9 @@ class SvmSubgradient:
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         d = self.dataset
-        margins = d.labels() * d.dot_all(w)
+        margins = d.labels * d.dot_all(w)
         active = (margins < 1.0).astype(np.float64)
-        weights = -(d.labels() * active) / d.m
+        weights = -(d.labels * active) / d.m
         return self.lam * w + d.matrix().T.dot(weights)
 
 
@@ -446,8 +444,10 @@ def svm_problem(
     if not lam > 0:
         raise InputError(f"regularization parameter must be positive, got {lam}")
     feasible = feasible if feasible is not None else Unconstrained()
-    max_row = max(vector_norm(x) for x, _ in dataset.points)
     if isinstance(feasible, L2Ball):
+        rows = np.repeat(np.arange(dataset.m), np.diff(dataset.indptr))
+        max_row = math.sqrt(np.bincount(rows, weights=dataset.data ** 2,
+                                        minlength=dataset.m).max())
         cap = float(np.linalg.norm(feasible.center)) + feasible.radius
         lipschitz = lam * cap + max_row
     else:

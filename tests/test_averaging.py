@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,19 @@ class TestNonUniform:
             direct += gamma_weight(t, T) * x
             scale = max(scale, float(np.linalg.norm(x)))
         assert float(np.linalg.norm(av.report() - direct)) <= 1e-10 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.floats(1e-6, 1e6))
+    def test_online_average_equals_weighted_sum_property(self, T, n, seed, scale):
+        xs = np.random.default_rng(seed).standard_normal((T, n)) * scale
+        av = NonUniformAverage()
+        for t in range(1, T + 1):
+            av.observe(xs[t - 1], t)
+        # sum_t t * x_t / (T(T+1)/2), each coordinate's sum exactly rounded
+        direct = np.array([math.fsum(t * x for t, x in enumerate(xs[:, j], start=1))
+                           for j in range(n)]) / (T * (T + 1) / 2)
+        assert np.max(np.abs(av.report() - direct)) <= 1e-12 * float(np.abs(xs).max())
 
     def test_no_horizon_needed(self):
         NonUniformAverage()  # constructible without T

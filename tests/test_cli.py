@@ -1,14 +1,19 @@
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import sgdavg
 from sgdavg.cli import main
+from sgdavg.core import SparseVec
+from sgdavg.data import Dataset
 
 # The directory holding the `sgdavg` package under test (the checkout's `src`
 # when run with PYTHONPATH=src), so child interpreters import this code and
@@ -180,6 +185,24 @@ class TestLb:
         assert code == 0
         assert "kolmogorov gap" in out
 
+    @pytest.mark.parametrize("trials", [1, 37, 4000])
+    def test_dkw_band_printed_beside_the_gap(self, capsys, trials):
+        code, out, _ = run_cli(["lb", "--T", "8", "--trials", str(trials), "--seed", "2",
+                                "--gap-threshold", "1"], capsys)
+        assert code == 0
+        band = float(re.search(r"kolmogorov gap [0-9.]+, 95% DKW band ([0-9.]+),", out).group(1))
+        assert band == float(f"{math.sqrt(math.log(2 / 0.05) / (2 * trials)):.6f}")
+        if trials == 4000:
+            assert band == 0.021473
+
+    def test_exact_law_at_a_long_horizon(self, capsys):
+        code, out, _ = run_cli(["lb", "--T", "4000", "--exact", "--delta", "0.1"], capsys)
+        assert code == 0
+        rows = out.splitlines()[2:-1]
+        assert len(rows) == 501
+        assert sum(Fraction(r.split()[1]) for r in rows) == 1
+        assert out.splitlines()[-1].startswith("P[f(report) >= log(1/0.1)/(9T) = 6.39607e-05]")
+
     def test_exceedance_probability_printed(self, capsys):
         code, out, _ = run_cli(["lb", "--T", "8", "--delta", "0.3"], capsys)
         assert code == 0
@@ -274,3 +297,29 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert "1/8" in proc.stdout
+
+
+class TestSvmCommandsUseTheCsrArrays:
+    TEXT = "".join(
+        f"{'+1' if i % 3 else '-1'} {i % 7 + 1}:{0.5 + i % 5} {i % 7 + 9}:{1.5 - i % 4}\n"
+        for i in range(60)
+    )
+
+    @pytest.mark.parametrize("argv", [
+        ["trials", "--trials", "3", "--engine", "batched", "--scaling", "sparse01"],
+        ["trials", "--trials", "2", "--engine", "sequential", "--scaling", "auto"],
+        ["run", "--scaling", "standardize", "--set", "ball", "--radius", "3"],
+        ["run"],
+    ])
+    def test_no_per_row_objects(self, capsys, tmp_path, monkeypatch, argv):
+        path = tmp_path / "d.txt"
+        path.write_text(self.TEXT)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-row object was built")
+
+        monkeypatch.setattr(Dataset, "points", property(refuse))
+        monkeypatch.setattr(SparseVec, "__init__", refuse)
+        code, out, err = run_cli(argv + ["--problem", "svm", "--dataset", str(path),
+                                          "--T", "300", "--seed", "4"], capsys)
+        assert code == 0, err

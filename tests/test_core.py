@@ -15,8 +15,6 @@ from sgdavg.core import (
     SparseVec,
     StepSchedule,
     Unconstrained,
-    axpy,
-    dot,
     gamma_weight,
     norm,
     project,
@@ -45,36 +43,6 @@ class TestSparseVec:
     def test_explicit_zeros_permitted(self):
         v = SparseVec([0, 1], [0.0, 2.0], 2)
         assert v.nnz == 2
-
-    def test_dense_sparse_dot_agree(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n = int(rng.integers(1, 30))
-            dense = rng.standard_normal(n)
-            mask = rng.random(n) < 0.4
-            dense[~mask] = 0.0
-            idx = np.nonzero(dense)[0]
-            sparse = SparseVec(idx, dense[idx], n)
-            other = rng.standard_normal(n)
-            ref = float(np.dot(dense, other))
-            for a, b in [(sparse, other), (other, sparse)]:
-                assert dot(a, b) == pytest.approx(ref, rel=1e-12, abs=1e-15)
-            other_sparse = SparseVec(np.arange(n), other, n)
-            assert dot(sparse, other_sparse) == pytest.approx(ref, rel=1e-12, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            dot(SparseVec([0], [1.0], 2), np.zeros(3))
-
-    def test_axpy_sparse_into_dense(self):
-        y = np.ones(4)
-        axpy(2.0, SparseVec([1, 3], [1.0, -1.0], 4), y)
-        assert np.array_equal(y, [1.0, 3.0, 1.0, -1.0])
-
-    def test_axpy_dense(self):
-        y = np.zeros(3)
-        axpy(-1.0, np.array([1.0, 2.0, 3.0]), y)
-        assert np.array_equal(y, [-1.0, -2.0, -3.0])
 
 
 class TestProjection:
@@ -118,6 +86,31 @@ class TestProjection:
             dp = float(np.linalg.norm(project(fs, p) - project(fs, q)))
             dq = float(np.linalg.norm(p - q))
             assert dp <= dq + 1e-12 * max(1.0, dq)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.floats(-50.0, 50.0),
+        st.floats(1e-3, 50.0),
+        st.floats(0.1, 10.0),
+        st.integers(0, 2**32 - 1),
+        st.floats(1e-3, 1e6),
+    )
+    def test_projection_properties_random_sets(self, dim, lo, width, radius, seed, spread):
+        # idempotent exactly, and non-expansive up to rounding and the ball's
+        # boundary slack, for random sets, dimensions and point scales
+        rng = np.random.default_rng(seed)
+        center = rng.uniform(-10.0, 10.0, dim)
+        sets = (Interval(lo, lo + width), L2Ball(radius, center))
+        for fs in sets:
+            for _ in range(5):
+                p, q = rng.standard_normal((2, dim)) * spread
+                once = project(fs, p)
+                assert np.array_equal(project(fs, once), once)
+                assert fs.contains(once, tol=1e-12)
+                dp = float(np.linalg.norm(once - project(fs, q)))
+                dq = float(np.linalg.norm(p - q))
+                assert dp <= dq + 1e-12 * max(1.0, dq) + 2e-12 * radius
 
     def test_interval_validation(self):
         with pytest.raises(InputError):

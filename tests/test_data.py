@@ -1,17 +1,263 @@
+import io
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdavg import data as data_module
 from sgdavg.core import InputError, SparseVec
 from sgdavg.data import (
     Dataset,
     ParseError,
+    _map_labels,
     parse_libsvm,
     scale_features,
     serialize_libsvm,
     synthetic_separable_dataset,
 )
+
+
+def assert_same_csr(a, b):
+    """Equal CSR arrays, labels and dimension; values compared bitwise."""
+    assert a.n == b.n
+    for name in ("indptr", "indices", "labels"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert a.data.dtype == b.data.dtype == np.float64
+    assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+
+
+def reference_parse_libsvm(source, n=None):
+    """The token-by-token parser that the chunked one replaced, as it was up
+    to its result, which it returns as a CSR Dataset instead of per-row
+    objects."""
+    if isinstance(source, str):
+        lines = io.StringIO(source)
+    else:
+        lines = source
+
+    rows = []
+    tokens = {}
+    max_index = -1
+    for lineno, rawline in enumerate(lines, start=1):
+        line = rawline.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        label_token = parts[0]
+        try:
+            label_value = float(label_token)
+        except ValueError:
+            raise ParseError(f"malformed label {label_token!r}", lineno) from None
+        if label_value not in tokens:
+            if len(tokens) == 2:
+                raise ParseError(
+                    f"more than two distinct labels (saw {label_token!r})", lineno
+                )
+            tokens[label_value] = label_token
+        idxs = []
+        vals = []
+        prev = 0
+        for tok in parts[1:]:
+            try:
+                stridx, strval = tok.split(":", 1)
+                idx = int(stridx)
+                val = float(strval)
+            except ValueError:
+                raise ParseError(f"malformed feature token {tok!r}", lineno) from None
+            if idx <= prev:
+                raise ParseError(
+                    f"indices must be strictly increasing 1-based, got {idx} after {prev}",
+                    lineno,
+                )
+            prev = idx
+            idxs.append(idx - 1)
+            vals.append(val)
+        if idxs:
+            max_index = max(max_index, idxs[-1])
+        rows.append((label_value, np.asarray(idxs, dtype=np.int64), np.asarray(vals)))
+
+    if not rows:
+        raise ParseError("no data lines found")
+    inferred = max_index + 1
+    if n is None:
+        n = inferred
+    elif n < inferred:
+        raise InputError(f"requested dimension {n} is below observed maximum {inferred}")
+    mapping = _map_labels(tokens)
+    return Dataset(
+        np.cumsum([0] + [idx.size for _, idx, _ in rows]),
+        np.concatenate([idx for _, idx, _ in rows]),
+        np.concatenate([val for _, _, val in rows]),
+        [mapping[label] for label, _, _ in rows],
+        n,
+    )
+
+
+_VALUES = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["-0", "+2", ".5", "5.", "1E-3", "1e400", "inf", "-Infinity", "0"]),
+)
+# each replaces one token of an otherwise valid row
+_BREAKAGES = {
+    "zero index": lambda i, v: f"0:{v}",
+    "negative index": lambda i, v: f"-{i}:{v}",
+    "repeated index": None,  # the previous token again
+    "missing colon": lambda i, v: f"{i}{v}",
+    "extra colon": lambda i, v: f"{i}:{v}:1",
+    "empty value": lambda i, v: f"{i}:",
+    "empty index": lambda i, v: f":{v}",
+    "bad value": lambda i, v: f"{i}:abc",
+    "bad index": lambda i, v: f"x{i}:{v}",
+    "float index": lambda i, v: f"{i}.0:{v}",
+}
+
+
+@st.composite
+def _row(draw):
+    label = draw(st.sampled_from(["1", "-1", "+1", "0", "2", "3", "1.0", "-0", "spam", "1:1"]))
+    cols = sorted(draw(st.sets(st.integers(1, 40), max_size=6)))
+    feats = [f"{c}:{draw(_VALUES)}" for c in cols]
+    if feats and draw(st.booleans()):
+        at = draw(st.integers(0, len(feats) - 1))
+        how = draw(st.sampled_from(sorted(_BREAKAGES)))
+        if how == "repeated index":
+            if at:
+                feats[at] = feats[at - 1]
+        else:
+            feats[at] = _BREAKAGES[how](cols[at], draw(_VALUES))
+    if len(feats) > 1 and draw(st.integers(0, 9)) == 0:
+        feats.reverse()  # decreasing indices
+    sep = draw(st.sampled_from([" ", "  ", "\t"]))
+    line = sep.join([label] + feats)
+    return line + draw(st.sampled_from(["", " # note", "\t"]))
+
+
+class TestParserParity:
+    """The chunked parser against the token-by-token reference: equal CSR
+    arrays and labels, or the same ParseError message and line."""
+
+    @staticmethod
+    def outcome(parse, text, n):
+        try:
+            return parse(text, n=n)
+        except InputError as exc:
+            return exc
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(_row(), _row(), _row(), st.sampled_from(["", "# comment", "   "])),
+                 max_size=12),
+        st.one_of(st.none(), st.integers(0, 45)),
+        st.sampled_from([1, 2, 3, 5, 65536]),
+    )
+    def test_chunked_parser_matches_reference(self, lines, n, chunk):
+        text = "\n".join(lines) + "\n"
+        want = self.outcome(reference_parse_libsvm, text, n)
+        with mock.patch.object(data_module, "_CHUNK_TOKENS", chunk):
+            got = self.outcome(parse_libsvm, text, n)
+        if isinstance(want, Exception):
+            assert type(got) is type(want), (got, want)
+            assert str(got) == str(want)
+            assert getattr(got, "line", None) == getattr(want, "line", None)
+        else:
+            assert isinstance(got, Dataset), got
+            assert_same_csr(got, want)
+
+    def test_rows_of_generated_sparse_data_match_reference(self):
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal(300)
+        lines = []
+        for _ in range(400):
+            cols = np.sort(rng.choice(300, size=20, replace=False))
+            vals = np.round(0.05 + 0.95 * rng.random(20), 6)
+            label = "+1" if float(vals @ w[cols]) >= 0.0 else "-1"
+            lines.append(label + " " + " ".join(f"{c + 1}:{v:.6f}" for c, v in zip(cols, vals)))
+        text = "\n".join(lines) + "\n"
+        with mock.patch.object(data_module, "_CHUNK_TOKENS", 1000):
+            got = parse_libsvm(text)
+        want = reference_parse_libsvm(text)
+        assert_same_csr(got, want)
+        # sparse01 against a per-column loop of the same formula
+        scaled, _ = scale_features(got, "sparse01")
+        expect = want.data.copy()
+        for j in range(want.n):
+            col = want.indices == j
+            lo, hi = expect[col].min(initial=np.inf), expect[col].max(initial=-np.inf)
+            if hi > lo:
+                expect[col] = (expect[col] - lo) / (hi - lo)
+            else:
+                expect[col] = 1.0
+        assert np.array_equal(scaled.data.view(np.int64), expect.view(np.int64))
+
+    def test_conversions_stay_within_a_chunk(self):
+        sizes = []
+        convert = data_module._convert
+
+        def recording(tokens):
+            sizes.append(len(tokens))
+            return convert(tokens)
+
+        text = "".join(f"{1 if i % 2 else -1} 1:1 2:2 3:3 4:4 5:5\n" for i in range(100))
+        with mock.patch.object(data_module, "_CHUNK_TOKENS", 12), \
+                mock.patch.object(data_module, "_convert", recording):
+            ds = parse_libsvm(text)
+        assert ds.m == 100 and ds.indices.size == 500
+        assert len(sizes) > 1 and max(sizes) < 12 + 5
+
+    def test_error_in_a_later_chunk_names_its_line(self):
+        text = "".join(f"1 {i + 1}:1\n" for i in range(50)) + "-1 3:1 2:1\n"
+        with mock.patch.object(data_module, "_CHUNK_TOKENS", 4):
+            with pytest.raises(ParseError) as err:
+                parse_libsvm(text)
+        assert err.value.line == 51
+        assert str(err.value) == "line 51: indices must be strictly increasing 1-based, got 2 after 3"
+
+    @pytest.mark.parametrize("token", [
+        "1_0:1",        # digit separators, which int() takes
+        "1:2_5",        # and float() takes
+        "\u0663:1",     # ARABIC-INDIC DIGIT THREE, which int() takes
+        "1:\u0663",
+        f"{2 ** 63}:1",  # int() takes it; int64 does not
+    ])
+    def test_number_syntax_beyond_numpys_parser_rejected(self, token):
+        text = f"-1 1:1\n1 {token}\n"
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(text)
+        assert str(err.value) == f"line 2: malformed feature token {token!r}"
+        assert err.value.line == 2
+        # the reference read these, or crashed past its checks
+        try:
+            reference_parse_libsvm(text)
+        except OverflowError:
+            assert token.startswith(str(2 ** 63))
+
+    @pytest.mark.parametrize("token", ["2.5:1", "1e3:1"])
+    def test_float_index_rejected_where_numpy_only_warns(self, token):
+        # numpy releases that still read an integer field through a float
+        # truncate it and only warn; the token must stay malformed there too
+        def truncating_loadtxt(tokens, delimiter, comments, dtype, ndmin):
+            out = np.empty(len(tokens), dtype=dtype)
+            for k, t in enumerate(tokens):
+                i, v = t.split(delimiter)
+                try:
+                    out[k]["i"] = int(i)
+                except ValueError:
+                    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                                  DeprecationWarning, stacklevel=2)
+                    out[k]["i"] = int(float(i))
+                out[k]["v"] = float(v)
+            return out
+
+        with mock.patch.object(np, "loadtxt", truncating_loadtxt):
+            with pytest.raises(ParseError) as err:
+                parse_libsvm(f"-1 1:1\n1 {token}\n")
+        assert str(err.value) == f"line 2: malformed feature token {token!r}"
+        assert err.value.line == 2
 
 
 class TestParse:
@@ -108,18 +354,17 @@ class TestParse:
     )
     def test_serialize_parse_round_trip_property(self, raw_rows):
         n = 13
-        points = []
-        for y, feats in raw_rows:
-            idx = np.array(sorted(feats), dtype=np.int64)
-            vals = np.array([feats[i] for i in sorted(feats)])
-            points.append((SparseVec(idx, vals, n), y))
-        ds1 = Dataset(points, n)
+        lens = [len(feats) for _, feats in raw_rows]
+        ds1 = Dataset(
+            np.concatenate(([0], np.cumsum(lens))),
+            [i for _, feats in raw_rows for i in sorted(feats)],
+            [feats[i] for _, feats in raw_rows for i in sorted(feats)],
+            [y for y, _ in raw_rows],
+            n,
+        )
         ds2 = parse_libsvm(serialize_libsvm(ds1), n=n)
         assert ds2.m == ds1.m
-        for (x1, y1), (x2, y2) in zip(ds1.points, ds2.points):
-            assert y1 == y2
-            assert np.array_equal(x1.indices, x2.indices)
-            assert np.array_equal(x1.values, x2.values)
+        assert_same_csr(ds1, ds2)
 
 
 class TestScaling:
@@ -148,46 +393,47 @@ class TestScaling:
 
     def test_sparse01_all_values_in_unit_interval(self):
         rng = np.random.default_rng(0)
-        pts = []
-        for _ in range(30):
-            idx = np.sort(rng.choice(10, size=4, replace=False))
-            pts.append((SparseVec(idx, rng.standard_normal(4) * 5, 10), 1))
-        pts[0] = (pts[0][0], -1)
-        out, _ = scale_features(Dataset(pts, 10), "sparse01")
-        for x, _ in out.points:
-            assert np.all(x.values >= 0.0) and np.all(x.values <= 1.0)
+        rows = [(np.sort(rng.choice(10, size=4, replace=False)), rng.standard_normal(4) * 5)
+                for _ in range(30)]
+        ds = Dataset(np.arange(0, 121, 4), np.concatenate([i for i, _ in rows]),
+                     np.concatenate([v for _, v in rows]), [-1] + [1] * 29, 10)
+        out, _ = scale_features(ds, "sparse01")
+        assert np.all(out.data >= 0.0) and np.all(out.data <= 1.0)
+        assert np.array_equal(out.indptr, ds.indptr) and np.array_equal(out.indices, ds.indices)
         # per column, the smallest stored nonzero maps to exactly 0 and the
         # largest to exactly 1
         for j in range(10):
-            before = [x.values[x.indices == j] for x, _ in pts]
-            after = [x.values[x.indices == j] for x, _ in out.points]
-            before, after = np.concatenate(before), np.concatenate(after)
+            before, after = ds.data[ds.indices == j], out.data[out.indices == j]
             assert after[np.argmin(before)] == 0.0
             assert after[np.argmax(before)] == 1.0
 
     def test_standardize_columns(self):
         rng = np.random.default_rng(1)
-        pts = [(rng.standard_normal(3) * 4 + 7, int(y)) for y in [1, -1] * 10]
-        out, warnings = scale_features(Dataset(pts, 3), "standardize")
-        mat = np.stack([x for x, _ in out.points])
+        X = np.array([rng.standard_normal(3) * 4 + 7 for _ in range(20)])
+        out, warnings = scale_features(Dataset.from_dense(X, [1, -1] * 10), "standardize")
+        mat = np.asarray(out.matrix().todense())
         assert np.all(np.abs(mat.mean(axis=0)) <= 1e-9)
         assert np.all(np.abs(mat.var(axis=0) - 1.0) <= 1e-9)
         assert warnings == []
 
     def test_standardize_degenerate_column_warns(self):
-        pts = [(np.array([1.0, 2.0]), 1), (np.array([1.0, 3.0]), -1), (np.array([1.0, 4.0]), 1)]
-        out, warnings = scale_features(Dataset(pts, 2), "standardize")
-        mat = np.stack([x for x, _ in out.points])
+        X = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
+        out, warnings = scale_features(Dataset.from_dense(X, [1, -1, 1]), "standardize")
+        mat = np.asarray(out.matrix().todense())
         assert np.all(mat[:, 0] == 0.0)
         assert len(warnings) == 1 and "column 0" in warnings[0]
 
     def test_auto_mode_uses_density(self):
         sparse_ds = parse_libsvm("1 1:1\n-1 9:1\n")  # density 2/18
         out, _ = scale_features(sparse_ds, "auto")
-        assert isinstance(out.points[0][0], SparseVec)
-        dense_ds = Dataset([(np.ones(2), 1), (np.array([2.0, 3.0]), -1)], 2)
+        want, _ = scale_features(sparse_ds, "sparse01")
+        assert_same_csr(out, want)
+        assert out.density == sparse_ds.density
+        dense_ds = Dataset.from_dense([[1.0, 1.0], [2.0, 3.0]], [1, -1])
         out, _ = scale_features(dense_ds, "auto")
-        assert isinstance(out.points[0][0], np.ndarray)
+        want, _ = scale_features(dense_ds, "standardize")
+        assert_same_csr(out, want)
+        assert np.array_equal(out.data, [-1.0, -1.0, 1.0, 1.0])
 
     def test_unknown_mode(self):
         ds = parse_libsvm("1 1:1\n")
@@ -198,7 +444,7 @@ class TestScaling:
 class TestDataset:
     def test_label_validation(self):
         with pytest.raises(InputError):
-            Dataset([(np.ones(2), 2)], 2)
+            Dataset.from_dense(np.ones((1, 2)), [2])
 
     def test_density(self):
         ds = parse_libsvm("1 1:1\n-1 4:1\n")
@@ -216,5 +462,50 @@ class TestDataset:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=0)))
         w = rng.standard_normal(5)
         w /= np.linalg.norm(w)
-        margins = ds.labels() * (np.stack([x for x, _ in ds.points]) @ w)
+        margins = ds.labels * (np.asarray(ds.matrix().todense()) @ w)
         assert margins.min() >= 0.5 - 1e-12
+
+    def test_csr_arrays_validated(self):
+        ok = ([0, 2, 2, 3], [1, 4, 0], [1.0, 2.0, 3.0], [1, -1, 1], 5)
+        ds = Dataset(*ok)
+        assert ds.m == 3 and ds.n == 5 and ds.indices.dtype == np.int64
+        bad = [
+            ([0, 2, 2, 3], [1, 5, 0], [1.0, 2.0, 3.0], [1, -1, 1], 5),   # index >= n
+            ([0, 2, 2, 3], [-1, 4, 0], [1.0, 2.0, 3.0], [1, -1, 1], 5),  # negative
+            ([0, 2, 2, 3], [4, 4, 0], [1.0, 2.0, 3.0], [1, -1, 1], 5),   # repeated in a row
+            ([0, 2, 2, 3], [4, 1, 0], [1.0, 2.0, 3.0], [1, -1, 1], 5),   # decreasing in a row
+            ([1, 2, 2, 3], [1, 4, 0], [1.0, 2.0, 3.0], [1, -1, 1], 5),   # indptr[0] != 0
+            ([0, 2, 1, 3], [1, 4, 0], [1.0, 2.0, 3.0], [1, -1, 1], 5),   # indptr falls
+            ([0, 2, 3], [1, 4, 0], [1.0, 2.0, 3.0], [1, -1, 1], 5),      # m + 1 entries
+            ([0, 2, 2, 3], [1, 4, 0], [1.0, 2.0], [1, -1, 1], 5),        # data length
+            ([0, 2, 2, 2], [1, 4, 0], [1.0, 2.0, 3.0], [1, -1, 1], 5),   # indptr[-1] != nnz
+            ([0, 2, 2, 3], [1, 4, 0], [1.0, 2.0, 3.0], [1, 0, 1], 5),    # label 0
+            ([0], [], [], [], 5),                                        # no points
+            ([0, 1], [1.7], [1.0], [1], 3),                              # float indices
+            ([0, 0.5, 1], [1], [1.0], [1, -1], 3),                       # float indptr
+        ]
+        for args in bad:
+            with pytest.raises(InputError):
+                Dataset(*args)
+
+    def test_arrays_are_read_only_views(self):
+        data = np.array([1.0, 2.0])
+        ds = Dataset([0, 1, 2], [0, 1], data, [1, -1], 2)
+        with pytest.raises(ValueError):
+            ds.data[0] = 5.0
+        data[0] = 5.0  # the caller's array stays writable, and is shared
+        assert ds.data[0] == 5.0
+
+    def test_from_dense_stores_nonzeros_like_the_parser(self):
+        ds = Dataset.from_dense([[0.0, 1.5, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, -3.0]], [1, -1, 1])
+        assert_same_csr(ds, parse_libsvm("+1 2:1.5\n-1\n+1 1:2 3:-3\n"))
+
+    def test_points_view_built_from_the_arrays(self):
+        ds = parse_libsvm("+1 2:1.5\n-1\n+1 1:2 3:-3\n")
+        points = ds.points
+        assert isinstance(points, tuple) and len(points) == 3
+        assert [y for _, y in points] == [1, -1, 1]
+        for (x, _), a, b in zip(points, ds.indptr[:-1], ds.indptr[1:]):
+            assert isinstance(x, SparseVec) and x.n == 3
+            assert np.array_equal(x.indices, ds.indices[a:b])
+            assert np.array_equal(x.values, ds.data[a:b])

@@ -10,7 +10,6 @@ from sgdavg.core import (
     InputError,
     Interval,
     L2Ball,
-    SparseVec,
     Unconstrained,
 )
 from sgdavg.data import Dataset, parse_libsvm, synthetic_separable_dataset
@@ -169,10 +168,31 @@ class TestLbExactDistribution:
         assert support == alt
 
     def test_preconditions(self):
-        with pytest.raises(InputError):
-            lb_exact_distribution(10)
-        with pytest.raises(InputError):
-            lb_exact_distribution(64)
+        for T in (10, 0, -4, 2):
+            with pytest.raises(InputError):
+                lb_exact_distribution(T)
+
+    @pytest.mark.parametrize("T", range(4, 61, 4))
+    def test_binomial_law_matches_enumeration(self, T):
+        # the 2^(T/4) sign-pattern enumeration that the binomial law replaced
+        m = T // 4
+        counts = {}
+        for pattern in range(1 << m):
+            k = 2 * bin(pattern).count("1") - m  # sum of m signs
+            counts[k] = counts.get(k, 0) + 1
+        pmf = {}
+        for k, c in counts.items():
+            value = Fraction(1, 2) * Fraction(k, T // 2) ** 2
+            pmf[value] = pmf.get(value, Fraction(0)) + Fraction(c, 1 << m)
+        assert lb_exact_distribution_rational(T) == sorted(pmf.items())
+
+    def test_long_horizon_law_is_exact(self):
+        # beyond any enumeration: 2^1000 sign patterns at T = 4000
+        pmf = lb_exact_distribution_rational(4000)
+        assert len(pmf) == 501
+        assert sum(p for _, p in pmf) == 1
+        assert pmf[0] == (Fraction(0), Fraction(math.comb(1000, 500), 2**1000))
+        assert pmf[-1] == (Fraction(1, 8), Fraction(2, 2**1000))
 
 
 class TestLbSimulation:
@@ -325,11 +345,11 @@ class TestRunTrials:
         # m * n = 3e8: no dense m-by-n row matrix is built
         m, n = 1000, 300_000
         rng = np.random.default_rng(6)
-        points = []
-        for i in range(m):
-            idx = np.sort(rng.choice(n, size=5, replace=False))
-            points.append((SparseVec(idx, rng.random(5), n), 1 if i % 2 else -1))
-        ds = Dataset(points, n)
+        rows = [(np.sort(rng.choice(n, size=5, replace=False)), rng.random(5))
+                for _ in range(m)]
+        ds = Dataset(np.arange(0, 5 * m + 1, 5), np.concatenate([i for i, _ in rows]),
+                     np.concatenate([v for _, v in rows]),
+                     [1 if i % 2 else -1 for i in range(m)], n)
         lam = 1.0 / m
         problem = svm_problem(ds, lam)
         factory = SvmOracleFactory(ds, lam)
@@ -351,7 +371,7 @@ class TestRunTrials:
         from sgdavg.experiments import TrialFailure
 
         base = synthetic_separable_dataset(50, 6, seed=2)
-        ds = Dataset([(x * feature_scale, y) for x, y in base.points], 6)
+        ds = Dataset(base.indptr, base.indices, base.data * feature_scale, base.labels, 6)
         lam = lam or 1.0 / ds.m
         problem = svm_problem(ds, lam)
         factory = SvmOracleFactory(ds, lam)

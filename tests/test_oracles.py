@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdavg.core import InputError, SparseVec
+from sgdavg.core import InputError
 from sgdavg.data import Dataset, parse_libsvm, synthetic_separable_dataset
 from sgdavg.oracles import (
     BoundedUniformBall,
@@ -26,15 +26,13 @@ from sgdavg.oracles import (
     svm_problem,
 )
 
-E1_3 = SparseVec([0], [1.0], 3)
-
-
 def one_point_dataset():
-    return Dataset([(E1_3, +1)], 3)
+    # the point e_1 in three dimensions, labelled +1
+    return Dataset([0, 1], [0], [1.0], [+1], 3)
 
 
 def two_point_dataset():
-    return Dataset([(SparseVec([0], [1.0], 1), +1), (SparseVec([0], [-1.0], 1), -1)], 1)
+    return Dataset([0, 1, 2], [0, 0], [1.0, -1.0], [+1, -1], 1)
 
 
 class TestRngStream:
@@ -126,6 +124,62 @@ class TestSvmOracle:
         with pytest.raises(InputError):
             svm_oracle_query(np.zeros(3), one_point_dataset(), 0.0, RngStream(0))
 
+    @pytest.mark.parametrize("ds", [
+        parse_libsvm("+1 2:0.5 5:-1.25 9:3\n-1 1:2 3:0.75\n+1\n-1 4:-0.5 9:1\n", n=10),
+        synthetic_separable_dataset(40, 10, seed=3),
+    ], ids=["text", "dense"])
+    def test_step_reads_the_sampled_row_as_its_dense_form(self, ds):
+        # the row's inner product and hinge update agree with the dense row
+        dense = np.asarray(ds.matrix().todense())
+        rng = np.random.default_rng(0)
+        lam = 0.25
+        for k in range(40):
+            w = rng.standard_normal(10) * (0.1 if k % 2 else 3.0)
+            s = svm_oracle_query(w, ds, lam, RngStream(k))
+            i = int(RngStream(k).generator().integers(ds.m))
+            x, y = dense[i], ds.labels[i]
+            want = lam * w - (y * x if y * float(x @ w) < 1.0 else 0.0)
+            assert np.allclose(s.ghat, want, rtol=1e-12, atol=1e-15)
+            off_row = x == 0.0
+            assert np.array_equal(s.ghat[off_row], lam * w[off_row])
+
+    def test_hinge_test_uses_the_sampled_row_inner_product(self):
+        # w is scaled so the sampled row's margin sits 1e-9 to either side of
+        # 1: the hinge fires exactly when the dense inner product says so
+        ds = parse_libsvm("+1 2:0.5 5:-1.25 9:3\n-1 1:2 3:0.75\n-1 4:-0.5 9:1\n", n=10)
+        dense = np.asarray(ds.matrix().todense())
+        rng = np.random.default_rng(1)
+        lam = 0.25
+        for k in range(40):
+            i = int(RngStream(k).generator().integers(ds.m))
+            x, y = dense[i], ds.labels[i]
+            w0 = rng.standard_normal(10)
+            side = 1.0 if k % 2 else -1.0
+            w = w0 * ((1.0 + side * 1e-9) / (y * float(x @ w0)))
+            s = svm_oracle_query(w, ds, lam, RngStream(k))
+            want = lam * w - (y * x if side < 0 else 0.0)
+            assert np.allclose(s.ghat, want, rtol=1e-12, atol=1e-15)
+
+    def test_hinge_update_writes_only_the_sampled_row(self):
+        # a small iterate keeps every margin below 1, so the update always
+        # fires; on-row entries get lam*w - y*x, the rest keep lam*w, exactly
+        ds = parse_libsvm("+1 2:0.5 5:-1.25 9:3\n-1 1:2 3:0.75\n+1\n-1 4:-0.5 9:1\n", n=10)
+        rng = np.random.default_rng(2)
+        lam = 0.5
+        for k in range(40):
+            w = rng.standard_normal(10) * 1e-3
+            s = svm_oracle_query(w, ds, lam, RngStream(k))
+            i = int(RngStream(k).generator().integers(ds.m))
+            idx = ds.indices[ds.indptr[i]:ds.indptr[i + 1]]
+            vals = ds.data[ds.indptr[i]:ds.indptr[i + 1]]
+            want = lam * w
+            want[idx] = lam * w[idx] - ds.labels[i] * vals
+            assert np.array_equal(s.ghat, want)
+
+    def test_iterate_dimension_mismatch_rejected(self):
+        with pytest.raises(InputError):
+            svm_oracle_query(np.zeros(2), one_point_dataset(), 0.5, RngStream(0))
+
     def test_oracle_class_deterministic(self):
         ds = two_point_dataset()
         o1 = SvmOracle(ds, 0.5, RngStream(9, 1))
@@ -150,7 +204,7 @@ class TestFullSvmObjective:
 
 def reference_svm_objective(w, dataset, lam):
     """The one-vector formula the row-wise SVM objective replaced."""
-    margins = dataset.labels() * dataset.dot_all(w)
+    margins = dataset.labels * dataset.dot_all(w)
     hinge = np.maximum(0.0, 1.0 - margins)
     return 0.5 * lam * float(w @ w) + float(hinge.mean())
 
@@ -200,7 +254,7 @@ class TestRowObjectives:
         with pytest.raises(InputError):
             SvmObjective(one_point_dataset(), 0.0).rows(np.zeros((2, 3)))
         with pytest.raises(InputError):
-            full_svm_objective(np.zeros(3), Dataset([], 3), 1.0)
+            full_svm_objective(np.zeros(3), Dataset([0], [], [], [], 3), 1.0)
 
 
 class TestQuadraticOracle:
@@ -348,10 +402,18 @@ class TestProblemFactories:
         # lam * (||center|| + radius) + max_i ||x_i|| = 0.5*4 + 1
         assert p.lipschitz == pytest.approx(3.0)
 
+    def test_svm_ball_lipschitz_uses_the_largest_row_norm(self):
+        from sgdavg.core import L2Ball
+
+        ds = parse_libsvm("+1 1:3 2:4\n-1\n+1 2:-2.5 3:0.5\n-1 1:0.5\n")
+        p = svm_problem(ds, 0.5, feasible=L2Ball(2.0, np.zeros(3)))
+        # lam * (||center|| + radius) + max_i ||x_i|| = 0.5*2 + ||(3, 4)||
+        assert p.lipschitz == pytest.approx(6.0, rel=1e-15)
+
     def test_svm_subgradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        pts = [(rng.standard_normal(3), int(y)) for y in np.sign(rng.standard_normal(8)) if y != 0]
-        ds = Dataset(pts, 3)
+        ys = [int(y) for y in np.sign(rng.standard_normal(8)) if y != 0]
+        ds = Dataset.from_dense(np.array([rng.standard_normal(3) for _ in ys]), ys)
         p = svm_problem(ds, 0.3)
         w = rng.standard_normal(3)
         g = p.subgradient(w)

@@ -14,6 +14,8 @@ from sgdavg.core import DEFAULT_SCHEDULE, LOWER_BOUND_SCHEDULE, InputError, Inte
 from sgdavg.data import synthetic_separable_dataset
 from sgdavg.experiments import (
     batched,
+    export_csv,
+    import_csv,
     fleet_trajectories,
     iterate_identity_error,
     kolmogorov_gap,
@@ -31,6 +33,7 @@ from sgdavg.experiments import (
 )
 from sgdavg.oracles import (
     BoundedUniformBall,
+    GaussianNoise,
     LowerBoundOracle,
     LowerBoundOracleFactory,
     QuadraticOracle,
@@ -200,6 +203,39 @@ class TestPredrawBudget:
         self._expect_refusal(monkeypatch, lambda: run_trials(
             problem, SvmOracleFactory(ds, 0.1), config, ["final"], trials, 0,
             engine="batched"), T * trials * 8)
+
+
+class TestBudgetInMeta:
+    """run_trials reports the bytes the batched engine reserved and the
+    budget they count against; the CSV carries both, and reruns repeat them."""
+
+    def _check(self, tmp_path, problem, factory, config, trials, predraw):
+        bat = run_trials(problem, factory, config, ["final", "uniform"], trials, 5)
+        seq = run_trials(problem, factory, config, ["final", "uniform"], trials, 5,
+                         engine="sequential")
+        assert bat.meta["engine"] == "batched"
+        assert bat.meta["predraw_bytes"] == predraw
+        assert seq.meta["predraw_bytes"] == 0
+        assert bat.meta["budget_bytes"] == seq.meta["budget_bytes"] == 1_600_000_000
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            again = run_trials(problem, factory, config, ["final", "uniform"], trials, 5)
+            export_csv(again, path, comments=["config: test"])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        meta = import_csv(paths[0]).meta
+        assert (meta["predraw_bytes"], meta["budget_bytes"]) == (predraw, 1_600_000_000)
+
+    def test_quadratic_noise_table(self, tmp_path):
+        problem = quadratic_problem(2, feasible=Interval(-6, 6))
+        factory = QuadraticOracleFactory(GaussianNoise(0.5))
+        config = RunConfig(T=300, schedule=DEFAULT_SCHEDULE, x1=np.ones(2), eval_every=100)
+        self._check(tmp_path, problem, factory, config, 6, 6 * 300 * 2 * 8)
+
+    def test_svm_index_table(self, tmp_path):
+        ds = synthetic_separable_dataset(40, 3, 1)
+        problem = svm_problem(ds, 0.1)
+        config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=50)
+        self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4, 4 * 250 * 8)
 
 
 class TestTrajectory:
