@@ -102,6 +102,9 @@ class Unconstrained(FeasibleSet):
     def project(self, p: np.ndarray) -> np.ndarray:
         return p
 
+    def project_rows(self, Y: np.ndarray) -> np.ndarray:
+        return Y
+
 
 @dataclass(frozen=True)
 class Interval(FeasibleSet):
@@ -117,7 +120,12 @@ class Interval(FeasibleSet):
     def project(self, p: np.ndarray) -> np.ndarray:
         if p.min() >= self.lo and p.max() <= self.hi:
             return p
-        return np.minimum(np.maximum(p, self.lo), self.hi)
+        return self.project_rows(p)
+
+    def project_rows(self, Y: np.ndarray) -> np.ndarray:
+        """The projection of each row of a (B, n) array (of any array: it
+        clips each entry)."""
+        return np.minimum(np.maximum(Y, self.lo), self.hi)
 
 
 # Points within this relative slack of an L2 ball boundary count as inside;
@@ -140,11 +148,22 @@ class L2Ball(FeasibleSet):
             raise InputError(
                 f"dimension mismatch: point has {p.shape[0]}, ball has {self.center.shape[0]}"
             )
-        d = p - self.center
-        nrm = float(np.linalg.norm(d))
-        if nrm <= self.radius * (1.0 + _BALL_SLACK):
-            return p
-        return self.center + d * (self.radius / nrm)
+        Y = p[None, :]
+        out = self.project_rows(Y)
+        return p if out is Y else out[0]
+
+    def project_rows(self, Y: np.ndarray) -> np.ndarray:
+        """The projection of each row of a (B, n) array; ``Y`` itself when
+        every row is inside. A row projects to the same bits alone or in a
+        batch."""
+        D = Y - self.center
+        nrm = np.sqrt(np.einsum("ij,ij->i", D, D))
+        outside = nrm > self.radius * (1.0 + _BALL_SLACK)
+        if not outside.any():
+            return Y
+        Y = Y.copy()
+        Y[outside] = self.center + D[outside] * (self.radius / nrm[outside])[:, None]
+        return Y
 
 
 def project(s: FeasibleSet, p: np.ndarray) -> np.ndarray:

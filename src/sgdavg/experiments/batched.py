@@ -1,15 +1,24 @@
 """Lockstep execution of many trials for the built-in oracle factories.
 
 All trials advance together with one vectorized update per iteration over a
-stacked (trials, dim) state, and per-trial randomness is pre-drawn from each
-trial's own RNG stream in exactly the order the scalar oracles consume it.
+stacked (trials, dim) state. Per-trial randomness is drawn in blocks of
+steps: each trial keeps one persistent ``Generator`` (its RngStream), and at
+the start of a block every generator draws that block's noise (or sample
+indices, or lower-bound signs) into a shared (block, trials, dim) buffer, in
+exactly the order the scalar oracle consumes its stream. numpy's
+``uniform``, ``random``, ``standard_normal`` and int64 ``integers`` draws
+are the same values whether drawn in one call or in consecutive chunks, so
+the block length never changes a result. A block holds at most
+``_BLOCK_BYTES`` (and never less than one step), so memory is
+O(trials * block * dim) whatever the horizon.
 
-Quadratic and lower-bound problems apply the same elementwise arithmetic as
-the sequential loop, so their results match the sequential runner (bitwise
-for one-dimensional problems, up to summation order for dense dot
-products). When the config sets ``record_iterates``, they also record every
-trial's trajectory: x_t, zhat_t and ghat_t as (T, trials, dim) arrays in one
-``Trajectory``, bitwise equal to what ``run_sgd`` records trial by trial.
+Quadratic and lower-bound problems apply the same elementwise arithmetic
+and the same row-wise projection (``project_rows`` of the feasible set) as
+the sequential loop, so their results match the sequential runner bitwise.
+When the config sets ``record_iterates``, they also record every trial's
+trajectory: x_t, zhat_t and ghat_t as (T, trials, dim) arrays in one
+``Trajectory``, bitwise equal to what ``run_sgd`` records trial by trial;
+the noise is then drawn block by block straight into the recorded zhat.
 The verifier fleet and the lower-bound simulation run this way.
 
 SVM problems cost O(nnz) per trial and step. Each trial's iterate is held as
@@ -45,9 +54,13 @@ from ..sgd import RunAborted, RunConfig, RunRecord, Trajectory, checkpoint_itera
 
 __all__ = ["LockstepRun", "unsupported_reason", "run_all"]
 
-# Pre-drawn noise/index tables and recorded trajectories together stay
+# The draw buffer of one block and the recorded trajectories together stay
 # within this many bytes.
 _BUDGET_BYTES = 1_600_000_000
+
+# Bytes of one block's draw buffer. At 1000 one-dimensional trials a block is
+# 1000 steps, so each trial's generator is called once per 1000 steps.
+_BLOCK_BYTES = 8_000_000
 
 # An SVM trial folds its scale into v before a step takes |s| below this, or
 # above 1 (a step size with eta*lam > 2). The rounding error of A*v - U grows
@@ -94,8 +107,22 @@ def unsupported_reason(problem: Problem, oracle_factory, config: RunConfig) -> s
     return f"unsupported oracle factory {type(oracle_factory).__name__}"
 
 
+def _block_steps(step_bytes: int, T: int) -> int:
+    """Steps per draw block: as many as fit in _BLOCK_BYTES and in the
+    budget, at least one and at most T."""
+    return max(1, min(T, min(_BLOCK_BYTES, _BUDGET_BYTES) // step_bytes))
+
+
+def _generators(trials: int, base_seed: int, block: int, T: int):
+    """Each trial's generator, in trial order: a list kept across blocks, or,
+    when one block covers the run, made one at a time as the draw reaches
+    it (thousands of live generators take megabytes)."""
+    gens = (RngStream(base_seed, i).generator() for i in range(trials))
+    return gens if block >= T else list(gens)
+
+
 def _reserve(nbytes: int, what: str) -> int:
-    """Refuse, before allocating, tables over the byte budget; returns ``nbytes``."""
+    """Refuse, before allocating, buffers over the byte budget; returns ``nbytes``."""
     if nbytes > _BUDGET_BYTES:
         raise MemoryError(
             f"{what} need {nbytes} bytes, above the batched engine's budget of "
@@ -113,7 +140,7 @@ class LockstepRun:
     ``reported`` the final (trials, dim) report per scheme, and
     ``trajectory`` the recorded (T, trials, dim) arrays when the config asks
     for them, and ``predraw_bytes`` the bytes reserved against the budget for
-    the pre-drawn tables and the recording.
+    one block's draw buffer and the recording.
     """
 
     checkpoints: list[tuple[int, dict[str, np.ndarray]]]
@@ -151,42 +178,35 @@ def _evaluate(problem: Problem, reports: dict[str, np.ndarray], t: int, base_see
     return vals
 
 
-def _noise_table(factory, trials: int, T: int, dim: int, base_seed: int) -> np.ndarray:
-    """(trials, T, dim) noise zhat_t of every trial, drawn from the trial's
-    own stream in the order its oracle draws it."""
-    table = np.zeros((trials, T, dim))
+def _draw_noise(factory, gens, out: np.ndarray, t0: int) -> None:
+    """Write zhat of steps t0+1 .. t0+len(out) of every trial into the
+    (steps, trials, dim) array ``out``, drawn from each trial's generator in
+    the order its oracle draws it."""
+    steps = out.shape[0]
     if isinstance(factory, LowerBoundOracleFactory):
         # one uniform sign per step t in (T/2, 3T/4], scaled as lb_oracle_query scales it
-        lo, hi = T // 2, (3 * T) // 4
-        coeff = (T + 1.0) / (T - np.arange(lo + 1, hi + 1))
-        for i in range(trials):
-            r = RngStream(base_seed, i).generator().random(hi - lo)
-            table[i, lo:hi, 0] = coeff * np.where(r < 0.5, 1.0, -1.0)
-        return table
+        T = factory.T
+        lo, hi = max(t0, T // 2), min(t0 + steps, (3 * T) // 4)  # 0-based steps [lo, hi)
+        out.fill(0.0)
+        if lo < hi:
+            coeff = (T + 1.0) / (T - np.arange(lo + 1, hi + 1))
+            for i, gen in enumerate(gens):
+                r = gen.random(hi - lo)
+                out[lo - t0:hi - t0, i, 0] = coeff * np.where(r < 0.5, 1.0, -1.0)
+        return
     noise = factory.noise
-    if isinstance(noise, NoNoise):
-        return table
-    for i in range(trials):
-        gen = RngStream(base_seed, i).generator()
+    for i, gen in enumerate(gens):
         if isinstance(noise, BoundedUniformBall):
-            table[i, :, 0] = gen.uniform(-noise.bound, noise.bound, size=T)
+            out[:, i, 0] = gen.uniform(-noise.bound, noise.bound, size=steps)
         else:
-            table[i] = noise.sample_batch(T, dim, gen)
-    return table
+            out[:, i] = noise.sample_batch(steps, out.shape[2], gen)
 
 
-def _project_batch(feasible, Y):
-    if isinstance(feasible, Unconstrained):
-        return Y
-    if isinstance(feasible, Interval):
-        return np.minimum(np.maximum(Y, feasible.lo), feasible.hi)
-    D = Y - feasible.center
-    nrm = np.sqrt(np.einsum("ij,ij->i", D, D))
-    mask = nrm > feasible.radius * (1.0 + _BALL_SLACK)
-    if mask.any():
-        Y = Y.copy()
-        Y[mask] = feasible.center + D[mask] * (feasible.radius / nrm[mask])[:, None]
-    return Y
+def _draw_indices(gens, m: int, out: np.ndarray) -> None:
+    """Write the sample index of the next len(out) steps of every trial into
+    the (steps, trials) array ``out``, as svm_oracle_query draws them."""
+    for i, gen in enumerate(gens):
+        out[:, i] = gen.integers(m, size=out.shape[0])
 
 
 class _StackedAveragers:
@@ -230,20 +250,23 @@ class _StackedAveragers:
 
 
 def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, suffix_alpha):
-    """Quadratic and lower-bound trials: ghat = mu*x - zhat with the noise
-    pre-drawn (the lower-bound oracle's mu is 1)."""
+    """Quadratic and lower-bound trials: ghat = mu*x - zhat, with the noise
+    drawn per block (the lower-bound oracle's mu is 1)."""
     T, dim = config.T, config.x1.shape[0]
     record = config.record_iterates
     mu = factory.mu if isinstance(factory, QuadraticOracleFactory) else 1.0
     noiseless = isinstance(getattr(factory, "noise", None), NoNoise)
-    # the noise table, plus the recorded iterates and ghat
-    tables = (0 if noiseless and not record else 1) + (2 if record else 0)
-    reserved = _reserve(tables * trials * T * dim * 8, "pre-drawn noise and recorded "
-                        "trajectories" if record else "pre-drawn noise")
-    table = None if noiseless and not record else _noise_table(factory, trials, T, dim, base_seed)
+    step_bytes = trials * dim * 8
+    block = T if noiseless else _block_steps(step_bytes, T)
     if record:
-        Xs = np.empty((T, trials, dim))
-        Gs = np.empty((T, trials, dim))
+        # the recorded iterates, ghat and zhat; each block's noise is drawn into zhat
+        reserved = _reserve(3 * T * step_bytes, "recorded trajectories")
+        Xs, Gs = np.empty((T, trials, dim)), np.empty((T, trials, dim))
+        Zs = np.zeros((T, trials, dim))
+    else:
+        reserved = 0 if noiseless else _reserve(block * step_bytes, "one block of noise draws")
+        buf = None if noiseless else np.empty((block, trials, dim))
+    gens = None if noiseless else _generators(trials, base_seed, block, T)
     X = np.tile(np.asarray(config.x1, dtype=np.float64), (trials, 1))
     avs = _StackedAveragers(scheme_names, T, suffix_alpha, trials, dim)
     sched = config.schedule
@@ -252,10 +275,16 @@ def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, su
     feasible = problem.feasible
 
     cp_values: list[tuple[int, dict[str, np.ndarray]]] = []
+    Z = None
     for t in range(1, T + 1):
+        k = (t - 1) % block
+        if k == 0 and not noiseless:
+            t0, steps = t - 1, min(block, T - t + 1)
+            Z = Zs[t0:t0 + steps] if record else buf[:steps]
+            _draw_noise(factory, gens, Z, t0)
         avs.observe(X, t)
         G = X if mu == 1.0 else mu * X
-        Ghat = G if table is None else G - table[:, t - 1, :]
+        Ghat = G if Z is None else G - Z[k]
         if record:
             Xs[t - 1] = X
             Gs[t - 1] = Ghat
@@ -266,8 +295,8 @@ def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, su
         if not np.isfinite(Y).all():
             bad = int(np.nonzero(~np.isfinite(Y).all(axis=1))[0][0])
             raise _failure(bad, base_seed, t, _NON_FINITE)
-        X = _project_batch(feasible, Y)
-    trajectory = Trajectory(Xs, Gs, table.transpose(1, 0, 2)) if record else None
+        X = feasible.project_rows(Y)
+    trajectory = Trajectory(Xs, Gs, Zs) if record else None
     return LockstepRun(cp_values, avs.reports(), reserved, trajectory)
 
 
@@ -280,11 +309,13 @@ class _ScaledSvm:
     def __init__(self, problem, factory: SvmOracleFactory, config, scheme_names,
                  trials, base_seed, suffix_alpha):
         d = factory.dataset
-        self.reserved = _reserve(trials * config.T * 8, "pre-drawn sample indices")
-        # (T, trials): step t reads one contiguous row
-        self.idx = np.empty((config.T, trials), dtype=np.int64)
-        for i in range(trials):
-            self.idx[:, i] = RngStream(base_seed, i).generator().integers(d.m, size=config.T)
+        self.T = config.T
+        self.block = _block_steps(trials * 8, config.T)
+        self.reserved = _reserve(self.block * trials * 8, "one block of sample indices")
+        # (block, trials): step t reads one contiguous row
+        self.idx = np.empty((self.block, trials), dtype=np.int64)
+        self.gens = _generators(trials, base_seed, self.block, config.T)
+        self.m = d.m
         self.starts, self.indices, self.data = d.indptr[:-1], d.indices, d.data
         self.lens = np.diff(d.indptr)
         self.labels = d.labels
@@ -355,7 +386,10 @@ class _ScaledSvm:
             self.vv[rows] = np.einsum("ij,ij->i", v, v)
 
     def step(self, t, eta):
-        sel = self.idx[t - 1]
+        k = (t - 1) % self.block
+        if k == 0:
+            _draw_indices(self.gens, self.m, self.idx[:min(self.block, self.T - t + 1)])
+        sel = self.idx[k]
         starts = self.starts[sel]
         lens = self.lens[sel]
         ends = lens.cumsum()

@@ -4,13 +4,19 @@ CSV schema: header ``trial,checkpoint_iter,scheme,objective``, one row per
 defined cell, 17-significant-digit floats, UTF-8, LF line endings, '.'
 decimal separator. Lines starting with '#' are comments; the matrix metadata
 rides along in a ``# meta:`` comment so a round trip is exact.
+
+Both writers emit their lines in chunks of about ``_CHUNK_CHARS``
+characters, so a file is never held in memory whole, into a temporary file
+that replaces the target only when complete.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +27,42 @@ __all__ = ["CSV_HEADER", "export_csv", "import_csv", "render_svg"]
 
 CSV_HEADER = "trial,checkpoint_iter,scheme,objective"
 
+_CHUNK_CHARS = 1 << 20
+
+
+@contextmanager
+def _line_writer(path: Union[str, Path]) -> Iterator[Callable[[str], None]]:
+    """An ``add(line)`` callable writing LF-terminated UTF-8 lines in chunks
+    of about _CHUNK_CHARS characters to a temporary file beside ``path``,
+    which replaces ``path`` once every line is written: a write that stops
+    partway leaves the old file whole."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    pending: list[str] = []
+    size = 0
+    try:
+        with open(tmp, "wb") as fh:
+
+            def flush() -> None:
+                nonlocal size
+                if pending:
+                    fh.write(("\n".join(pending) + "\n").encode("utf-8"))
+                    pending.clear()
+                    size = 0
+
+            def add(line: str) -> None:
+                nonlocal size
+                pending.append(line)
+                size += len(line)
+                if size >= _CHUNK_CHARS:
+                    flush()
+
+            yield add
+            flush()
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
 
 def export_csv(
     matrix: TrialMatrix,
@@ -30,11 +72,6 @@ def export_csv(
     """Write one row per defined cell, preceded by comment lines."""
     if matrix.gaps.size == 0:
         raise InputError("refusing to export an empty matrix")
-    lines: list[str] = []
-    for c in comments:
-        lines.append(f"# {c}")
-    lines.append(f"# meta: {json.dumps(matrix.meta, sort_keys=True)}")
-    lines.append(CSV_HEADER)
     # one "%"-template per trial row, in [checkpoint][scheme] cell order;
     # rows with undefined cells use the template of their mask's cells
     cells = [
@@ -45,21 +82,25 @@ def export_csv(
     flat = matrix.gaps.reshape(matrix.gaps.shape[0], -1)
     defined = ~np.isnan(flat)
     by_mask: dict[bytes, list[str]] = {}
-    for trial, (row, mask) in enumerate(zip(flat, defined)):
-        if mask.all():
-            row_cells = cells
-        else:
-            row_cells = by_mask.get(mask.tobytes())
-            if row_cells is None:
-                row_cells = by_mask[mask.tobytes()] = [
-                    c for c, keep in zip(cells, mask) if keep
-                ]
-            if not row_cells:
-                continue
-            row = row[mask]
-        head = f"{trial},"
-        lines.append((head + f"\n{head}".join(row_cells)) % tuple(row.tolist()))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    with _line_writer(path) as add:
+        for c in comments:
+            add(f"# {c}")
+        add(f"# meta: {json.dumps(matrix.meta, sort_keys=True)}")
+        add(CSV_HEADER)
+        for trial, (row, mask) in enumerate(zip(flat, defined)):
+            if mask.all():
+                row_cells = cells
+            else:
+                row_cells = by_mask.get(mask.tobytes())
+                if row_cells is None:
+                    row_cells = by_mask[mask.tobytes()] = [
+                        c for c, keep in zip(cells, mask) if keep
+                    ]
+                if not row_cells:
+                    continue
+                row = row[mask]
+            head = f"{trial},"
+            add((head + f"\n{head}".join(row_cells)) % tuple(row.tolist()))
 
 
 def import_csv(path: Union[str, Path]) -> TrialMatrix:
@@ -134,67 +175,65 @@ def render_svg(
         matrix.scheme_index(nm)
 
     xs = np.asarray(matrix.checkpoints, dtype=np.float64)
-    finite = matrix.gaps[~np.isnan(matrix.gaps)]
-    y_lo = float(finite.min()) if finite.size else 0.0
-    y_hi = float(finite.max()) if finite.size else 1.0
+    defined_all = ~np.isnan(matrix.gaps)
+    # every defined gap is finite, and nanmin/nanmax skip the undefined ones
+    any_defined = bool(defined_all.any())
+    y_lo = float(np.nanmin(matrix.gaps)) if any_defined else 0.0
+    y_hi = float(np.nanmax(matrix.gaps)) if any_defined else 1.0
     sx = _scale(float(xs.min()), float(xs.max()), _PANEL_W)
     sy = _scale(y_lo, y_hi, _PANEL_H)
 
     def py(v):
         return _MARGIN + (_PANEL_H - sy(v))
 
-    py_all = np.broadcast_to(py(matrix.gaps), matrix.gaps.shape)
-    defined_all = ~np.isnan(matrix.gaps)
-
     width = _MARGIN + len(names) * (_PANEL_W + _MARGIN)
     height = 2 * _MARGIN + _PANEL_H
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
-    for panel, nm in enumerate(names):
-        si = matrix.scheme_index(nm)
-        x0 = _MARGIN + panel * (_PANEL_W + _MARGIN)
-        parts.append(
-            f'<text x="{x0 + _PANEL_W / 2:.2f}" y="{_MARGIN - 16}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="15">{nm}</text>'
-        )
-        parts.append(
-            f'<rect x="{x0}" y="{_MARGIN}" width="{_PANEL_W}" height="{_PANEL_H}" '
-            'fill="none" stroke="#999" stroke-width="1"/>'
-        )
-        for label, v in ((f"{y_hi:.4g}", y_hi), (f"{y_lo:.4g}", y_lo)):
-            parts.append(
-                f'<text x="{x0 - 4}" y="{py(v):.2f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="10">{label}</text>'
+    with _line_writer(path) as add:
+        add(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">')
+        add('<rect width="100%" height="100%" fill="white"/>')
+        for panel, nm in enumerate(names):
+            si = matrix.scheme_index(nm)
+            x0 = _MARGIN + panel * (_PANEL_W + _MARGIN)
+            add(
+                f'<text x="{x0 + _PANEL_W / 2:.2f}" y="{_MARGIN - 16}" '
+                f'text-anchor="middle" font-family="sans-serif" font-size="15">{nm}</text>'
             )
-        # "x,%.2f" per checkpoint; a trial's polyline fills the points it defines
-        points = [f"{x0 + sx(x):.2f},%.2f" for x in xs]
-        by_mask: dict[bytes, str] = {}
-        for py_row, mask in zip(py_all[:, :, si], defined_all[:, :, si]):
-            if mask.sum() < 2:
-                continue
-            template = by_mask.get(mask.tobytes())
-            if template is None:
-                template = by_mask[mask.tobytes()] = " ".join(
-                    p for p, keep in zip(points, mask) if keep
+            add(
+                f'<rect x="{x0}" y="{_MARGIN}" width="{_PANEL_W}" height="{_PANEL_H}" '
+                'fill="none" stroke="#999" stroke-width="1"/>'
+            )
+            for label, v in ((f"{y_hi:.4g}", y_hi), (f"{y_lo:.4g}", y_lo)):
+                add(
+                    f'<text x="{x0 - 4}" y="{py(v):.2f}" text-anchor="end" '
+                    f'font-family="sans-serif" font-size="10">{label}</text>'
                 )
-            parts.append(
-                f'<polyline points="{template % tuple(py_row[mask].tolist())}" fill="none" '
-                'stroke="#1f77b4" stroke-width="1" stroke-opacity="0.08"/>'
-            )
-        col = matrix.gaps[:, :, si]
-        defined = defined_all[:, :, si]
-        mean_pts = []
-        for ci in range(len(matrix.checkpoints)):
-            mask = defined[:, ci]
-            if mask.any():
-                mean_pts.append(points[ci] % py(float(col[mask, ci].mean())))
-        if len(mean_pts) >= 2:
-            parts.append(
-                f'<polyline points="{" ".join(mean_pts)}" fill="none" '
-                'stroke="#222" stroke-width="2" stroke-dasharray="5 4"/>'
-            )
-    parts.append("</svg>")
-    Path(path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
+            # "x,%.2f" per checkpoint; a trial's polyline fills the points it defines
+            points = [f"{x0 + sx(x):.2f},%.2f" for x in xs]
+            by_mask: dict[bytes, str] = {}
+            col = matrix.gaps[:, :, si]
+            defined = defined_all[:, :, si]
+            py_col = np.broadcast_to(py(col), col.shape)
+            for py_row, mask in zip(py_col, defined):
+                if mask.sum() < 2:
+                    continue
+                template = by_mask.get(mask.tobytes())
+                if template is None:
+                    template = by_mask[mask.tobytes()] = " ".join(
+                        p for p, keep in zip(points, mask) if keep
+                    )
+                add(
+                    f'<polyline points="{template % tuple(py_row[mask].tolist())}" fill="none" '
+                    'stroke="#1f77b4" stroke-width="1" stroke-opacity="0.08"/>'
+                )
+            mean_pts = []
+            for ci in range(len(matrix.checkpoints)):
+                mask = defined[:, ci]
+                if mask.any():
+                    mean_pts.append(points[ci] % py(float(col[mask, ci].mean())))
+            if len(mean_pts) >= 2:
+                add(
+                    f'<polyline points="{" ".join(mean_pts)}" fill="none" '
+                    'stroke="#222" stroke-width="2" stroke-dasharray="5 4"/>'
+                )
+        add("</svg>")

@@ -144,22 +144,19 @@ def verify_diameter_bound(trajectory, L: float, mu: float, xstar) -> CheckResult
     )
 
 
-def _neumaier():
-    """Compensated accumulator: returns (add, total) closures."""
-    state = [0.0, 0.0]  # running sum, compensation
-
-    def add(x: float) -> None:
-        s = state[0] + x
-        if abs(state[0]) >= abs(x):
-            state[1] += (state[0] - s) + x
-        else:
-            state[1] += (x - s) + state[0]
-        state[0] = s
-
-    def total() -> float:
-        return state[0] + state[1]
-
-    return add, total
+def _compensated_cumsum(terms: np.ndarray) -> np.ndarray:
+    """Running sums along axis 0: entry k is terms[0] + ... + terms[k],
+    accumulated with Neumaier's compensation (the scalar algorithm's
+    arithmetic, applied elementwise to the trailing axes)."""
+    s = np.zeros(terms.shape[1:])  # running sum
+    c = np.zeros(terms.shape[1:])  # compensation
+    out = np.empty_like(terms)
+    for k, x in enumerate(terms):
+        new = s + x
+        c += np.where(np.abs(s) >= np.abs(x), (s - new) + x, (x - new) + s)
+        s = new
+        out[k] = s + c
+    return out
 
 
 def verify_recursive_bound(trajectory, mu: float, xstar) -> CheckResult:
@@ -174,55 +171,57 @@ def verify_recursive_bound(trajectory, mu: float, xstar) -> CheckResult:
     the minimum slack (RHS - LHS); passes when every slack clears
     -1e-9 times the local term magnitude.
     """
-    X, D, Z, Ghat = _trajectory_arrays(trajectory, xstar)
-    T = X.shape[0]
+    _, D, Z, Ghat = _trajectory_arrays(trajectory, xstar)
+    return _recursive_bound_runs(D[:, None], Z[:, None], Ghat[:, None], mu)[0]
+
+
+def _recursive_bound_runs(D, Z, Ghat, mu: float) -> list[CheckResult]:
+    """verify_recursive_bound of every run of (T, runs, dim) arrays of
+    x_t - x*, zhat_t and ghat_t; one scan over t serves all runs, with the
+    same per-run arithmetic as a scan of each run alone."""
+    T = D.shape[0]
     if T < 5:
         raise InputError(f"need at least 5 recorded steps, got {T}")
-    u = np.einsum("ij,ij->i", Z, D)  # <zhat_t, x_t - x*>, index t-1
-    h = np.einsum("ij,ij->i", Ghat, Ghat)
-    dist2 = np.einsum("ij,ij->i", D, D)
+    u = np.einsum("tbj,tbj->tb", Z, D)  # <zhat_t, x_t - x*>, index t-1
+    h = np.einsum("tbj,tbj->tb", Ghat, Ghat)
+    dist2 = np.einsum("tbj,tbj->tb", D, D)
 
-    # Both sums share the factor 1/((t-2)(t-1)t(t+1)); accumulate the
-    # numerators N(i) * u_i/(i+1) and N(i) * h_i/(i+1)^2 once, with
-    # compensation (they span several orders of magnitude in i).
-    add_a, tot_a = _neumaier()
-    add_abs, tot_abs = _neumaier()
-    add_b, tot_b = _neumaier()
-
-    min_slack = math.inf
-    min_norm_slack = math.inf
-    passed = True
-    worst_t = None
+    # Both sums share the factor 1/N(t) with N(t) = (t-2)(t-1)t(t+1);
+    # accumulate the numerators N(i) * u_i/(i+1) and N(i) * h_i/(i+1)^2 over
+    # the inner-sum terms i = 3..T-1 once, with compensation (they span
+    # several orders of magnitude in i).
+    i = np.arange(3, T, dtype=np.float64)[:, None]
+    n = (i - 2.0) * (i - 1.0) * i * (i + 1.0)
+    term_a = n * u[2:T - 1] / (i + 1.0)
+    term_b = n * h[2:T - 1] / ((i + 1.0) * (i + 1.0))
+    sums = _compensated_cumsum(np.stack([term_a, np.abs(term_a), term_b], axis=1))
+    # the check at t = 4..T-1 reads the sums through i = t
+    tot_a, tot_abs, tot_b = sums[1:, 0], sums[1:, 1], sums[1:, 2]
+    den = n[1:]
     four_over_mu = 4.0 / mu
     four_over_mu2 = 4.0 / (mu * mu)
-    for i in range(3, T):  # i indexes iterates 3..T-1 as inner-sum terms
-        n_i = (i - 2.0) * (i - 1.0) * i * (i + 1.0)
-        term_a = n_i * u[i - 1] / (i + 1.0)
-        add_a(term_a)
-        add_abs(abs(term_a))
-        add_b(n_i * h[i - 1] / ((i + 1.0) * (i + 1.0)))
-        t = i
-        if t < 4 or t + 1 > T:
-            continue
-        den = (t - 2.0) * (t - 1.0) * t * (t + 1.0)
-        rhs = four_over_mu * tot_a() / den + four_over_mu2 * tot_b() / den
-        lhs = dist2[t]  # ||x_{t+1} - x*||^2 at array index t
-        scale = four_over_mu * tot_abs() / den + four_over_mu2 * tot_b() / den + lhs
-        slack = rhs - lhs
-        if slack < min_slack:
-            min_slack = slack
-            worst_t = t
-        norm_slack = slack / scale if scale > 0 else slack
-        min_norm_slack = min(min_norm_slack, norm_slack)
-        if slack < -1e-9 * scale:
-            passed = False
-    return CheckResult(
-        name="recursive-bound",
-        value=min_slack,
-        threshold=-1e-9,
-        passed=passed,
-        detail={"min_normalized_slack": min_norm_slack, "worst_t": worst_t, "T": T},
-    )
+    rhs = four_over_mu * tot_a / den + four_over_mu2 * tot_b / den
+    lhs = dist2[4:T]  # ||x_{t+1} - x*||^2 at array index t
+    scale = four_over_mu * tot_abs / den + four_over_mu2 * tot_b / den + lhs
+    slack = rhs - lhs
+    positive = scale > 0
+    norm_slack = np.where(positive, slack / np.where(positive, scale, 1.0), slack)
+    worst = np.argmin(slack, axis=0)  # the first t of the minimum slack
+    runs = D.shape[1]
+    min_slack = slack[worst, np.arange(runs)]
+    min_norm_slack = norm_slack.min(axis=0)
+    passed = ~(slack < -1e-9 * scale).any(axis=0)
+    return [
+        CheckResult(
+            name="recursive-bound",
+            value=float(min_slack[b]),
+            threshold=-1e-9,
+            passed=bool(passed[b]),
+            detail={"min_normalized_slack": float(min_norm_slack[b]),
+                    "worst_t": 4 + int(worst[b]), "T": T},
+        )
+        for b in range(runs)
+    ]
 
 
 def chicken_and_egg_coefficients(T: int, mu: float, L: float) -> tuple[np.ndarray, float]:
@@ -244,21 +243,16 @@ def chicken_and_egg_coefficients(T: int, mu: float, L: float) -> tuple[np.ndarra
     def den(t):  # (t-2)(t-1)t(t+1), the shared denominator at horizon t
         return (t - 2.0) * (t - 1.0) * t * (t + 1.0)
 
-    # alpha: backward suffix sums of t^2 / den(t-1), one shared accumulator
-    add_r, tot_r = _neumaier()
-    for i in range(T - 1, 2, -1):
-        add_r((i + 1.0) * (i + 1.0) / den(i))  # term t = i+1
-        n_i = (i - 2.0) * (i - 1.0) * i * (i + 1.0)
-        alpha[i] = (4.0 / mu) * n_i / (i * (i + 1.0)) * tot_r()
-
-    # beta: prefix sums of N(i)/(i+1)^2 feed the inner sum at each t
-    add_p, tot_p = _neumaier()
-    beta_terms = []
-    for t in range(4, T + 1):
-        i = t - 1
-        n_i = (i - 2.0) * (i - 1.0) * i * (i + 1.0)
-        add_p(n_i / ((i + 1.0) * (i + 1.0)))
-        beta_terms.append(t * t * tot_p() / den(t - 1))
+    # alpha: backward suffix sums of t^2 / den(t-1), i = T-1 down to 3;
+    # beta: prefix sums of N(i)/(i+1)^2 feed the inner sum at each t = i+1
+    i = np.arange(3, T, dtype=np.float64)
+    n = (i - 2.0) * (i - 1.0) * i * (i + 1.0)
+    desc = i[::-1]
+    sums = _compensated_cumsum(np.stack([(desc + 1.0) * (desc + 1.0) / den(desc),
+                                         n / ((i + 1.0) * (i + 1.0))], axis=1))
+    alpha[T - 1:2:-1] = (4.0 / mu) * n[::-1] / (desc * (desc + 1.0)) * sums[:, 0]
+    t = i + 1.0
+    beta_terms = (t * t * sums[:, 1] / den(t - 1.0)).tolist()
     beta = (4.0 * (L + 1.0) ** 2 / (mu * mu)) * math.fsum(beta_terms)
     beta += 56.0 * L * L / (mu * mu)
     return alpha, beta
@@ -316,6 +310,22 @@ def verify_chicken_and_egg(
     )
 
 
+def _fleet_run(runs: int, T: int, base_seed: int, noise_bound: float, x1: float = 6.0):
+    """The fleet's problem and its recorded lockstep run; see fleet_trajectories."""
+    problem = quadratic_problem(1, mu=1.0, feasible=Interval(-6.0, 6.0))
+    config = RunConfig(
+        T=T,
+        schedule=DEFAULT_SCHEDULE,
+        x1=np.array([x1]),
+        eval_every=T,
+        record_iterates=True,
+    )
+    factory = QuadraticOracleFactory(BoundedUniformBall(noise_bound))
+    run = batched.run_all(problem, factory, config, ["nonuniform"], runs, base_seed,
+                          suffix_alpha=0.5)
+    return problem, run
+
+
 def fleet_trajectories(
     runs: int = 20,
     T: int = 2000,
@@ -328,17 +338,7 @@ def fleet_trajectories(
     Run i draws from RngStream(base_seed, i). All runs advance in one
     lockstep call; yields (problem, record) pairs, each record a view of one
     run, bitwise equal to its ``run_sgd`` record."""
-    problem = quadratic_problem(1, mu=1.0, feasible=Interval(-6.0, 6.0))
-    config = RunConfig(
-        T=T,
-        schedule=DEFAULT_SCHEDULE,
-        x1=np.array([x1]),
-        eval_every=T,
-        record_iterates=True,
-    )
-    factory = QuadraticOracleFactory(BoundedUniformBall(noise_bound))
-    run = batched.run_all(problem, factory, config, ["nonuniform"], runs, base_seed,
-                          suffix_alpha=0.5)
+    problem, run = _fleet_run(runs, T, base_seed, noise_bound, x1)
     for i in range(runs):
         yield problem, run.record(i)
 
@@ -366,19 +366,22 @@ def run_verification_fleet(
 
     traj_checks = {"diameter", "recursive", "chicken-and-egg"} & set(selected)
     if traj_checks:
+        problem, run = _fleet_run(runs, T, base_seed, noise_bound)
+        L, mu, xstar = problem.lipschitz, problem.mu, problem.xstar
         worst: dict[str, CheckResult] = {}
+        if "recursive" in traj_checks:
+            traj = run.trajectory
+            # the first run of the minimum slack is the worst
+            worst["recursive"] = min(
+                _recursive_bound_runs(traj.X - xstar, traj.zhat, traj.ghat, mu),
+                key=lambda r: r.value)
         coefficients = None  # one horizon and problem: computed once per fleet
-        for problem, record in fleet_trajectories(runs, T, base_seed, noise_bound):
-            traj = record.trajectory
-            L, mu, xstar = problem.lipschitz, problem.mu, problem.xstar
+        for i in range(runs):
+            traj = run.trajectory.trial(i)
             if "diameter" in traj_checks:
                 r = verify_diameter_bound(traj, L, mu, xstar)
                 if "diameter" not in worst or r.value > worst["diameter"].value:
                     worst["diameter"] = r
-            if "recursive" in traj_checks:
-                r = verify_recursive_bound(traj, mu, xstar)
-                if "recursive" not in worst or r.value < worst["recursive"].value:
-                    worst["recursive"] = r
             if "chicken-and-egg" in traj_checks:
                 if coefficients is None and len(traj) >= 5:
                     coefficients = chicken_and_egg_coefficients(len(traj), mu, L)

@@ -84,6 +84,10 @@ class GradientSample:
     zhat: Optional[np.ndarray] = None
 
 
+# Draws per sub-batch of empirical_mgf_check (1 MB of float64).
+_MGF_SUB_ELEMENTS = 1 << 17
+
+
 class NoiseModel:
     """Mean-zero noise law for the gradient oracle."""
 
@@ -95,6 +99,11 @@ class NoiseModel:
         successive sample() calls for NoNoise, Gaussian, and 1-D ball noise;
         for higher-dimensional ball noise only the law matches."""
         return np.stack([self.sample(n, rng) for _ in range(count)])
+
+    def batch_by_rows(self, n: int) -> bool:
+        """Whether sample_batch draws its rows one after another from the
+        stream, so that splitting a batch leaves every draw unchanged."""
+        return True
 
 
 @dataclass(frozen=True)
@@ -137,6 +146,10 @@ class BoundedUniformBall(NoiseModel):
         nrm[nrm == 0.0] = 1.0
         r = self.bound * rng.random(count) ** (1.0 / n)
         return g * (r[:, None] / nrm)
+
+    def batch_by_rows(self, n):
+        # above one dimension, all the normals come before all the radii
+        return n == 1
 
 
 @dataclass(frozen=True)
@@ -258,7 +271,15 @@ def empirical_mgf_check(
     samples: int,
     rng: Union[RngStream, np.random.Generator],
 ) -> float:
-    """Monte-Carlo estimate of E[exp(||zhat||^2 / kappa^2)]."""
+    """Monte-Carlo estimate of E[exp(||zhat||^2 / kappa^2)].
+
+    Samples are taken in batches of 32768. When the noise draws a batch row
+    by row (``batch_by_rows``), each batch is drawn in sub-batches of at
+    most _MGF_SUB_ELEMENTS draws, squared in place, and its row sums filled
+    into one (32768,) buffer, so memory stays bounded in n; the estimate
+    does not depend on the sub-batch size. Other noise is drawn one whole
+    batch at a time.
+    """
     if not kappa > 0:
         raise InputError(f"kappa must be positive, got {kappa}")
     if samples < 10**4:
@@ -266,12 +287,18 @@ def empirical_mgf_check(
     rng = as_generator(rng)
     inv_k2 = 1.0 / (kappa * kappa)
     batch = 1 << 15
+    sub = max(1, _MGF_SUB_ELEMENTS // n) if noise.batch_by_rows(n) else batch
+    sums = np.empty(batch)
     partials = []
     remaining = samples
     while remaining > 0:
         b = min(batch, remaining)
-        z = noise.sample_batch(b, n, rng)
-        partials.append(float(np.exp((z * z).sum(axis=1) * inv_k2).sum()))
+        for lo in range(0, b, sub):
+            hi = min(b, lo + sub)
+            z = noise.sample_batch(hi - lo, n, rng)
+            z *= z
+            z.sum(axis=1, out=sums[lo:hi])
+        partials.append(float(np.exp(sums[:b] * inv_k2).sum()))
         remaining -= b
     return math.fsum(partials) / samples
 

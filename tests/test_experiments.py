@@ -26,6 +26,8 @@ from sgdavg.oracles import (
 )
 from sgdavg.sgd import RunConfig, run_sgd
 from sgdavg.averaging import make_averager
+from sgdavg.experiments import io as io_module
+from sgdavg.experiments import verify as verify_module
 from sgdavg.experiments.io import _MARGIN, _PANEL_H, _PANEL_W, _scale
 from sgdavg.experiments import (
     TrialMatrix,
@@ -642,6 +644,129 @@ class TestVerifiers:
                 "product-identity", "mgf-gaussian-n1", "mgf-gaussian-n50"} <= names
 
 
+def reference_neumaier():
+    """Scalar compensated accumulator: returns (add, total) closures."""
+    state = [0.0, 0.0]  # running sum, compensation
+
+    def add(x):
+        s = state[0] + x
+        if abs(state[0]) >= abs(x):
+            state[1] += (state[0] - s) + x
+        else:
+            state[1] += (x - s) + state[0]
+        state[0] = s
+
+    def total():
+        return state[0] + state[1]
+
+    return add, total
+
+
+def reference_recursive_bound(X, Z, G, mu, xstar):
+    """The per-step scalar loop verify_recursive_bound ran before it scanned
+    runs as arrays: (min slack, min normalized slack, worst t, passed)."""
+    D = X - xstar
+    T = X.shape[0]
+    u = np.einsum("ij,ij->i", Z, D)
+    h = np.einsum("ij,ij->i", G, G)
+    dist2 = np.einsum("ij,ij->i", D, D)
+    add_a, tot_a = reference_neumaier()
+    add_abs, tot_abs = reference_neumaier()
+    add_b, tot_b = reference_neumaier()
+    min_slack = min_norm_slack = math.inf
+    passed, worst_t = True, None
+    for i in range(3, T):
+        n_i = (i - 2.0) * (i - 1.0) * i * (i + 1.0)
+        term_a = n_i * u[i - 1] / (i + 1.0)
+        add_a(term_a)
+        add_abs(abs(term_a))
+        add_b(n_i * h[i - 1] / ((i + 1.0) * (i + 1.0)))
+        t = i
+        if t < 4:
+            continue
+        den = (t - 2.0) * (t - 1.0) * t * (t + 1.0)
+        rhs = 4.0 / mu * tot_a() / den + 4.0 / (mu * mu) * tot_b() / den
+        lhs = dist2[t]
+        scale = 4.0 / mu * tot_abs() / den + 4.0 / (mu * mu) * tot_b() / den + lhs
+        slack = rhs - lhs
+        if slack < min_slack:
+            min_slack, worst_t = slack, t
+        min_norm_slack = min(min_norm_slack, slack / scale if scale > 0 else slack)
+        if slack < -1e-9 * scale:
+            passed = False
+    return min_slack, min_norm_slack, worst_t, passed
+
+
+def reference_coefficients(T, mu, L):
+    """The scalar loops chicken_and_egg_coefficients ran before its scans
+    became array-wise."""
+    alpha = np.zeros(T + 1)
+
+    def den(t):
+        return (t - 2.0) * (t - 1.0) * t * (t + 1.0)
+
+    add_r, tot_r = reference_neumaier()
+    for i in range(T - 1, 2, -1):
+        add_r((i + 1.0) * (i + 1.0) / den(i))
+        n_i = (i - 2.0) * (i - 1.0) * i * (i + 1.0)
+        alpha[i] = (4.0 / mu) * n_i / (i * (i + 1.0)) * tot_r()
+    add_p, tot_p = reference_neumaier()
+    beta_terms = []
+    for t in range(4, T + 1):
+        i = t - 1
+        n_i = (i - 2.0) * (i - 1.0) * i * (i + 1.0)
+        add_p(n_i / ((i + 1.0) * (i + 1.0)))
+        beta_terms.append(t * t * tot_p() / den(t - 1))
+    beta = (4.0 * (L + 1.0) ** 2 / (mu * mu)) * math.fsum(beta_terms)
+    return alpha, beta + 56.0 * L * L / (mu * mu)
+
+
+class TestVerifiersMatchScalarReference:
+    @pytest.mark.parametrize("T, seed, dim", [(5, 0, 1), (6, 1, 1), (300, 2, 1),
+                                              (120, 3, 3), (64, 4, 2)])
+    def test_recursive_bound_bitwise(self, T, seed, dim):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-6, 6, size=(T, dim))
+        Z = rng.uniform(-1, 1, size=(T, dim))
+        G = X - Z
+        xstar = np.zeros(dim)
+        from sgdavg.sgd import Trajectory
+
+        res = verify_recursive_bound(Trajectory(X, G, Z), 0.7, xstar)
+        assert (res.value, res.detail["min_normalized_slack"], res.detail["worst_t"],
+                res.passed) == reference_recursive_bound(X, Z, G, 0.7, xstar)
+
+    def test_recursive_bound_first_worst_t_on_ties(self):
+        # zero noise at the optimum: every slack is 0, and the first t wins
+        problem = quadratic_problem(1, feasible=Interval(-6, 6))
+        config = RunConfig(T=40, schedule=DEFAULT_SCHEDULE, x1=np.zeros(1),
+                           record_iterates=True)
+        rec = run_sgd(problem, QuadraticOracle(NoNoise(), RngStream(0)), config,
+                      [make_averager("final")])
+        res = verify_recursive_bound(rec.trajectory, 1.0, problem.xstar)
+        assert res.value == 0.0 and res.detail["worst_t"] == 4
+
+    def test_fleet_recursive_is_the_first_worst_run(self):
+        runs, T, seed = 6, 400, 11
+        (res,) = run_verification_fleet(runs=runs, T=T, base_seed=seed, only=["recursive"])
+        per_run = [verify_recursive_bound(rec.trajectory, p.mu, p.xstar)
+                   for p, rec in verify_module.fleet_trajectories(runs, T, seed)]
+        worst = min(per_run, key=lambda r: r.value)
+        assert res.value == worst.value and res.passed == worst.passed
+        assert res.detail == {**worst.detail, "runs": runs}
+        for r, (p, rec) in zip(per_run, verify_module.fleet_trajectories(runs, T, seed)):
+            traj = rec.trajectory
+            assert (r.value, r.detail["min_normalized_slack"], r.detail["worst_t"],
+                    r.passed) == reference_recursive_bound(traj.X, traj.zhat, traj.ghat,
+                                                           p.mu, p.xstar)
+
+    @pytest.mark.parametrize("T, mu, L", [(5, 1.0, 6.0), (50, 1.3, 6.0), (2000, 1.0, 6.0)])
+    def test_coefficients_bitwise(self, T, mu, L):
+        alpha, beta = chicken_and_egg_coefficients(T, mu, L)
+        ref_alpha, ref_beta = reference_coefficients(T, mu, L)
+        assert np.array_equal(alpha, ref_alpha) and beta == ref_beta
+
+
 class TestCsvRoundTrip:
     def _small_matrix(self):
         gaps = np.arange(4, dtype=float).reshape(1, 2, 2)
@@ -837,6 +962,34 @@ class TestEmittersMatchPerCellReference:
             reference_render_svg(m, tmp_path / "ref.svg", schemes=schemes)
             new = (tmp_path / "new.svg").read_bytes()
             assert new == (tmp_path / "ref.svg").read_bytes(), schemes
+
+    @pytest.mark.parametrize("make", [_suffix_not_open_matrix, _ragged_nan_matrix])
+    @pytest.mark.parametrize("chunk", [1, 100])
+    def test_chunked_writes_match_whole_file(self, tmp_path, monkeypatch, make, chunk):
+        m = make()
+        monkeypatch.setattr(io_module, "_CHUNK_CHARS", chunk)
+        export_csv(m, tmp_path / "new.csv", comments=["config: x=1"])
+        render_svg(m, tmp_path / "new.svg")
+        reference_export_csv(m, tmp_path / "ref.csv", comments=["config: x=1"])
+        reference_render_svg(m, tmp_path / "ref.svg")
+        for name in ("csv", "svg"):
+            assert (tmp_path / f"new.{name}").read_bytes() == (tmp_path / f"ref.{name}").read_bytes()
+
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        # lines already flushed when the write stops must not reach the target
+        monkeypatch.setattr(io_module, "_CHUNK_CHARS", 1)
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old contents\n")
+
+        def comments():
+            yield "first"
+            yield "second"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            export_csv(_ragged_nan_matrix(), path, comments=comments())
+        assert path.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_percent_in_scheme_name_is_literal(self, tmp_path):
         m = TrialMatrix(gaps=np.ones((2, 2, 1)), checkpoints=[1, 2],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdavg import oracles
 from sgdavg.core import InputError
 from sgdavg.data import Dataset, parse_libsvm, synthetic_separable_dataset
 from sgdavg.oracles import (
@@ -369,6 +370,31 @@ class TestMgfCheck:
 
     def test_divergent_closed_form(self):
         assert gaussian_mgf_exact(1.0, 1.0, 1) == math.inf
+
+    @pytest.mark.parametrize("noise, n", [(GaussianNoise(1.0), 1), (GaussianNoise(1.3), 50),
+                                          (BoundedUniformBall(2.0), 1), (BoundedUniformBall(2.0), 3),
+                                          (NoNoise(), 7)])
+    @pytest.mark.parametrize("sub_elements", [None, 1, 333])
+    def test_sub_batches_match_whole_batches(self, monkeypatch, noise, n, sub_elements):
+        # 70001 samples: two full batches of 32768 and a partial one
+        want = reference_mgf_check(noise, 2.0, n, 70001, RngStream(9))
+        if sub_elements is not None:
+            monkeypatch.setattr(oracles, "_MGF_SUB_ELEMENTS", sub_elements)
+        assert empirical_mgf_check(noise, 2.0, n, 70001, RngStream(9)) == want
+
+
+def reference_mgf_check(noise, kappa, n, samples, rng):
+    """The whole-batch loop empirical_mgf_check ran before its sub-batches."""
+    rng = rng.generator()
+    inv_k2 = 1.0 / (kappa * kappa)
+    partials = []
+    remaining = samples
+    while remaining > 0:
+        b = min(1 << 15, remaining)
+        z = noise.sample_batch(b, n, rng)
+        partials.append(float(np.exp((z * z).sum(axis=1) * inv_k2).sum()))
+        remaining -= b
+    return math.fsum(partials) / samples
 
 
 class TestProblemFactories:

@@ -1,6 +1,7 @@
 """Recorded lockstep runs: the batched engine's trajectories, reports and
-checkpoints against run_sgd trial by trial, the lower-bound pre-draw, the
-byte budget of its tables, and the verifier fleet built on them."""
+checkpoints against run_sgd trial by trial, the lower-bound draws, the
+block-wise draws and the byte budget they count against, and the verifier
+fleet built on them."""
 
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdavg.averaging import SCHEME_NAMES, make_averager
-from sgdavg.core import DEFAULT_SCHEDULE, LOWER_BOUND_SCHEDULE, InputError, Interval
+from sgdavg.core import DEFAULT_SCHEDULE, LOWER_BOUND_SCHEDULE, InputError, Interval, L2Ball
 from sgdavg.data import synthetic_separable_dataset
 from sgdavg.experiments import (
     batched,
@@ -36,6 +37,7 @@ from sgdavg.oracles import (
     GaussianNoise,
     LowerBoundOracle,
     LowerBoundOracleFactory,
+    NoNoise,
     QuadraticOracle,
     QuadraticOracleFactory,
     RngStream,
@@ -174,7 +176,7 @@ class TestPredrawBudget:
             tracemalloc.stop()
         msg = str(err.value)
         assert f"{nbytes} bytes" in msg and "budget of 1000 bytes" in msg
-        assert peak < nbytes // 10  # refused before the tables were allocated
+        assert peak < nbytes // 10  # refused before the buffers were allocated
 
     def test_recorded_quadratic_run(self, monkeypatch):
         T, trials = 50_000, 4
@@ -182,32 +184,57 @@ class TestPredrawBudget:
         factory = QuadraticOracleFactory(BoundedUniformBall(1.0))
         config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.ones(1),
                            record_iterates=True)
-        # the noise table, the recorded iterates and the recorded ghat
+        # the recorded iterates, ghat and zhat
         self._expect_refusal(monkeypatch, lambda: batched.run_all(
             problem, factory, config, ["final"], trials, 0, 0.5), 3 * T * trials * 8)
 
-    def test_quadratic_trials(self, monkeypatch):
-        T, trials = 50_000, 4
-        problem = quadratic_problem(1, feasible=Interval(-6, 6))
-        factory = QuadraticOracleFactory(BoundedUniformBall(1.0))
-        config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.ones(1))
+    def test_refused_when_one_step_exceeds_budget(self, monkeypatch):
+        # 1000-byte budget: one step of 2 trials in 4000-D needs 64000 bytes
+        # of noise, one step of 8000 SVM trials 64000 bytes of indices
+        T, trials, dim = 50, 2, 4000
+        problem = quadratic_problem(dim, feasible=Interval(-6, 6))
+        factory = QuadraticOracleFactory(GaussianNoise(1.0))
+        config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.ones(dim))
         self._expect_refusal(monkeypatch, lambda: run_trials(
             problem, factory, config, ["final"], trials, 0, engine="batched"),
-            T * trials * 8)
-
-    def test_svm_index_table(self, monkeypatch):
-        T, trials = 50_000, 4
+            trials * dim * 8)
         ds = synthetic_separable_dataset(20, 3, 1)
-        problem = svm_problem(ds, 0.1)
         config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3))
         self._expect_refusal(monkeypatch, lambda: run_trials(
-            problem, SvmOracleFactory(ds, 0.1), config, ["final"], trials, 0,
-            engine="batched"), T * trials * 8)
+            svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config, ["final"], 8000, 0,
+            engine="batched"), 8000 * 8)
+
+    def test_streamed_run_stays_within_budget(self, monkeypatch):
+        # the whole-run tables of these runs would take 320 kB, 10 times the
+        # 32 kB budget; their draws stream through one block instead
+        T, trials, budget = 10_000, 4, 32_000
+        ds = synthetic_separable_dataset(20, 3, 1)
+        settings_ = [
+            (quadratic_problem(1, feasible=Interval(-6, 6)),
+             QuadraticOracleFactory(BoundedUniformBall(1.0)), np.ones(1)),
+            (svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), np.zeros(3)),
+        ]
+        for problem, factory, x1 in settings_:
+            config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=x1, eval_every=T // 2)
+            want = run_trials(problem, factory, config, ["final", "nonuniform"], trials, 3)
+            monkeypatch.setattr(batched, "_BUDGET_BYTES", budget)
+            tracemalloc.start()
+            try:
+                got = run_trials(problem, factory, config, ["final", "nonuniform"], trials, 3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+            assert T * trials * 8 >= 10 * budget
+            assert got.meta["predraw_bytes"] <= budget
+            assert peak < budget + 64_000, peak
+            assert np.array_equal(got.gaps, want.gaps)
 
 
 class TestBudgetInMeta:
-    """run_trials reports the bytes the batched engine reserved and the
-    budget they count against; the CSV carries both, and reruns repeat them."""
+    """run_trials reports the bytes of the batched engine's draw buffer and
+    the budget they count against; the CSV carries both, and reruns repeat
+    them."""
 
     def _check(self, tmp_path, problem, factory, config, trials, predraw):
         bat = run_trials(problem, factory, config, ["final", "uniform"], trials, 5)
@@ -225,17 +252,124 @@ class TestBudgetInMeta:
         meta = import_csv(paths[0]).meta
         assert (meta["predraw_bytes"], meta["budget_bytes"]) == (predraw, 1_600_000_000)
 
-    def test_quadratic_noise_table(self, tmp_path):
+    def test_quadratic_noise_table(self, tmp_path, monkeypatch):
         problem = quadratic_problem(2, feasible=Interval(-6, 6))
         factory = QuadraticOracleFactory(GaussianNoise(0.5))
         config = RunConfig(T=300, schedule=DEFAULT_SCHEDULE, x1=np.ones(2), eval_every=100)
-        self._check(tmp_path, problem, factory, config, 6, 6 * 300 * 2 * 8)
+        # a whole run fits in one block: the buffer holds all 300 steps
+        self._check(tmp_path, problem, factory, config, 6, 300 * 6 * 2 * 8)
+        # blocks of 7 steps: the buffer holds 7 steps of 6 trials in 2-D
+        monkeypatch.setattr(batched, "_BLOCK_BYTES", 7 * 6 * 2 * 8 + 5)
+        self._check(tmp_path, problem, factory, config, 6, 7 * 6 * 2 * 8)
 
-    def test_svm_index_table(self, tmp_path):
+    def test_svm_index_table(self, tmp_path, monkeypatch):
         ds = synthetic_separable_dataset(40, 3, 1)
         problem = svm_problem(ds, 0.1)
         config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=50)
-        self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4, 4 * 250 * 8)
+        self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4, 250 * 4 * 8)
+        monkeypatch.setattr(batched, "_BLOCK_BYTES", 9 * 4 * 8)
+        self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4, 9 * 4 * 8)
+
+    def test_noiseless_run_draws_nothing(self, tmp_path):
+        config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.ones(2), eval_every=50)
+        self._check(tmp_path, quadratic_problem(2), QuadraticOracleFactory(), config, 4, 0)
+
+
+@st.composite
+def quadratic_settings(draw):
+    """A quadratic problem the batched engine runs, with small draw blocks."""
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["none", "interval", "ball"]))
+    feasible = {"none": None, "interval": Interval(-2.0, 2.0),
+                "ball": L2Ball(2.5, np.zeros(dim))}[kind]  # holds x1 in [-1, 1]^4
+    noises = [NoNoise(), GaussianNoise(draw(st.floats(0.1, 3.0)))]
+    if dim == 1:
+        noises.append(BoundedUniformBall(draw(st.floats(0.1, 3.0))))
+    noise = draw(st.sampled_from(noises))
+    mu = draw(st.sampled_from([1.0, 0.5]))
+    T = draw(st.integers(1, 40))
+    return dict(
+        problem=quadratic_problem(dim, mu=mu, feasible=feasible),
+        factory=QuadraticOracleFactory(noise, mu=mu),
+        T=T, dim=dim,
+        eval_every=draw(st.integers(1, T)),
+        trials=draw(st.integers(1, 4)),
+        block=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        x1=draw(st.floats(-1.0, 1.0)),
+    )
+
+
+class TestStreamedDraws:
+    """Draws made block by block, with blocks of 1-3 steps, give the results
+    of the sequential engine and of one-shot draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(quadratic_settings())
+    def test_quadratic_engines_agree(self, case):
+        trials, dim = case["trials"], case["dim"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batched, "_BLOCK_BYTES", case["block"] * trials * dim * 8)
+            self._check_quadratic(**case)
+
+    def _check_quadratic(self, problem, factory, T, dim, eval_every, trials, block, seed, x1):
+        config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.full(dim, x1),
+                           eval_every=eval_every)
+        schemes = list(SCHEME_NAMES)
+        bat = run_trials(problem, factory, config, schemes, trials, seed, engine="batched")
+        seq = run_trials(problem, factory, config, schemes, trials, seed, engine="sequential")
+        assert np.array_equal(bat.gaps, seq.gaps, equal_nan=True)
+        # recorded: the noise goes block by block into the recorded zhat
+        rec_config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=config.x1,
+                               eval_every=config.eval_every, record_iterates=True)
+        run = batched.run_all(problem, factory, rec_config, schemes, trials, seed, 0.5)
+        for i in range(trials):
+            avs = [make_averager(nm, T=T) for nm in schemes]
+            want = run_sgd(problem, factory(RngStream(seed, i)), rec_config, avs)
+            assert_same_record(run.record(i), want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(quarter=st.integers(1, 12), trials=st.integers(1, 4), block=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lower_bound_signs(self, quarter, trials, block, seed):
+        T = 4 * quarter
+        config = RunConfig(T=T, schedule=LOWER_BOUND_SCHEDULE, x1=np.zeros(1),
+                           eval_every=3, record_iterates=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batched, "_BLOCK_BYTES", block * trials * 8)
+            run = batched.run_all(lb_problem(), LowerBoundOracleFactory(T), config,
+                                  list(SCHEME_NAMES), trials, seed, 0.5)
+        for i in range(trials):
+            avs = [make_averager(nm, T=T) for nm in SCHEME_NAMES]
+            want = run_sgd(lb_problem(), LowerBoundOracle(T, RngStream(seed, i)), config, avs)
+            assert_same_record(run.record(i), want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(T=st.integers(1, 40), trials=st.integers(1, 4), block=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_svm_indices_equal_one_shot_draws(self, T, trials, block, seed):
+        ds = synthetic_separable_dataset(13, 3, 1)
+        blocks = []
+        draw = batched._draw_indices
+
+        def recording(gens, m, out):
+            draw(gens, m, out)
+            blocks.append(out.copy())
+
+        config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batched, "_BLOCK_BYTES", block * trials * 8)
+            mp.setattr(batched, "_draw_indices", recording)
+            got = run_trials(svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config,
+                             list(SCHEME_NAMES), trials, seed, engine="batched")
+        assert [len(b) for b in blocks] == [min(block, T - t0) for t0 in range(0, T, block)]
+        drawn = np.concatenate(blocks)
+        for i in range(trials):
+            want = RngStream(seed, i).generator().integers(ds.m, size=T)
+            assert np.array_equal(drawn[:, i], want)
+        whole = run_trials(svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config,
+                           list(SCHEME_NAMES), trials, seed, engine="batched")
+        assert np.array_equal(got.gaps, whole.gaps, equal_nan=True)
 
 
 class TestTrajectory:
