@@ -23,6 +23,10 @@ neither side); the direction and the regression bound come from
 BENCHMARK.json. It also records the provenance each run prints (cores,
 Python, numpy and scipy versions, the digest of `src`) and the commit of
 each side.
+
+A run that times out or prints no result line stops the recording: the
+pairs finished so far are still written to --out, with "incomplete" naming
+the workload, seed and side that failed, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ def export_working_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
+class NoResult(RuntimeError):
+    """A benchmark run ended without its result line."""
+
+
 def run_once(side: Path, workload: str, seed: int) -> dict:
     """One benchmark run; its metric values and provenance."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -80,8 +88,8 @@ def run_once(side: Path, workload: str, seed: int) -> dict:
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        raise RuntimeError(f"{workload} seed {seed} in {side}: no result line "
-                           f"(exit {proc.returncode})\n{proc.stderr[-2000:]}") from None
+        raise NoResult(f"{workload} seed {seed} in {side}: no result line "
+                       f"(exit {proc.returncode})\n{proc.stderr[-2000:]}") from None
     return {
         "seed": seed,
         "seconds": round(time.monotonic() - started, 1),
@@ -150,26 +158,35 @@ def main(argv=None) -> int:
                   "commits": commits, "workloads": {}}
         for workload, first_seed, n_pairs in args.runs:
             pairs = []
-            for k in range(n_pairs):
-                seed = first_seed + k
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run_once(sides[side], workload, seed)
-                    print(f"{workload} seed {seed} {side}: "
-                          + ", ".join(f"{m} {v:.6g}" for m, v in pair[side]["metrics"].items()),
-                          flush=True)
-                pairs.append(pair)
-            report["workloads"][workload] = {
-                "metrics": summarize(pairs, spec),
-                "provenance": {s: pairs[0][s]["provenance"] for s in sides},
-                "pairs": pairs,
-            }
+            try:
+                for k in range(n_pairs):
+                    seed = first_seed + k
+                    order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                    pair = {"seed": seed, "first": order[0]}
+                    for side in order:
+                        pair[side] = run_once(sides[side], workload, seed)
+                        print(f"{workload} seed {seed} {side}: "
+                              + ", ".join(f"{m} {v:.6g}"
+                                          for m, v in pair[side]["metrics"].items()),
+                              flush=True)
+                    pairs.append(pair)
+            except (subprocess.TimeoutExpired, NoResult) as exc:
+                report["incomplete"] = {"workload": workload, "seed": seed, "side": side,
+                                        "error": str(exc)}
+                print(f"{workload} seed {seed} {side}: {exc}", file=sys.stderr)
+            if pairs:
+                report["workloads"][workload] = {
+                    "metrics": summarize(pairs, spec),
+                    "provenance": {s: pairs[0][s]["provenance"] for s in sides},
+                    "pairs": pairs,
+                }
+            if "incomplete" in report:
+                break
         args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
-    return 0
+    return 1 if "incomplete" in report else 0
 
 
 if __name__ == "__main__":

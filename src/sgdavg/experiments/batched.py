@@ -121,10 +121,15 @@ def _generators(trials: int, base_seed: int, block: int, T: int):
     return gens if block >= T else list(gens)
 
 
+class BudgetExceeded(InputError, MemoryError):
+    """A run's buffers would exceed the byte budget; raised before allocating.
+    An InputError, so the command line reports it as a usage error (exit 2)."""
+
+
 def _reserve(nbytes: int, what: str) -> int:
     """Refuse, before allocating, buffers over the byte budget; returns ``nbytes``."""
     if nbytes > _BUDGET_BYTES:
-        raise MemoryError(
+        raise BudgetExceeded(
             f"{what} need {nbytes} bytes, above the batched engine's budget of "
             f"{_BUDGET_BYTES} bytes"
         )

@@ -6,7 +6,7 @@ execution order and worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -126,14 +126,12 @@ def run_trials(
     if engine not in ("auto", "sequential", "batched"):
         raise InputError(f"unknown engine {engine!r}")
 
+    # a TrialMatrix holds no trajectory, so neither engine records one; the
+    # lockstep engine records only for callers that read it (batched.run_all)
+    config = replace(config, record_iterates=False)
     reason = None
     if engine != "sequential":
-        if config.record_iterates:
-            # a TrialMatrix holds no trajectory; the lockstep engine records
-            # only for callers that read it (batched.run_all)
-            reason = "trajectory recording requires the sequential engine"
-        else:
-            reason = batched.unsupported_reason(problem, oracle_factory, config)
+        reason = batched.unsupported_reason(problem, oracle_factory, config)
         if reason and engine == "batched":
             raise InputError(f"batched engine unavailable: {reason}")
     use_batched = engine != "sequential" and reason is None

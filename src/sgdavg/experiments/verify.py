@@ -403,7 +403,7 @@ def run_verification_fleet(
 
     if "mgf" in selected:
         for n in (1, 50):
-            est = empirical_mgf_check(
+            est, stderr = empirical_mgf_check(
                 GaussianNoise(1.0), 2.0, n, mgf_samples, RngStream(base_seed, 10_000 + n)
             )
             exact = gaussian_mgf_exact(1.0, 2.0, n)
@@ -414,7 +414,8 @@ def run_verification_fleet(
                     value=est,
                     threshold=2.0,
                     passed=err <= 0.05 and est <= 2.0,
-                    detail={"exact": exact, "abs_error": err, "samples": mgf_samples},
+                    detail={"exact": exact, "abs_error": err, "stderr": stderr,
+                            "samples": mgf_samples},
                 )
             )
     return results

@@ -9,6 +9,7 @@ replay the analysis along the trajectory.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -61,8 +62,10 @@ class RngStream:
     seed: int
     index: int = 0
 
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.index,))
+    def generator(self, *child: int) -> np.random.Generator:
+        """The stream's generator, or with ``child`` that of an independent
+        child stream (spawn key (index, *child))."""
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.index, *child))
         return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -264,43 +267,85 @@ def lb_oracle_query(
     return GradientSample(ghat, ghat + zv, zv)
 
 
+def _mgf_pool_size(batches: int) -> int:
+    """Threads for the MGF check: one per usable core, at most one per batch."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # no affinity mask on this platform
+        cores = os.cpu_count() or 1
+    return min(batches, cores)
+
+
+def _mgf_batch_sums(noise: NoiseModel, n: int, count: int, inv_k2: float,
+                    sub: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Sums of e and e^2, e = exp(||z||^2 / kappa^2), over ``count`` draws of
+    one batch, drawn in sub-batches of ``sub`` rows into one (count,) buffer."""
+    e = np.empty(count)
+    for lo in range(0, count, sub):
+        hi = min(count, lo + sub)
+        z = noise.sample_batch(hi - lo, n, rng)
+        z *= z
+        z.sum(axis=1, out=e[lo:hi])
+    e *= inv_k2
+    np.exp(e, out=e)
+    total = float(e.sum())
+    e *= e
+    return total, float(e.sum())
+
+
 def empirical_mgf_check(
     noise: NoiseModel,
     kappa: float,
     n: int,
     samples: int,
-    rng: Union[RngStream, np.random.Generator],
-) -> float:
-    """Monte-Carlo estimate of E[exp(||zhat||^2 / kappa^2)].
+    stream: RngStream,
+) -> tuple[float, float]:
+    """Monte-Carlo estimate of E[exp(||zhat||^2 / kappa^2)] and its standard
+    error sqrt((mean(e^2) - mean(e)^2) / samples), inf when e^2 overflows.
 
-    Samples are taken in batches of 32768. When the noise draws a batch row
-    by row (``batch_by_rows``), each batch is drawn in sub-batches of at
-    most _MGF_SUB_ELEMENTS draws, squared in place, and its row sums filled
-    into one (32768,) buffer, so memory stays bounded in n; the estimate
-    does not depend on the sub-batch size. Other noise is drawn one whole
-    batch at a time.
+    Samples are taken in batches of 32768; batch b draws from its own
+    stream, ``stream.generator(b)`` (spawn key (stream.index, b)). The
+    batches run on a thread pool of at most one thread per usable core;
+    numpy releases the interpreter lock while it draws, squares, sums and
+    exponentiates. The per-batch sums are added with math.fsum in batch
+    order, so the result depends only on the arguments, not on the pool
+    size or scheduling. When the noise draws a batch row by row
+    (``batch_by_rows``), each batch is drawn in sub-batches, so that the
+    threads together hold at most _MGF_SUB_ELEMENTS draws and memory stays
+    bounded in n; the estimate does not depend on the sub-batch size. Other
+    noise is drawn one whole batch at a time, on only as many threads as
+    keep the batches in flight within _MGF_SUB_ELEMENTS draws (at least one).
     """
     if not kappa > 0:
         raise InputError(f"kappa must be positive, got {kappa}")
     if samples < 10**4:
         raise InputError(f"need at least 1e4 samples, got {samples}")
-    rng = as_generator(rng)
+    if not isinstance(stream, RngStream):
+        # a Generator cannot be split into per-batch streams reproducibly
+        raise InputError(f"expected an RngStream, got {type(stream)!r}")
+    # imported here, so that commands without the MGF check do not load it
+    from concurrent.futures import ThreadPoolExecutor
+
     inv_k2 = 1.0 / (kappa * kappa)
     batch = 1 << 15
-    sub = max(1, _MGF_SUB_ELEMENTS // n) if noise.batch_by_rows(n) else batch
-    sums = np.empty(batch)
-    partials = []
-    remaining = samples
-    while remaining > 0:
-        b = min(batch, remaining)
-        for lo in range(0, b, sub):
-            hi = min(b, lo + sub)
-            z = noise.sample_batch(hi - lo, n, rng)
-            z *= z
-            z.sum(axis=1, out=sums[lo:hi])
-        partials.append(float(np.exp(sums[:b] * inv_k2).sum()))
-        remaining -= b
-    return math.fsum(partials) / samples
+    counts = [min(batch, samples - lo) for lo in range(0, samples, batch)]
+    workers = _mgf_pool_size(len(counts))
+    if noise.batch_by_rows(n):
+        sub = max(1, _MGF_SUB_ELEMENTS // (n * workers))
+    else:
+        sub = batch
+        workers = min(workers, max(1, _MGF_SUB_ELEMENTS // (batch * n)))
+
+    def run(b: int) -> tuple[float, float]:
+        return _mgf_batch_sums(noise, n, counts[b], inv_k2, sub, stream.generator(b))
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(run, range(len(counts))))
+    mean = math.fsum(p[0] for p in parts) / samples
+    mean_sq = math.fsum(p[1] for p in parts) / samples
+    if not math.isfinite(mean_sq):
+        return mean, math.inf
+    return mean, math.sqrt(max(0.0, mean_sq - mean * mean) / samples)
 
 
 def gaussian_mgf_exact(scale: float, kappa: float, n: int) -> float:

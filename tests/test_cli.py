@@ -208,6 +208,15 @@ class TestLb:
         assert code == 0
         assert "P[f(report) >=" in out
 
+    def test_budget_refusal_exits_two(self, capsys):
+        # 3 * T * trials * 8 bytes of recording, refused before anything is allocated
+        code, out, err = run_cli(["lb", "--T", "20000", "--trials", "4000", "--seed", "1"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: recorded trajectories need 1920000000 bytes, above the "
+                       "batched engine's budget of 1600000000 bytes\n")
+
 
 class TestVerify:
     def test_default_invocation_passes(self, capsys, monkeypatch):

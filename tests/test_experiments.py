@@ -424,10 +424,9 @@ class TestRunTrials:
         assert np.array_equal(one.gaps, two.gaps, equal_nan=True)
 
     def test_batched_engine_unavailable_is_reported(self):
-        problem, factory, config = quad_ball_setting(T=20)
-        config = RunConfig(T=20, schedule=DEFAULT_SCHEDULE, x1=np.array([1.0]),
-                           record_iterates=True)
-        with pytest.raises(InputError, match="sequential"):
+        # ball noise above one dimension draws per query: sequential only
+        problem, factory, config = quad_ball_setting(T=20, dim=2)
+        with pytest.raises(InputError, match="unavailable: ball noise"):
             run_trials(problem, factory, config, ["final"], 2, 0, engine="batched")
 
     def test_auto_engine_falls_back_for_recording(self):
@@ -436,6 +435,18 @@ class TestRunTrials:
                            record_iterates=True)
         m = run_trials(problem, factory, config, ["final"], 2, 0, engine="auto")
         assert m.trials == 2
+
+    @pytest.mark.parametrize("engine", ["auto", "batched"])
+    def test_recording_config_runs_lockstep(self, engine):
+        # a trial matrix holds no trajectory, so the recording flag is dropped
+        problem, factory, _ = quad_ball_setting(T=300)
+        schemes = ["final", "uniform", "suffix", "nonuniform"]
+        config = RunConfig(T=300, schedule=DEFAULT_SCHEDULE, x1=np.array([1.0]),
+                           eval_every=50, record_iterates=True)
+        m = run_trials(problem, factory, config, schemes, 5, 4, engine=engine)
+        seq = run_trials(problem, factory, config, schemes, 5, 4, engine="sequential")
+        assert m.meta["engine"] == "batched" and m.meta["engine_reason"] is None
+        assert np.array_equal(m.gaps, seq.gaps, equal_nan=True)
 
     def test_aborted_trial_names_index_and_seed(self):
         from sgdavg.experiments import TrialFailure

@@ -347,17 +347,21 @@ class TestLowerBoundOracle:
             assert np.array_equal(o1.query(x, t).ghat, o2.query(x, t).ghat)
 
 
+MGF_NOISES = [(GaussianNoise(1.0), 1), (GaussianNoise(1.3), 50), (BoundedUniformBall(2.0), 1),
+              (BoundedUniformBall(2.0), 3), (NoNoise(), 7)]
+
+
 class TestMgfCheck:
     def test_no_noise_exactly_one(self):
-        assert empirical_mgf_check(NoNoise(), 3.0, 4, 10**4, RngStream(0)) == 1.0
+        assert empirical_mgf_check(NoNoise(), 3.0, 4, 10**4, RngStream(0)) == (1.0, 0.0)
 
     def test_gaussian_n1_matches_closed_form(self):
-        est = empirical_mgf_check(GaussianNoise(1.0), 2.0, 1, 10**5, RngStream(1))
+        est, _ = empirical_mgf_check(GaussianNoise(1.0), 2.0, 1, 10**5, RngStream(1))
         assert gaussian_mgf_exact(1.0, 2.0, 1) == pytest.approx(math.sqrt(2.0))
         assert est == pytest.approx(math.sqrt(2.0), abs=0.05)
 
     def test_gaussian_n50_below_two(self):
-        est = empirical_mgf_check(GaussianNoise(1.0), 2.0, 50, 10**5, RngStream(2))
+        est, _ = empirical_mgf_check(GaussianNoise(1.0), 2.0, 50, 10**5, RngStream(2))
         exact = gaussian_mgf_exact(1.0, 2.0, 50)
         # closed form sits just above exp(1/4) and decreases toward it in n
         assert math.exp(0.25) < exact < 1.3
@@ -371,9 +375,23 @@ class TestMgfCheck:
     def test_divergent_closed_form(self):
         assert gaussian_mgf_exact(1.0, 1.0, 1) == math.inf
 
-    @pytest.mark.parametrize("noise, n", [(GaussianNoise(1.0), 1), (GaussianNoise(1.3), 50),
-                                          (BoundedUniformBall(2.0), 1), (BoundedUniformBall(2.0), 3),
-                                          (NoNoise(), 7)])
+    def test_generator_argument_rejected(self):
+        with pytest.raises(InputError, match="RngStream"):
+            empirical_mgf_check(GaussianNoise(1.0), 2.0, 1, 10**4, np.random.default_rng(0))
+
+    def test_standard_error(self):
+        _, stderr = empirical_mgf_check(GaussianNoise(1.0), 2.0, 50, 10**5, RngStream(2))
+        # e = exp(||z||^2/4) has variance E[exp(||z||^2/2)] - E[e]^2, both closed forms
+        var = gaussian_mgf_exact(1.0, math.sqrt(2.0), 50) - gaussian_mgf_exact(1.0, 2.0, 50) ** 2
+        assert stderr == pytest.approx(math.sqrt(var / 10**5), rel=0.05)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_has_infinite_standard_error(self):
+        # kappa 0.1: about 0.8% of the draws overflow exp(z^2 / kappa^2)
+        assert empirical_mgf_check(GaussianNoise(1.0), 0.1, 1, 10**4, RngStream(0)) == (
+            math.inf, math.inf)
+
+    @pytest.mark.parametrize("noise, n", MGF_NOISES)
     @pytest.mark.parametrize("sub_elements", [None, 1, 333])
     def test_sub_batches_match_whole_batches(self, monkeypatch, noise, n, sub_elements):
         # 70001 samples: two full batches of 32768 and a partial one
@@ -382,19 +400,53 @@ class TestMgfCheck:
             monkeypatch.setattr(oracles, "_MGF_SUB_ELEMENTS", sub_elements)
         assert empirical_mgf_check(noise, 2.0, n, 70001, RngStream(9)) == want
 
+    @pytest.mark.parametrize("noise, n", MGF_NOISES)
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    def test_any_pool_size_matches_whole_batches(self, monkeypatch, noise, n, pool):
+        want = reference_mgf_check(noise, 2.0, n, 70001, RngStream(9))
+        monkeypatch.setattr(oracles, "_MGF_SUB_ELEMENTS", 333)
+        monkeypatch.setattr(oracles, "_mgf_pool_size", lambda batches: min(batches, pool))
+        assert empirical_mgf_check(noise, 2.0, n, 70001, RngStream(9)) == want
 
-def reference_mgf_check(noise, kappa, n, samples, rng):
-    """The whole-batch loop empirical_mgf_check ran before its sub-batches."""
-    rng = rng.generator()
+    @pytest.mark.parametrize("pool", [2, 3])
+    def test_whole_batch_noise_holds_one_batch(self, monkeypatch, pool):
+        # 3-D ball noise is drawn a whole 32768 x 3 batch at a time: with the
+        # default _MGF_SUB_ELEMENTS only one batch may be in flight, so a
+        # larger pool must not raise the peak above the one-thread run's
+        import tracemalloc
+
+        noise = BoundedUniformBall(2.0)
+        assert not noise.batch_by_rows(3)
+
+        def peak(threads):
+            monkeypatch.setattr(oracles, "_mgf_pool_size", lambda batches: min(batches, threads))
+            tracemalloc.start()
+            try:
+                empirical_mgf_check(noise, 2.0, 3, 4 * 32768, RngStream(9))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(1)
+        # a second batch in flight would add about 2.7 MB to the ~4 MB peak
+        assert peak(pool) < one + 32768 * 3 * 8
+
+
+def reference_mgf_check(noise, kappa, n, samples, stream):
+    """One loop over the batches, each drawn whole from its own stream
+    (spawn key (index, b)): the estimate and its standard error."""
     inv_k2 = 1.0 / (kappa * kappa)
-    partials = []
-    remaining = samples
-    while remaining > 0:
-        b = min(1 << 15, remaining)
-        z = noise.sample_batch(b, n, rng)
-        partials.append(float(np.exp((z * z).sum(axis=1) * inv_k2).sum()))
-        remaining -= b
-    return math.fsum(partials) / samples
+    sums, sums_sq = [], []
+    for b, lo in enumerate(range(0, samples, 1 << 15)):
+        ss = np.random.SeedSequence(entropy=stream.seed, spawn_key=(stream.index, b))
+        rng = np.random.Generator(np.random.PCG64(ss))
+        z = noise.sample_batch(min(1 << 15, samples - lo), n, rng)
+        e = np.exp((z * z).sum(axis=1) * inv_k2)
+        sums.append(float(e.sum()))
+        sums_sq.append(float((e * e).sum()))
+    mean = math.fsum(sums) / samples
+    mean_sq = math.fsum(sums_sq) / samples
+    return mean, math.sqrt(max(0.0, mean_sq - mean * mean) / samples)
 
 
 class TestProblemFactories:
