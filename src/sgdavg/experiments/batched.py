@@ -30,6 +30,17 @@ where v does (the lazily updated average of ASGD). Dense vectors are built
 only at checkpoints and at folds, which write the pending scale into v. The
 results agree with the sequential runner up to rounding, not bitwise, and no
 trajectory is recorded.
+
+A step of the SVM engine makes a fixed, small number of numpy calls on
+arrays of about trials * nnz-per-row entries. The sampled rows are gathered
+once per sub-block of steps (each row's columns as indices into the stacked
+v, their trials, values and labels), so a step only slices them. The updates
+U[k][cols] += A[k]*delta are logged with the step's A and applied by
+np.add.at before each checkpoint and fold and whenever the log is full;
+np.add.at adds an entry's terms one by one in log order, so U holds exactly
+the sums that per-step updates give. The index block, the gathered sub-block
+and the log are sized as if every sampled row were the longest, and they
+count against the budget together.
 """
 
 from __future__ import annotations
@@ -40,7 +51,15 @@ from typing import Optional
 import numpy as np
 
 from ..averaging import suffix_window_start
-from ..core import InputError, Interval, L2Ball, Problem, Unconstrained, _BALL_SLACK
+from ..core import (
+    InputError,
+    Interval,
+    L2Ball,
+    Problem,
+    Unconstrained,
+    _BALL_SLACK,
+    step_size,
+)
 from ..oracles import (
     BoundedUniformBall,
     GaussianNoise,
@@ -107,10 +126,24 @@ def unsupported_reason(problem: Problem, oracle_factory, config: RunConfig) -> s
     return f"unsupported oracle factory {type(oracle_factory).__name__}"
 
 
-def _block_steps(step_bytes: int, T: int) -> int:
-    """Steps per draw block: as many as fit in _BLOCK_BYTES and in the
-    budget, at least one and at most T."""
-    return max(1, min(T, min(_BLOCK_BYTES, _BUDGET_BYTES) // step_bytes))
+def _block_steps(step_bytes: int, T: int, held_step_bytes: int = 0) -> int:
+    """Steps per block of a table of ``step_bytes`` per step: as many as fit
+    in _BLOCK_BYTES and, at ``held_step_bytes`` per step for all the tables
+    held with it (by default just this one), in the budget; at least one and
+    at most T."""
+    return max(1, min(T, _BLOCK_BYTES // step_bytes,
+                      _BUDGET_BYTES // (held_step_bytes or step_bytes)))
+
+
+def _svm_blocks(index: int, rows: int, log: int, T: int) -> tuple[int, int, int]:
+    """Steps per block of the SVM engine's three tables, given the bytes per
+    step of each: the sample indices, the gathered rows (a sub-block of the
+    index block) and the log of deferred updates. The gathered rows and the
+    log share one _BLOCK_BYTES, and the three tables fit the budget together."""
+    held = index + rows + log
+    block = _block_steps(index, T, held)
+    sub = _block_steps(rows + log, block, held)
+    return block, sub, sub
 
 
 def _generators(trials: int, base_seed: int, block: int, T: int):
@@ -275,7 +308,6 @@ def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, su
     X = np.tile(np.asarray(config.x1, dtype=np.float64), (trials, 1))
     avs = _StackedAveragers(scheme_names, T, suffix_alpha, trials, dim)
     sched = config.schedule
-    denom_scale = problem.mu if sched.mu_scaled else 1.0
     cp_set = set(checkpoint_iterations(config))
     feasible = problem.feasible
 
@@ -295,8 +327,7 @@ def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, su
             Gs[t - 1] = Ghat
         if t in cp_set:
             cp_values.append((t, _evaluate(problem, avs.reports(), t, base_seed)))
-        eta = sched.c / (denom_scale * (t + sched.shift))
-        Y = X - eta * Ghat
+        Y = X - step_size(sched, problem.mu, t) * Ghat
         if not np.isfinite(Y).all():
             bad = int(np.nonzero(~np.isfinite(Y).all(axis=1))[0][0])
             raise _failure(bad, base_seed, t, _NON_FINITE)
@@ -315,11 +346,7 @@ class _ScaledSvm:
                  trials, base_seed, suffix_alpha):
         d = factory.dataset
         self.T = config.T
-        self.block = _block_steps(trials * 8, config.T)
-        self.reserved = _reserve(self.block * trials * 8, "one block of sample indices")
-        # (block, trials): step t reads one contiguous row
-        self.idx = np.empty((self.block, trials), dtype=np.int64)
-        self.gens = _generators(trials, base_seed, self.block, config.T)
+        self.trials = trials
         self.m = d.m
         self.starts, self.indices, self.data = d.indptr[:-1], d.indices, d.data
         self.lens = np.diff(d.indptr)
@@ -329,9 +356,47 @@ class _ScaledSvm:
         self.names = list(scheme_names)
         self.averaged = [nm for nm in self.names if nm != "final"]
         self.suffix_start = suffix_window_start(config.T, suffix_alpha)
+
+        # bytes per step of each table, with every sampled row as long as the
+        # longest: a sample index per trial; the gathered rows' flat column,
+        # owner and value per entry, a label per trial, each scheme's a_t and
+        # the step's offset; the log's flat column, owner and update per
+        # entry and each scheme's A per trial
+        longest = int(self.lens.max())
+        index = trials * 8
+        rows = trials * (longest * 24 + 8) + (len(self.averaged) + 1) * 8
+        log = trials * (longest * 24 + len(self.averaged) * 8)
+        self.block, self.sub, self.log_steps = _svm_blocks(index, rows, log, config.T)
+        # the index block alone names its own bytes when it exceeds the budget
+        _reserve(self.block * index, "one block of sample indices")
+        self.reserved = _reserve(
+            self.block * index + self.sub * rows + self.log_steps * log,
+            "one block of sample indices, gathered rows and logged updates")
+        # (block, trials): step t reads one contiguous row
+        self.idx = np.empty((self.block, trials), dtype=np.int64)
+        self.gens = _generators(trials, base_seed, self.block, config.T)
+        # the gathered rows of one sub-block: entries of step j lie in
+        # offsets[j]:offsets[j+1], trial by trial; see _gather
+        entries = self.sub * trials * longest
+        self.owner = np.empty(entries, dtype=np.int64)
+        self.flat = np.empty(entries, dtype=np.int64)
+        self.vals = np.empty(entries)
+        self.offsets = [0]  # no sub-block yet: the first step gathers one
+        self.y = self.W = None
+        self.j = -1  # the current step's position in the sub-block
+        # the logged updates U[k][flat] += A[k][owner]*delta, applied by _flush;
+        # logged step i holds A in A_log[:, i] and log_counts[i] entries
+        entries = self.log_steps * trials * longest
+        self.log_flat = np.empty(entries, dtype=np.int64)
+        self.log_owner = np.empty(entries, dtype=np.int64)
+        self.log_delta = np.empty(entries)
+        self.log_counts: list[int] = []
+        self.log_used = 0
+
         self.s = np.ones(trials)
         self.v = np.tile(np.asarray(config.x1, dtype=np.float64), (trials, 1))
         self.A = np.zeros((len(self.averaged), trials))
+        self.A_log = np.empty((len(self.averaged), self.log_steps, trials))
         self.U = np.zeros((len(self.averaged), trials, d.n))
         feasible = problem.feasible
         self.radius = feasible.radius if isinstance(feasible, L2Ball) else None
@@ -342,13 +407,13 @@ class _ScaledSvm:
         self.row_base = np.arange(trials) * d.n
         self.trial_ids = np.arange(trials)
 
-    def _weight(self, nm, t) -> float:
-        """a_t of the sum behind scheme ``nm``."""
+    def _weights(self, nm, ts: np.ndarray) -> np.ndarray:
+        """a_t of the sum behind scheme ``nm`` at the steps ``ts``."""
         if nm == "nonuniform":
-            return float(t)
-        if nm == "suffix" and t < self.suffix_start:
-            return 0.0
-        return 1.0
+            return ts
+        if nm == "suffix":
+            return np.where(ts < self.suffix_start, 0.0, 1.0)
+        return np.ones_like(ts)
 
     def _total(self, nm, t) -> float:
         """The sum of a_i over i <= t, which divides the sum into the average."""
@@ -358,12 +423,73 @@ class _ScaledSvm:
             return t * (t + 1) / 2.0
         return float(max(0, t - self.suffix_start + 1))
 
-    def observe(self, t):
+    def _gather(self, t0):
+        """Draw the next block of sample indices when step t0+1 starts one;
+        then gather, from step t0+1 to the end of the sub-block, each sampled
+        row's flat columns (trial b's entry j of v is v_flat[b*n + j]), its
+        owning trials, values and labels, and each averaged scheme's a_t."""
+        k0 = t0 % self.block
+        if k0 == 0:
+            _draw_indices(self.gens, self.m, self.idx[:min(self.block, self.T - t0)])
+        steps = min(self.sub, self.block - k0, self.T - t0)
+        sel = self.idx[k0:k0 + steps]
+        lens = self.lens[sel].ravel()
+        ends = lens.cumsum()
+        used = int(ends[-1])
+        # positions of the sampled rows' entries in the CSR arrays, step- and trial-major
+        pos = np.arange(used) + (self.starts[sel].ravel() - ends + lens).repeat(lens)
+        owner = self.owner[:used]
+        owner[:] = np.tile(self.trial_ids, steps).repeat(lens)
+        np.add(self.row_base[owner], self.indices[pos], out=self.flat[:used])
+        np.take(self.data, pos, out=self.vals[:used])
+        self.offsets = [0] + ends[self.trials - 1::self.trials].tolist()
+        self.y = self.labels[sel]
         if self.averaged:
-            a = np.array([self._weight(nm, t) for nm in self.averaged])
-            self.A += a[:, None] * self.s
+            ts = np.arange(t0 + 1.0, t0 + steps + 1.0)
+            self.W = np.stack([self._weights(nm, ts) for nm in self.averaged],
+                              axis=1)[:, :, None]
+
+    def observe(self, t):
+        """Enter step t, gathering its sub-block first at the sub-block's
+        first step; A[k] += a_t*s."""
+        self.j += 1
+        if self.j == len(self.offsets) - 1:
+            self._gather(t - 1)
+            self.j = 0
+        if self.averaged:
+            self.A += self.W[self.j] * self.s
+
+    def _log(self, flat, owner, delta):
+        """Defer U[k][flat] += A[k][owner]*delta for every averaged scheme k."""
+        i, used = len(self.log_counts), self.log_used
+        end = used + flat.size
+        self.log_flat[used:end] = flat
+        self.log_owner[used:end] = owner
+        self.log_delta[used:end] = delta
+        self.A_log[:, i] = self.A
+        self.log_counts.append(flat.size)
+        self.log_used = end
+        if i + 1 == self.log_steps:
+            self._flush()
+
+    def _flush(self):
+        """Apply the logged updates to U. np.add.at adds an entry's terms one
+        by one in log order, which is step order, so U gets the sums the
+        per-step updates gave."""
+        steps, used = len(self.log_counts), self.log_used
+        if not steps:
+            return
+        # index of each entry's A in A_log[k, :steps] flattened
+        at = self.log_owner[:used] + np.repeat(
+            np.arange(0, steps * self.trials, self.trials), self.log_counts)
+        flat, delta = self.log_flat[:used], self.log_delta[:used]
+        for A_log, U in zip(self.A_log, self.U_flat):
+            np.add.at(U, flat, A_log[:steps].ravel()[at] * delta)
+        self.log_counts.clear()
+        self.log_used = 0
 
     def reports(self, t) -> dict[str, np.ndarray]:
+        self._flush()
         out = {}
         for nm in self.names:
             if nm == "final":
@@ -378,6 +504,7 @@ class _ScaledSvm:
     def fold(self, rows, scale, t):
         """Write the sums densely into U, then v <- scale*v, s <- 1 and A <- 0
         for the given trials."""
+        self._flush()
         v = self.v[rows]
         self.U[:, rows] -= self.A[:, rows, None] * v
         self.A[:, rows] = 0.0
@@ -391,52 +518,48 @@ class _ScaledSvm:
             self.vv[rows] = np.einsum("ij,ij->i", v, v)
 
     def step(self, t, eta):
-        k = (t - 1) % self.block
-        if k == 0:
-            _draw_indices(self.gens, self.m, self.idx[:min(self.block, self.T - t + 1)])
-        sel = self.idx[k]
-        starts = self.starts[sel]
-        lens = self.lens[sel]
-        ends = lens.cumsum()
-        # positions of the sampled rows' entries in the CSR arrays, trial-major
-        pos = np.arange(ends[-1]) + (starts - ends + lens).repeat(lens)
-        owner = self.trial_ids.repeat(lens)
-        flat = self.row_base.repeat(lens) + self.indices[pos]
-        vals = self.data[pos]
+        j = self.j
+        a, b = self.offsets[j], self.offsets[j + 1]
+        owner, flat, vals = self.owner[a:b], self.flat[a:b], self.vals[a:b]
+        y = self.y[j]
         vflat = self.v_flat
-        y = self.labels[sel]
-        margins = self.s * np.bincount(owner, weights=vflat[flat] * vals,
-                                       minlength=len(sel)) * y
+        old = vflat[flat]
+        margins = self.s * np.bincount(owner, weights=old * vals, minlength=self.trials) * y
 
-        s = self.s * (1.0 - eta * self.lam)
+        shrink = 1.0 - eta * self.lam
+        s = self.s * shrink
         self.s = s
         # keeping _MIN_SCALE <= |s| <= 1 makes every entry of w finite
-        # exactly when the same entry of v is
-        out = ~((abs(s) >= _MIN_SCALE) & (abs(s) <= 1.0))
-        if out.any():
-            rows = np.nonzero(out)[0]
+        # exactly when the same entry of v is; a NaN fails the test too. |s|
+        # stays <= 1 while |shrink| <= 1, since a fold sets s to 1 and the
+        # ball's rescale only shrinks it.
+        size = abs(s)
+        if not (size.min() >= _MIN_SCALE and (abs(shrink) <= 1.0 or size.max() <= 1.0)):
+            rows = np.nonzero(~((size >= _MIN_SCALE) & (size <= 1.0)))[0]
             self.fold(rows, s[rows], t)
+            old = vflat[flat]
+            size = abs(s)
 
         active = margins < 1.0
-        if active.any():
-            if not active.all():
+        n_active = np.count_nonzero(active)
+        if n_active:
+            if n_active < self.trials:
                 keep = active[owner]
-                owner, flat, vals = owner[keep], flat[keep], vals[keep]
+                owner, flat, vals, old = owner[keep], flat[keep], vals[keep], old[keep]
             delta = (eta * y / s)[owner] * vals
-            old = vflat[flat]
             new = old + delta
             vflat[flat] = new
-            for A, U in zip(self.A, self.U_flat):
-                U[flat] += A[owner] * delta
+            if self.averaged:
+                self._log(flat, owner, delta)
             if self.vv is not None:
                 self.vv += np.bincount(owner, weights=new * new - old * old,
-                                       minlength=len(sel))
-            bad = ~np.isfinite(new)
-            if bad.any():
+                                       minlength=self.trials)
+            if not np.isfinite(new).all():
+                bad = ~np.isfinite(new)
                 raise _failure(int(owner[np.argmax(bad)]), self.base_seed, t, _NON_FINITE)
         if self.radius is not None:
             # the running sum's rounding can leave vv just below 0 near v = 0
-            nrm = abs(s) * np.sqrt(np.maximum(self.vv, 0.0))
+            nrm = size * np.sqrt(np.maximum(self.vv, 0.0))
             over = nrm > self.radius * (1.0 + _BALL_SLACK)
             if over.any():
                 s[over] *= self.radius / nrm[over]
@@ -445,7 +568,6 @@ class _ScaledSvm:
 def _run_svm(problem, factory, config, scheme_names, trials, base_seed, suffix_alpha):
     plan = _ScaledSvm(problem, factory, config, scheme_names, trials, base_seed, suffix_alpha)
     sched = config.schedule
-    denom_scale = problem.mu if sched.mu_scaled else 1.0
     cp_set = set(checkpoint_iterations(config))
     cp_values: list[tuple[int, dict[str, np.ndarray]]] = []
     for t in range(1, config.T + 1):
@@ -453,7 +575,7 @@ def _run_svm(problem, factory, config, scheme_names, trials, base_seed, suffix_a
         if t in cp_set:
             reports = plan.reports(t)
             cp_values.append((t, _evaluate(problem, reports, t, base_seed)))
-        plan.step(t, sched.c / (denom_scale * (t + sched.shift)))
+        plan.step(t, step_size(sched, problem.mu, t))
     # T is always a checkpoint, so these are the final reports
     return LockstepRun(cp_values, reports, plan.reserved)
 

@@ -5,7 +5,6 @@ execution order and worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -147,6 +146,9 @@ def run_trials(
             for i in range(trials)
         ]
         if workers > 1:
+            # imported here: it loads multiprocessing, which no other path needs
+            from concurrent.futures import ProcessPoolExecutor
+
             chunk = max(1, trials // (workers * 8))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_one_trial, arglist, chunksize=chunk))

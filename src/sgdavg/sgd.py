@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .averaging import Averager, WindowNotStarted
-from .core import InputError, Problem, StepSchedule
+from .core import InputError, Problem, StepSchedule, step_size
 from .oracles import GradientSample
 
 __all__ = [
@@ -154,9 +154,6 @@ def run_sgd(
         raise InputError("x1 must be feasible for the problem's set")
 
     sched = config.schedule
-    c = sched.c
-    shift = sched.shift
-    denom_scale = problem.mu if sched.mu_scaled else 1.0
     if sched.mu_scaled and not problem.mu > 0:
         raise InputError("mu-scaled schedule requires mu > 0")
 
@@ -187,8 +184,7 @@ def run_sgd(
                     raise RunAborted(t, f"non-finite {av.name} objective at checkpoint")
                 vals[av.name] = value
             checkpoints.append((t, vals))
-        eta = c / (denom_scale * (t + shift))
-        y = x - eta * sample.ghat
+        y = x - step_size(sched, problem.mu, t) * sample.ghat
         if not math.isfinite(float(y.sum())):
             raise RunAborted(t, "non-finite iterate (NaN/Inf)")
         x = proj(y)

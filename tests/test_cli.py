@@ -14,6 +14,7 @@ import sgdavg
 from sgdavg.cli import main
 from sgdavg.core import SparseVec
 from sgdavg.data import Dataset
+from sgdavg.oracles import GaussianNoise, RngStream, empirical_mgf_check
 
 # The directory holding the `sgdavg` package under test (the checkout's `src`
 # when run with PYTHONPATH=src), so child interpreters import this code and
@@ -257,6 +258,25 @@ class TestVerify:
         assert payload["passed"] is True
         assert payload["checks"][0]["name"] == "product-identity"
 
+    def test_mgf_report_marks_infinite_variance(self, capsys, tmp_path):
+        # at n = 1 the estimator averages e = exp(z^2/4), and E[e^2] =
+        # E[exp(z^2/2)] is infinite, so no standard error holds there; at
+        # n = 50 the variance is finite. Values and verdicts stay as drawn.
+        path = tmp_path / "verdict.json"
+        code, out, _ = run_cli(
+            ["verify", "--seed", "5", "--only", "mgf", "--mgf-samples", "20000",
+             "--report", str(path)],
+            capsys,
+        )
+        assert code == 0 and out.count("PASS") == 2
+        checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+        assert checks["mgf-gaussian-n1"]["detail"]["stderr"] == math.inf
+        assert 0.0 < checks["mgf-gaussian-n50"]["detail"]["stderr"] < math.inf
+        for n in (1, 50):
+            est, _ = empirical_mgf_check(GaussianNoise(1.0), 2.0, n, 20000,
+                                         RngStream(5, 10_000 + n))
+            assert checks[f"mgf-gaussian-n{n}"]["value"] == est
+
     def test_only_product_identity_sweep(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--seed", "5", "--only", "product-identity"], capsys
@@ -290,6 +310,22 @@ class TestConsoleScript:
             "from sgdavg.data import synthetic_separable_dataset\n"
             "synthetic_separable_dataset(5, 3, 1).matrix()\n"
             "assert 'scipy' in sys.modules, 'after matrix()'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_loads_no_process_pool(self, tmp_path):
+        # the process pool serves only sequential trials on several workers,
+        # and scipy only dataset runs; importing the CLI loads neither
+        script = (
+            "import sys\n"
+            "import sgdavg.cli\n"
+            "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing', 'scipy')\n"
+            "          if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,

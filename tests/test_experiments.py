@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdavg.core import (
     DEFAULT_SCHEDULE,
@@ -26,6 +28,7 @@ from sgdavg.oracles import (
 )
 from sgdavg.sgd import RunConfig, run_sgd
 from sgdavg.averaging import make_averager
+from sgdavg.experiments import batched
 from sgdavg.experiments import io as io_module
 from sgdavg.experiments import verify as verify_module
 from sgdavg.experiments.io import _MARGIN, _PANEL_H, _PANEL_W, _scale
@@ -469,6 +472,60 @@ class TestRunTrials:
                        engine="sequential")
         msg = str(err.value)
         assert "trial 2" in msg and "99" in msg
+
+
+def hinge_ties(ds, lam, feasible, T, seed, trial):
+    """Steps t of a sequential SVM run whose sampled margin y_i <x_i, w_t>
+    lies within 1e-9 of 1, where rounding decides whether the hinge term
+    enters the step: there the engines, which round differently, may part."""
+    problem = svm_problem(ds, lam, feasible=feasible)
+    config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
+                       record_iterates=True)
+    rec = run_sgd(problem, SvmOracleFactory(ds, lam)(RngStream(seed, trial)), config,
+                  [make_averager("final")])
+    rows = RngStream(seed, trial).generator().integers(ds.m, size=T)
+    margins = ds.labels[rows] * np.einsum(
+        "ij,ij->i", ds.matrix()[rows].toarray(), rec.trajectory.X)
+    return np.nonzero(np.abs(margins - 1.0) <= 1e-9)[0] + 1
+
+
+class TestScaledSvmTables:
+    """The SVM engine's tables: blocks of sample indices, gathered sub-blocks
+    and the log of deferred updates to the averaged sums."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(radius=st.sampled_from([None, 0.4]), T=st.integers(1, 200),
+           eval_every=st.integers(1, 200), trials=st.integers(1, 4),
+           sizes=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_tables_of_1_to_3_steps_agree(self, radius, T, eval_every, trials, sizes, seed):
+        # rows with 0 to 9 features; under the default schedule the scale
+        # folds at t = 1 and again near t = 14 and t = 140, and the suffix
+        # window opens at T/2. Any table sizes give the default sizes' gaps
+        # bitwise, and the sequential engine's up to rounding, at every
+        # checkpoint up to the first step whose margin ties 1.
+        ds = parse_libsvm(SPARSE_TEXT)
+        lam = 1.0 / ds.m
+        feasible = Unconstrained() if radius is None else L2Ball(radius, np.zeros(ds.n))
+        problem = svm_problem(ds, lam, feasible=feasible)
+        factory = SvmOracleFactory(ds, lam)
+        config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
+                           eval_every=min(eval_every, T))
+        schemes = ["final", "uniform", "suffix", "nonuniform"]
+        default = run_trials(problem, factory, config, schemes, trials, seed, engine="batched")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batched, "_svm_blocks", lambda *_: sizes)
+            small = run_trials(problem, factory, config, schemes, trials, seed,
+                               engine="batched")
+        assert np.array_equal(small.gaps, default.gaps, equal_nan=True)
+        seq = run_trials(problem, factory, config, schemes, trials, seed, engine="sequential")
+        assert np.array_equal(np.isnan(small.gaps), np.isnan(seq.gaps))
+        cps = np.array(small.checkpoints)
+        for i in range(trials):
+            ties = hinge_ties(ds, lam, feasible, T, seed, i)
+            # the checkpoint at t reports the iterates before step t
+            agree = cps <= (ties[0] if ties.size else T)
+            assert not (np.abs(small.gaps[i, agree] - seq.gaps[i, agree]) > 1e-12).any()
 
 
 class TestTelescopingProduct:

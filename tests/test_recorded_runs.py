@@ -266,9 +266,20 @@ class TestBudgetInMeta:
         ds = synthetic_separable_dataset(40, 3, 1)
         problem = svm_problem(ds, 0.1)
         config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=50)
-        self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4, 250 * 4 * 8)
+        # bytes per step of 4 trials on rows of 3 entries with one averaged
+        # scheme: the sample indices; the gathered rows (flat column, owner
+        # and value per entry, a label per trial, the scheme's a_t and the
+        # step's offset); the logged updates (flat column, owner and update
+        # per entry, A per trial)
+        index, rows, log = 4 * 8, 4 * (3 * 24 + 8) + 2 * 8, 4 * (3 * 24 + 8)
+        # a whole run fits in one block of each table
+        self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
+                    250 * (index + rows + log))
+        # index blocks of 9 steps; the gathered rows and the log, which share
+        # the 288 bytes, still hold one step each
         monkeypatch.setattr(batched, "_BLOCK_BYTES", 9 * 4 * 8)
-        self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4, 9 * 4 * 8)
+        self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
+                    9 * index + rows + log)
 
     def test_noiseless_run_draws_nothing(self, tmp_path):
         config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.ones(2), eval_every=50)
