@@ -121,6 +121,8 @@ def suffix_window_start(T: int, alpha: float) -> int:
     The tiny subtraction guards against float overshoot in alpha*T when the
     product is an exact integer.
     """
+    if not 0 < alpha <= 1:
+        raise InputError(f"suffix fraction must lie in (0, 1], got {alpha}")
     window = math.ceil(alpha * T - 1e-9)
     return T - window + 1
 
@@ -132,13 +134,11 @@ class SuffixAverage(Averager):
 
     def __init__(self, T: int, alpha: float = 0.5):
         super().__init__()
-        if not 0 < alpha <= 1:
-            raise InputError(f"suffix fraction must lie in (0, 1], got {alpha}")
         if T < 1:
             raise InputError(f"suffix horizon must be >= 1, got {T}")
+        self._start = suffix_window_start(int(T), float(alpha))
         self.T = int(T)
         self.alpha = float(alpha)
-        self._start = suffix_window_start(self.T, self.alpha)
         self._count = 0
         self._z = None
 

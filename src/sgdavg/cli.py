@@ -75,15 +75,6 @@ def _resolve_seed(args) -> int:
     raise InputError("a seed is required: pass --seed or set SGDAVG_SEED")
 
 
-def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        return args.workers
-    env = _env_int("WORKERS")
-    if env is not None:
-        return env
-    return os.cpu_count() or 1
-
-
 def _divisible_by_4(text: str) -> int:
     value = int(text)
     if value % 4 != 0 or value < 4:
@@ -192,12 +183,10 @@ def _build_setting(args):
     return problem, factory, config
 
 
-def _effective_config(args, seed: int, extra: dict | None = None) -> dict:
+def _effective_config(args, seed: int) -> dict:
     skip = {"func", "seed"}
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     cfg["seed"] = seed
-    if extra:
-        cfg.update(extra)
     return cfg
 
 
@@ -230,14 +219,11 @@ def cmd_run(args) -> int:
 
 def cmd_trials(args) -> int:
     seed = _resolve_seed(args)
-    workers = _resolve_workers(args)
     problem, factory, config = _build_setting(args)
-    matrix = run_trials(
-        problem, factory, config, args.schemes, args.trials, seed,
-        workers=workers, suffix_alpha=args.suffix_alpha, engine=args.engine,
-    )
+    matrix = run_trials(problem, factory, config, args.schemes, args.trials, seed,
+                        suffix_alpha=args.suffix_alpha)
     if args.csv:
-        comments = [f"config: {json.dumps(_effective_config(args, seed, {'workers': workers}), sort_keys=True, default=str)}"]
+        comments = [f"config: {json.dumps(_effective_config(args, seed), sort_keys=True, default=str)}"]
         if not args.reproducible:
             comments.append(f"generated: {datetime.now(timezone.utc).isoformat()}")
         export_csv(matrix, args.csv, comments=comments)
@@ -338,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trials = sub.add_parser("trials", help="multi-trial batch with CSV/SVG and a tail table")
     _add_problem_args(p_trials)
     p_trials.add_argument("--trials", type=int, required=True)
-    p_trials.add_argument("--workers", type=int, default=None,
-                          help="sequential-engine worker processes (or SGDAVG_WORKERS; default: cores)")
-    p_trials.add_argument("--engine", choices=("auto", "sequential", "batched"), default="auto")
     p_trials.add_argument("--csv", help="output CSV path")
     p_trials.add_argument("--svg", help="output SVG path")
     p_trials.add_argument("--svg-schemes", type=_scheme_list, default=None)

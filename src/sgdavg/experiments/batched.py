@@ -1,4 +1,6 @@
-"""Lockstep execution of many trials for the built-in oracle factories.
+"""Lockstep execution of many trials for the built-in oracle factories:
+the one engine behind ``run_trials``, the verifier fleet and the
+lower-bound simulation.
 
 All trials advance together with one vectorized update per iteration over a
 stacked (trials, dim) state. Per-trial randomness is drawn in blocks of
@@ -12,9 +14,10 @@ the block length never changes a result. A block holds at most
 ``_BLOCK_BYTES`` (and never less than one step), so memory is
 O(trials * block * dim) whatever the horizon.
 
-Quadratic and lower-bound problems apply the same elementwise arithmetic
-and the same row-wise projection (``project_rows`` of the feasible set) as
-the sequential loop, so their results match the sequential runner bitwise.
+Quadratic and lower-bound problems apply the same elementwise arithmetic,
+the same averagers (``make_averager``'s, fed (trials, dim) arrays) and the
+same row-wise projection (``project_rows`` of the feasible set) as
+``run_sgd``, so their results match ``run_sgd`` trial by trial bitwise.
 When the config sets ``record_iterates``, they also record every trial's
 trajectory: x_t, zhat_t and ghat_t as (T, trials, dim) arrays in one
 ``Trajectory``, bitwise equal to what ``run_sgd`` records trial by trial;
@@ -27,9 +30,12 @@ the hinge step touches only the sampled row's columns of v (the scaled-weight
 trick of Pegasos). Each running sum sum_i a_i w_i behind the uniform, suffix
 and t-weighted averages is held as A*v - U with a scalar A, and U changes only
 where v does (the lazily updated average of ASGD). Dense vectors are built
-only at checkpoints and at folds, which write the pending scale into v. The
-results agree with the sequential runner up to rounding, not bitwise, and no
-trajectory is recorded.
+only at checkpoints and at folds, which write the pending scale into v. An
+L2 ball about the origin rescales s alone. Any other bounded set (the
+interval box, a ball off the origin) folds every trial at every step, which
+costs O(n), and then projects v: after a fold A = 0, so the sums keep their
+values. The results agree with ``run_sgd`` up to rounding, not bitwise, and
+no trajectory is recorded.
 
 A step of the SVM engine makes a fixed, small number of numpy calls on
 arrays of about trials * nnz-per-row entries. The sampled rows are gathered
@@ -50,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..averaging import suffix_window_start
+from ..averaging import WindowNotStarted, make_averager, suffix_window_start
 from ..core import (
     InputError,
     Interval,
@@ -61,8 +67,6 @@ from ..core import (
     step_size,
 )
 from ..oracles import (
-    BoundedUniformBall,
-    GaussianNoise,
     LowerBoundOracleFactory,
     NoNoise,
     QuadraticOracleFactory,
@@ -71,7 +75,7 @@ from ..oracles import (
 )
 from ..sgd import RunAborted, RunConfig, RunRecord, Trajectory, checkpoint_iterations
 
-__all__ = ["LockstepRun", "unsupported_reason", "run_all"]
+__all__ = ["LockstepRun", "run_all"]
 
 # The draw buffer of one block and the recorded trajectories together stay
 # within this many bytes.
@@ -84,46 +88,13 @@ _BLOCK_BYTES = 8_000_000
 # An SVM trial folds its scale into v before a step takes |s| below this, or
 # above 1 (a step size with eta*lam > 2). The rounding error of A*v - U grows
 # like 1/_MIN_SCALE (v is up to 1/_MIN_SCALE times w): at 1e-6 the objectives
-# drifted 1.9e-12 from the sequential engine's under an L2 ball, at 1e-2 they
+# drifted 1.9e-12 from run_sgd's under an L2 ball, at 1e-2 they
 # agree to a few ulps. Folds stay rare (about log10(T) of them under the
 # default schedule), and the check catches the exact zero of 1 - eta*lam at
 # t = 1.
 _MIN_SCALE = 1e-2
 
 _NON_FINITE = "non-finite iterate (NaN/Inf)"
-
-
-def unsupported_reason(problem: Problem, oracle_factory, config: RunConfig) -> str | None:
-    """None when the batched engine can reproduce the sequential run."""
-    feasible = problem.feasible
-    if not isinstance(feasible, (Unconstrained, Interval, L2Ball)):
-        return f"unsupported feasible set {type(feasible).__name__}"
-    if isinstance(oracle_factory, QuadraticOracleFactory):
-        noise = oracle_factory.noise
-        if isinstance(noise, (NoNoise, GaussianNoise)):
-            return None
-        if isinstance(noise, BoundedUniformBall):
-            if config.x1.shape[0] == 1:
-                return None
-            return "ball noise draws interleave per query above one dimension"
-        return f"unsupported noise model {type(noise).__name__}"
-    if isinstance(oracle_factory, LowerBoundOracleFactory):
-        if config.x1.shape[0] != 1:
-            return "the lower-bound oracle is one-dimensional"
-        if oracle_factory.T % 4 != 0:
-            return "the lower-bound oracle's horizon is not divisible by 4"
-        if config.T != oracle_factory.T:
-            return "the lower-bound oracle's horizon differs from the run's"
-        return None
-    if isinstance(oracle_factory, SvmOracleFactory):
-        if config.record_iterates:
-            return "a scaled SVM iterate has no recorded trajectory"
-        if isinstance(feasible, Interval):
-            return "the interval box has no O(nnz) projection of a scaled SVM iterate"
-        if isinstance(feasible, L2Ball) and np.any(feasible.center != 0.0):
-            return "a ball off the origin has no O(nnz) projection of a scaled SVM iterate"
-        return None
-    return f"unsupported oracle factory {type(oracle_factory).__name__}"
 
 
 def _block_steps(step_bytes: int, T: int, held_step_bytes: int = 0) -> int:
@@ -232,12 +203,8 @@ def _draw_noise(factory, gens, out: np.ndarray, t0: int) -> None:
                 r = gen.random(hi - lo)
                 out[lo - t0:hi - t0, i, 0] = coeff * np.where(r < 0.5, 1.0, -1.0)
         return
-    noise = factory.noise
     for i, gen in enumerate(gens):
-        if isinstance(noise, BoundedUniformBall):
-            out[:, i, 0] = gen.uniform(-noise.bound, noise.bound, size=steps)
-        else:
-            out[:, i] = noise.sample_batch(steps, out.shape[2], gen)
+        out[:, i] = factory.noise.sample_batch(steps, out.shape[2], gen)
 
 
 def _draw_indices(gens, m: int, out: np.ndarray) -> None:
@@ -247,44 +214,15 @@ def _draw_indices(gens, m: int, out: np.ndarray) -> None:
         out[:, i] = gen.integers(m, size=out.shape[0])
 
 
-class _StackedAveragers:
-    """The four schemes updated over a stacked (trials, dim) state, with the
-    same arithmetic as the per-run averagers."""
-
-    def __init__(self, scheme_names, T, suffix_alpha, trials, dim):
-        self.names = list(scheme_names)
-        self.T = T
-        self.suffix_start = suffix_window_start(T, suffix_alpha)
-        self.state: dict[str, np.ndarray | None] = {nm: None for nm in self.names}
-        self.suffix_count = 0
-
-    def observe(self, X, t):
-        for nm in self.names:
-            z = self.state[nm]
-            if nm == "final":
-                self.state[nm] = X
-            elif nm == "uniform":
-                if t == 1:
-                    self.state[nm] = X.copy()
-                else:
-                    z += (X - z) / t
-            elif nm == "nonuniform":
-                if t == 1:
-                    self.state[nm] = X.copy()
-                else:
-                    rho = 2.0 / (t + 1.0)
-                    self.state[nm] = rho * X + (1.0 - rho) * z
-            else:  # suffix
-                if t < self.suffix_start:
-                    continue
-                self.suffix_count += 1
-                if self.suffix_count == 1:
-                    self.state[nm] = X.copy()
-                else:
-                    z += (X - z) / self.suffix_count
-
-    def reports(self) -> dict[str, np.ndarray]:
-        return {nm: z for nm, z in self.state.items() if z is not None}
+def _reports(avs) -> dict[str, np.ndarray]:
+    """Each averager's report, leaving out a suffix window not yet open."""
+    out = {}
+    for av in avs:
+        try:
+            out[av.name] = av.report()
+        except WindowNotStarted:
+            pass
+    return out
 
 
 def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, suffix_alpha):
@@ -306,7 +244,7 @@ def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, su
         buf = None if noiseless else np.empty((block, trials, dim))
     gens = None if noiseless else _generators(trials, base_seed, block, T)
     X = np.tile(np.asarray(config.x1, dtype=np.float64), (trials, 1))
-    avs = _StackedAveragers(scheme_names, T, suffix_alpha, trials, dim)
+    avs = [make_averager(nm, T=T, suffix_alpha=suffix_alpha) for nm in scheme_names]
     sched = config.schedule
     cp_set = set(checkpoint_iterations(config))
     feasible = problem.feasible
@@ -319,28 +257,30 @@ def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, su
             t0, steps = t - 1, min(block, T - t + 1)
             Z = Zs[t0:t0 + steps] if record else buf[:steps]
             _draw_noise(factory, gens, Z, t0)
-        avs.observe(X, t)
+        for av in avs:
+            av.observe(X, t)
         G = X if mu == 1.0 else mu * X
         Ghat = G if Z is None else G - Z[k]
         if record:
             Xs[t - 1] = X
             Gs[t - 1] = Ghat
         if t in cp_set:
-            cp_values.append((t, _evaluate(problem, avs.reports(), t, base_seed)))
+            cp_values.append((t, _evaluate(problem, _reports(avs), t, base_seed)))
         Y = X - step_size(sched, problem.mu, t) * Ghat
         if not np.isfinite(Y).all():
             bad = int(np.nonzero(~np.isfinite(Y).all(axis=1))[0][0])
             raise _failure(bad, base_seed, t, _NON_FINITE)
         X = feasible.project_rows(Y)
     trajectory = Trajectory(Xs, Gs, Zs) if record else None
-    return LockstepRun(cp_values, avs.reports(), reserved, trajectory)
+    return LockstepRun(cp_values, _reports(avs), reserved, trajectory)
 
 
 class _ScaledSvm:
     """Stacked SVM trials with iterates w = s*v and, per averaged scheme k,
     sums A[k]*v - U[k]; see the module docstring. ``radius`` is set for an
     L2 ball about the origin, whose projection rescales s using the running
-    ||v||^2 in ``vv``."""
+    ||v||^2 in ``vv``. ``project`` is set for any other bounded set: every
+    step then folds every trial and projects v."""
 
     def __init__(self, problem, factory: SvmOracleFactory, config, scheme_names,
                  trials, base_seed, suffix_alpha):
@@ -355,7 +295,8 @@ class _ScaledSvm:
         self.base_seed = base_seed
         self.names = list(scheme_names)
         self.averaged = [nm for nm in self.names if nm != "final"]
-        self.suffix_start = suffix_window_start(config.T, suffix_alpha)
+        if "suffix" in self.names:
+            self.suffix_start = suffix_window_start(config.T, suffix_alpha)
 
         # bytes per step of each table, with every sampled row as long as the
         # longest: a sample index per trial; the gathered rows' flat column,
@@ -399,7 +340,10 @@ class _ScaledSvm:
         self.A_log = np.empty((len(self.averaged), self.log_steps, trials))
         self.U = np.zeros((len(self.averaged), trials, d.n))
         feasible = problem.feasible
-        self.radius = feasible.radius if isinstance(feasible, L2Ball) else None
+        centered = isinstance(feasible, L2Ball) and not feasible.center.any()
+        self.radius = feasible.radius if centered else None
+        bounded = not (centered or isinstance(feasible, Unconstrained))
+        self.project = feasible.project_rows if bounded else None
         self.vv = np.einsum("ij,ij->i", self.v, self.v) if self.radius is not None else None
         # flat views for the scatter updates; v and U are only written in place
         self.v_flat = self.v.reshape(-1)
@@ -563,6 +507,10 @@ class _ScaledSvm:
             over = nrm > self.radius * (1.0 + _BALL_SLACK)
             if over.any():
                 s[over] *= self.radius / nrm[over]
+        elif self.project is not None:
+            # after the fold A = 0, so projecting v leaves every sum A*v - U as it is
+            self.fold(self.trial_ids, s, t)
+            self.v[:] = self.project(self.v)
 
 
 def _run_svm(problem, factory, config, scheme_names, trials, base_seed, suffix_alpha):
@@ -589,11 +537,29 @@ def run_all(
     base_seed: int,
     suffix_alpha: float,
 ) -> LockstepRun:
-    """Trials 0..trials-1 of the sequential trial runner, in lockstep; trial
-    i draws from RngStream(base_seed, i)."""
-    reason = unsupported_reason(problem, oracle_factory, config)
-    if reason:
-        raise InputError(f"batched engine unavailable: {reason}")
-    run = _run_svm if isinstance(oracle_factory, SvmOracleFactory) else _run_quadratic
+    """Trials 0..trials-1 of ``run_sgd``, in lockstep; trial i draws from
+    RngStream(base_seed, i). Raises InputError for a setting the engine
+    cannot run: an oracle factory or feasible set that is not built in, a
+    lower-bound oracle off its own horizon or dimension, or a recorded SVM
+    run."""
+    feasible = problem.feasible
+    if not isinstance(feasible, (Unconstrained, Interval, L2Ball)):
+        raise InputError(f"unsupported feasible set {type(feasible).__name__}")
+    if isinstance(oracle_factory, SvmOracleFactory):
+        if config.record_iterates:
+            raise InputError("a scaled SVM iterate has no recorded trajectory")
+        run = _run_svm
+    elif isinstance(oracle_factory, LowerBoundOracleFactory):
+        if config.x1.shape[0] != 1:
+            raise InputError("the lower-bound oracle is one-dimensional")
+        if oracle_factory.T % 4 != 0:
+            raise InputError("the lower-bound oracle's horizon is not divisible by 4")
+        if config.T != oracle_factory.T:
+            raise InputError("the lower-bound oracle's horizon differs from the run's")
+        run = _run_quadratic
+    elif isinstance(oracle_factory, QuadraticOracleFactory):
+        run = _run_quadratic
+    else:
+        raise InputError(f"unsupported oracle factory {type(oracle_factory).__name__}")
     return run(problem, oracle_factory, config, scheme_names, trials, base_seed,
                suffix_alpha)

@@ -1,6 +1,5 @@
 """Multi-trial experiment execution with one deterministic RNG stream per
-trial. Results are slot-addressed by trial index, so they are independent of
-execution order and worker count.
+trial, all trials advancing in lockstep (``batched.run_all``).
 """
 
 from __future__ import annotations
@@ -10,10 +9,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..averaging import SCHEME_NAMES, make_averager
+from ..averaging import SCHEME_NAMES
 from ..core import InputError, Problem
-from ..oracles import RngStream
-from ..sgd import RunConfig, checkpoint_iterations, run_sgd
+from ..sgd import RunConfig, checkpoint_iterations
 from . import batched
 
 __all__ = ["TrialFailure", "TrialMatrix", "run_trials"]
@@ -24,7 +22,7 @@ class TrialFailure(RuntimeError):
 
 
 def trial_failure(index: int, base_seed: int, exc: Exception) -> TrialFailure:
-    """The failure of trial ``index``, in the same words on both engines."""
+    """The failure of trial ``index``, naming its seed and stream."""
     return TrialFailure(
         f"trial {index} (base seed {base_seed}, stream index {index}) failed: {exc}"
     )
@@ -82,18 +80,6 @@ class TrialMatrix:
         return self.gaps[:, ci, self.scheme_index(scheme)].copy()
 
 
-def _one_trial(args) -> list[tuple[int, dict[str, float]]]:
-    (problem, oracle_factory, config, scheme_names, suffix_alpha, base_seed, index) = args
-    stream = RngStream(base_seed, index)
-    oracle = oracle_factory(stream)
-    avs = [make_averager(nm, T=config.T, suffix_alpha=suffix_alpha) for nm in scheme_names]
-    try:
-        record = run_sgd(problem, oracle, config, avs)
-    except Exception as exc:
-        raise trial_failure(index, base_seed, exc) from exc
-    return record.checkpoints
-
-
 def run_trials(
     problem: Problem,
     oracle_factory: Callable,
@@ -101,18 +87,12 @@ def run_trials(
     schemes: Sequence[str],
     trials: int,
     base_seed: int,
-    workers: int = 1,
     suffix_alpha: float = 0.5,
-    engine: str = "auto",
 ) -> TrialMatrix:
-    """Run ``trials`` independent SGD runs and collect checkpoint gaps.
-
-    Trial i draws from RngStream(base_seed, i). ``engine`` selects the
-    execution strategy: "sequential" runs each trial through run_sgd,
-    "batched" advances all trials in lockstep with vectorized updates
-    (available for the built-in oracle factories; same per-trial streams,
-    same results), "auto" picks batched when supported. ``meta`` names the
-    engine that ran and, when "auto" fell back, the reason.
+    """Run ``trials`` independent SGD runs in lockstep and collect checkpoint
+    gaps. Trial i draws from RngStream(base_seed, i) and gives the gaps of
+    ``run_sgd`` on that stream. The oracle factory must be a built-in one;
+    any other is refused with InputError.
     """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
@@ -122,51 +102,19 @@ def run_trials(
     for nm in scheme_names:
         if nm not in SCHEME_NAMES:
             raise InputError(f"unknown scheme {nm!r}; expected one of {SCHEME_NAMES}")
-    if engine not in ("auto", "sequential", "batched"):
-        raise InputError(f"unknown engine {engine!r}")
 
-    # a TrialMatrix holds no trajectory, so neither engine records one; the
-    # lockstep engine records only for callers that read it (batched.run_all)
+    # a TrialMatrix holds no trajectory, so nothing is recorded
     config = replace(config, record_iterates=False)
-    reason = None
-    if engine != "sequential":
-        reason = batched.unsupported_reason(problem, oracle_factory, config)
-        if reason and engine == "batched":
-            raise InputError(f"batched engine unavailable: {reason}")
-    use_batched = engine != "sequential" and reason is None
-
-    if use_batched:
-        run = batched.run_all(problem, oracle_factory, config, scheme_names, trials,
-                              base_seed, suffix_alpha)
-        # one entry for all trials, holding a (trials,) array per scheme and checkpoint
-        results = [(slice(None), run.checkpoints)]
-    else:
-        arglist = [
-            (problem, oracle_factory, config, scheme_names, suffix_alpha, base_seed, i)
-            for i in range(trials)
-        ]
-        if workers > 1:
-            # imported here: it loads multiprocessing, which no other path needs
-            from concurrent.futures import ProcessPoolExecutor
-
-            chunk = max(1, trials // (workers * 8))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_one_trial, arglist, chunksize=chunk))
-        else:
-            rows = [_one_trial(a) for a in arglist]
-        results = enumerate(rows)
-
+    run = batched.run_all(problem, oracle_factory, config, scheme_names, trials,
+                          base_seed, suffix_alpha)
     cps = checkpoint_iterations(config)
     fstar = problem.fstar if problem.optimum is not None else 0.0
-    # allocated only now, after the batched engine has freed its pre-drawn tables
+    # allocated only now, after the engine has freed its draw buffers
     gaps = np.full((trials, len(cps), len(scheme_names)), np.nan)
-    for i, row in results:
-        if [t for t, _ in row] != cps:
-            raise TrialFailure(f"trial {i} produced unexpected checkpoints")
-        for ci, (_, vals) in enumerate(row):
-            for si, nm in enumerate(scheme_names):
-                if nm in vals:
-                    gaps[i, ci, si] = vals[nm] - fstar
+    for ci, (_, vals) in enumerate(run.checkpoints):
+        for si, nm in enumerate(scheme_names):
+            if nm in vals:
+                gaps[:, ci, si] = vals[nm] - fstar
 
     meta = {
         "problem": problem.name,
@@ -177,9 +125,7 @@ def run_trials(
         "schedule": [config.schedule.c, config.schedule.shift, config.schedule.mu_scaled],
         "schemes": scheme_names,
         "suffix_alpha": suffix_alpha,
-        "engine": "batched" if use_batched else "sequential",
-        "engine_reason": reason,
-        "predraw_bytes": run.predraw_bytes if use_batched else 0,
+        "predraw_bytes": run.predraw_bytes,
         "budget_bytes": batched._BUDGET_BYTES,
     }
     matrix = TrialMatrix(gaps=gaps, checkpoints=cps, scheme_names=scheme_names, meta=meta)

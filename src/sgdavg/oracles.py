@@ -99,14 +99,9 @@ class NoiseModel:
 
     def sample_batch(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
         """(count, n) draws. Consumes the stream exactly like ``count``
-        successive sample() calls for NoNoise, Gaussian, and 1-D ball noise;
-        for higher-dimensional ball noise only the law matches."""
+        successive sample() calls, so splitting a batch leaves every draw
+        unchanged."""
         return np.stack([self.sample(n, rng) for _ in range(count)])
-
-    def batch_by_rows(self, n: int) -> bool:
-        """Whether sample_batch draws its rows one after another from the
-        stream, so that splitting a batch leaves every draw unchanged."""
-        return True
 
 
 @dataclass(frozen=True)
@@ -120,9 +115,12 @@ class NoNoise(NoiseModel):
 
 @dataclass(frozen=True)
 class BoundedUniformBall(NoiseModel):
-    """Uniform density on the ball of the given radius: spherical direction
-    times radius bound * U^(1/n). In one dimension this is uniform on
-    [-bound, bound]."""
+    """Uniform density on the ball of the given radius. In one dimension
+    this is uniform on [-bound, bound]. Above one dimension a draw takes
+    n + 2 standard normals: the first n give the direction, and the last
+    two, a and b, the radius bound * exp(-(a^2 + b^2) / (2n)). That is
+    bound * U^(1/n), the radius law of the uniform ball, because
+    U = exp(-(a^2 + b^2) / 2) is uniform on (0, 1)."""
 
     bound: float = 1.0
 
@@ -131,28 +129,24 @@ class BoundedUniformBall(NoiseModel):
             raise InputError(f"noise bound must be positive, got {self.bound}")
 
     def sample(self, n, rng):
-        if n == 1:
-            return rng.uniform(-self.bound, self.bound, size=1)
-        g = rng.standard_normal(n)
-        nrm = float(np.linalg.norm(g))
-        while nrm == 0.0:  # essentially impossible, but keeps the math total
-            g = rng.standard_normal(n)
-            nrm = float(np.linalg.norm(g))
-        r = self.bound * rng.random() ** (1.0 / n)
-        return g * (r / nrm)
+        return self.sample_batch(1, n, rng)[0]
 
     def sample_batch(self, count, n, rng):
         if n == 1:
             return rng.uniform(-self.bound, self.bound, size=(count, 1))
-        g = rng.standard_normal((count, n))
-        nrm = np.linalg.norm(g, axis=1, keepdims=True)
-        nrm[nrm == 0.0] = 1.0
-        r = self.bound * rng.random(count) ** (1.0 / n)
-        return g * (r[:, None] / nrm)
-
-    def batch_by_rows(self, n):
-        # above one dimension, all the normals come before all the radii
-        return n == 1
+        g = rng.standard_normal((count, n + 2))
+        d = g[:, :n].copy()
+        r = np.square(g[:, n])
+        r += np.square(g[:, n + 1])  # a^2 + b^2
+        del g  # the normals are not held while the draws are scaled
+        nrm = np.sqrt(np.einsum("ij,ij->i", d, d))
+        nrm[nrm == 0.0] = 1.0  # essentially impossible; the draw is then 0
+        r *= -0.5 / n
+        np.exp(r, out=r)
+        r *= self.bound
+        r /= nrm
+        d *= r[:, None]
+        return d
 
 
 @dataclass(frozen=True)
@@ -286,6 +280,7 @@ def _mgf_batch_sums(noise: NoiseModel, n: int, count: int, inv_k2: float,
         z = noise.sample_batch(hi - lo, n, rng)
         z *= z
         z.sum(axis=1, out=e[lo:hi])
+        del z  # freed before the next sub-batch is drawn
     e *= inv_k2
     np.exp(e, out=e)
     total = float(e.sum())
@@ -309,12 +304,10 @@ def empirical_mgf_check(
     numpy releases the interpreter lock while it draws, squares, sums and
     exponentiates. The per-batch sums are added with math.fsum in batch
     order, so the result depends only on the arguments, not on the pool
-    size or scheduling. When the noise draws a batch row by row
-    (``batch_by_rows``), each batch is drawn in sub-batches, so that the
-    threads together hold at most _MGF_SUB_ELEMENTS draws and memory stays
-    bounded in n; the estimate does not depend on the sub-batch size. Other
-    noise is drawn one whole batch at a time, on only as many threads as
-    keep the batches in flight within _MGF_SUB_ELEMENTS draws (at least one).
+    size or scheduling. Each batch is drawn in sub-batches, so that the
+    threads together hold at most one batch of rows and at most
+    _MGF_SUB_ELEMENTS draws, whatever the pool size and n; the estimate does
+    not depend on the sub-batch size.
     """
     if not kappa > 0:
         raise InputError(f"kappa must be positive, got {kappa}")
@@ -330,11 +323,8 @@ def empirical_mgf_check(
     batch = 1 << 15
     counts = [min(batch, samples - lo) for lo in range(0, samples, batch)]
     workers = _mgf_pool_size(len(counts))
-    if noise.batch_by_rows(n):
-        sub = max(1, _MGF_SUB_ELEMENTS // (n * workers))
-    else:
-        sub = batch
-        workers = min(workers, max(1, _MGF_SUB_ELEMENTS // (batch * n)))
+    # the threads together hold as many rows as one thread drawing alone
+    sub = max(1, min(batch, _MGF_SUB_ELEMENTS // n) // workers)
 
     def run(b: int) -> tuple[float, float]:
         return _mgf_batch_sums(noise, n, counts[b], inv_k2, sub, stream.generator(b))

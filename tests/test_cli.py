@@ -132,14 +132,28 @@ class TestTrials:
         assert main(self.ARGS + ["--csv", str(path)]) == 0
         assert path.read_text().startswith("# config: {")
 
-    def test_workers_env_variable(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SGDAVG_WORKERS", "2")
-        p1 = tmp_path / "w.csv"
-        args = [a for a in self.ARGS if a != "--reproducible"]
-        assert main(args + ["--reproducible", "--engine", "sequential",
-                            "--csv", str(p1)]) == 0
-        text = p1.read_text()
-        assert '"workers": 2' in text
+    def test_config_comment_names_no_engine_or_workers(self, capsys, tmp_path):
+        path = tmp_path / "e.csv"
+        assert main(self.ARGS + ["--csv", str(path)]) == 0
+        config = path.read_text().splitlines()[0]
+        assert '"trials": 20' in config
+        assert '"engine"' not in config and '"workers"' not in config
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "-1"])
+    @pytest.mark.parametrize("problem", ["quadratic", "svm"])
+    def test_suffix_fraction_outside_unit_interval_exits_two(self, capsys, tmp_path,
+                                                             problem, alpha):
+        args = ["trials", "--T", "100", "--trials", "3", "--seed", "1",
+                "--suffix-alpha", alpha]
+        if problem == "svm":
+            path = tmp_path / "d.txt"
+            path.write_text(TestSvmCommandsUseTheCsrArrays.TEXT)
+            args += ["--problem", "svm", "--dataset", str(path)]
+        else:
+            args += ["--noise", "ball"]
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert f"suffix fraction must lie in (0, 1], got {float(alpha)}" in err
 
     def test_unwritable_csv_path_exits_one(self, capsys):
         code, _, err = run_cli(
@@ -154,11 +168,9 @@ class TestDivergence:
     ARGS = ["--problem", "quadratic", "--dim", "1", "--noise", "ball", "--step-c",
             "1000", "--T", "600", "--eval-every", "100", "--seed", "1"]
 
-    @pytest.mark.parametrize("engine", ["batched", "sequential"])
-    def test_trials_exit_one_naming_trial_and_iteration(self, capsys, engine):
+    def test_trials_exit_one_naming_trial_and_iteration(self, capsys):
         with np.errstate(over="ignore"):
-            code, _, err = run_cli(["trials", *self.ARGS, "--trials", "2",
-                                    "--engine", engine], capsys)
+            code, _, err = run_cli(["trials", *self.ARGS, "--trials", "2"], capsys)
         assert code == 1
         assert "trial 0 " in err and "iteration 200:" in err
 
@@ -318,8 +330,8 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
 
     def test_cli_import_loads_no_process_pool(self, tmp_path):
-        # the process pool serves only sequential trials on several workers,
-        # and scipy only dataset runs; importing the CLI loads neither
+        # no command uses a process pool, and only dataset runs use scipy;
+        # importing the CLI loads neither
         script = (
             "import sys\n"
             "import sgdavg.cli\n"
@@ -351,8 +363,8 @@ class TestSvmCommandsUseTheCsrArrays:
     )
 
     @pytest.mark.parametrize("argv", [
-        ["trials", "--trials", "3", "--engine", "batched", "--scaling", "sparse01"],
-        ["trials", "--trials", "2", "--engine", "sequential", "--scaling", "auto"],
+        ["trials", "--trials", "3", "--scaling", "sparse01"],
+        ["trials", "--trials", "2", "--scaling", "auto"],
         ["run", "--scaling", "standardize", "--set", "ball", "--radius", "3"],
         ["run"],
     ])

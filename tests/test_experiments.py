@@ -56,6 +56,7 @@ from sgdavg.experiments import (
     verify_diameter_bound,
     verify_recursive_bound,
 )
+from trial_reference import per_trial_gaps
 
 
 # Rows with different feature counts, one with none, and both labels.
@@ -263,8 +264,7 @@ class TestLbSimulation:
 class TestRunTrials:
     def test_single_trial_reduces_to_run_sgd(self):
         problem, factory, config = quad_ball_setting(T=50, eval_every=10)
-        m = run_trials(problem, factory, config, ["final", "nonuniform"], 1, 42,
-                       engine="sequential")
+        m = run_trials(problem, factory, config, ["final", "nonuniform"], 1, 42)
         rec = run_sgd(problem, factory(RngStream(42, 0)), config,
                       [make_averager("final"), make_averager("nonuniform")])
         for ci, (t, vals) in enumerate(rec.checkpoints):
@@ -289,12 +289,9 @@ class TestRunTrials:
     def test_order_and_parallelism_invariance(self):
         problem, factory, config = quad_ball_setting(T=60, eval_every=20)
         schemes = ["final", "uniform", "suffix", "nonuniform"]
-        seq = run_trials(problem, factory, config, schemes, 6, 11, engine="sequential")
-        par = run_trials(problem, factory, config, schemes, 6, 11, engine="sequential",
-                         workers=2)
-        bat = run_trials(problem, factory, config, schemes, 6, 11, engine="batched")
-        assert np.array_equal(seq.gaps, par.gaps, equal_nan=True)
-        assert np.array_equal(seq.gaps, bat.gaps, equal_nan=True)
+        seq = per_trial_gaps(problem, factory, config, schemes, 6, 11)
+        bat = run_trials(problem, factory, config, schemes, 6, 11)
+        assert np.array_equal(seq, bat.gaps, equal_nan=True)
 
     def test_batched_gaussian_ball_matches_sequential(self):
         from sgdavg.core import L2Ball
@@ -305,9 +302,9 @@ class TestRunTrials:
         config = RunConfig(T=150, schedule=DEFAULT_SCHEDULE,
                            x1=np.array([1.0, 0.5, -0.5]), eval_every=50)
         schemes = ["final", "uniform", "suffix", "nonuniform"]
-        seq = run_trials(problem, factory, config, schemes, 6, 21, engine="sequential")
-        bat = run_trials(problem, factory, config, schemes, 6, 21, engine="batched")
-        assert np.nanmax(np.abs(seq.gaps - bat.gaps)) <= 1e-12
+        seq = per_trial_gaps(problem, factory, config, schemes, 6, 21)
+        bat = run_trials(problem, factory, config, schemes, 6, 21)
+        assert np.nanmax(np.abs(seq - bat.gaps)) <= 1e-12
 
     def test_batched_svm_matches_sequential(self):
         ds = synthetic_separable_dataset(120, 8, seed=4)
@@ -317,9 +314,9 @@ class TestRunTrials:
         config = RunConfig(T=240, schedule=DEFAULT_SCHEDULE, x1=np.zeros(8),
                            eval_every=120)
         schemes = ["final", "uniform", "suffix", "nonuniform"]
-        seq = run_trials(problem, factory, config, schemes, 4, 3, engine="sequential")
-        bat = run_trials(problem, factory, config, schemes, 4, 3, engine="batched")
-        assert np.nanmax(np.abs(seq.gaps - bat.gaps)) <= 1e-12
+        seq = per_trial_gaps(problem, factory, config, schemes, 4, 3)
+        bat = run_trials(problem, factory, config, schemes, 4, 3)
+        assert np.nanmax(np.abs(seq - bat.gaps)) <= 1e-12
 
     @pytest.mark.parametrize("radius", [None, 0.4])
     def test_scaled_svm_matches_sequential_on_sparse_rows(self, radius):
@@ -333,10 +330,9 @@ class TestRunTrials:
         config = RunConfig(T=1600, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
                            eval_every=200)
         schemes = ["final", "uniform", "suffix", "nonuniform"]
-        seq = run_trials(problem, factory, config, schemes, 3, 8, engine="sequential")
-        bat = run_trials(problem, factory, config, schemes, 3, 8, engine="batched")
-        assert bat.meta["engine"] == "batched"
-        assert np.nanmax(np.abs(seq.gaps - bat.gaps)) <= 1e-12
+        seq = per_trial_gaps(problem, factory, config, schemes, 3, 8)
+        bat = run_trials(problem, factory, config, schemes, 3, 8)
+        assert np.nanmax(np.abs(seq - bat.gaps)) <= 1e-12
         if radius is not None:
             # the projection fires: iterates land on the sphere
             rec = run_sgd(problem, factory(RngStream(8, 0)),
@@ -360,10 +356,8 @@ class TestRunTrials:
         factory = SvmOracleFactory(ds, lam)
         config = RunConfig(T=60, schedule=DEFAULT_SCHEDULE, x1=np.zeros(n), eval_every=30)
         bat = run_trials(problem, factory, config, ["final", "nonuniform"], 2, 4)
-        assert bat.meta["engine"] == "batched"
-        seq = run_trials(problem, factory, config, ["final", "nonuniform"], 2, 4,
-                         engine="sequential")
-        assert np.nanmax(np.abs(seq.gaps - bat.gaps)) <= 1e-12
+        seq = per_trial_gaps(problem, factory, config, ["final", "nonuniform"], 2, 4)
+        assert np.nanmax(np.abs(seq - bat.gaps)) <= 1e-12
 
     @pytest.mark.parametrize("lam, c, mu_scaled, feature_scale, iteration", [
         (None, 1e12, True, 1.0, 29),       # |1 - eta*lam| > 1 grows the iterate
@@ -383,75 +377,32 @@ class TestRunTrials:
         config = RunConfig(T=400, schedule=StepSchedule(c=c, mu_scaled=mu_scaled),
                            x1=np.zeros(6))
         messages = []
-        for engine in ("sequential", "batched"):
+        for run in (per_trial_gaps, run_trials):
             with pytest.raises(TrialFailure) as err, np.errstate(all="ignore"):
-                run_trials(problem, factory, config, ["final", "uniform"], 3, 5,
-                           engine=engine)
+                run(problem, factory, config, ["final", "uniform"], 3, 5)
             messages.append(str(err.value))
         assert messages[0].startswith("trial 0 "), messages[0]
         assert f"iteration {iteration}: non-finite iterate" in messages[0]
         assert messages[1] == messages[0]
 
-    def test_engine_and_fallback_reason_in_meta(self):
-        ds = synthetic_separable_dataset(40, 3, seed=1)
-        lam = 1.0 / ds.m
-        config = RunConfig(T=20, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3))
-        factory = SvmOracleFactory(ds, lam)
-        box = run_trials(svm_problem(ds, lam, feasible=Interval(-1, 1)), factory,
-                         config, ["final"], 2, 0, engine="auto")
-        assert box.meta["engine"] == "sequential"
-        assert "interval" in box.meta["engine_reason"]
-        off = L2Ball(1.0, np.array([0.1, 0.0, 0.0]))
-        assert "ball off the origin" in run_trials(
-            svm_problem(ds, lam, feasible=off), factory, config, ["final"], 2, 0
-        ).meta["engine_reason"]
-        plain = run_trials(svm_problem(ds, lam), factory, config, ["final"], 2, 0)
-        assert plain.meta["engine"] == "batched" and plain.meta["engine_reason"] is None
-        chosen = run_trials(svm_problem(ds, lam), factory, config, ["final"], 2, 0,
-                            engine="sequential")
-        assert chosen.meta["engine"] == "sequential"
-        assert chosen.meta["engine_reason"] is None
-
-    def test_svm_runs_through_process_pool(self):
-        # problem/factory/config must survive pickling into worker processes
-        ds = synthetic_separable_dataset(60, 4, seed=1)
-        lam = 1.0 / ds.m
-        problem = svm_problem(ds, lam)
-        factory = SvmOracleFactory(ds, lam)
-        config = RunConfig(T=60, schedule=DEFAULT_SCHEDULE, x1=np.zeros(4),
-                           eval_every=30)
-        one = run_trials(problem, factory, config, ["nonuniform"], 4, 13,
-                         engine="sequential", workers=1)
-        two = run_trials(problem, factory, config, ["nonuniform"], 4, 13,
-                         engine="sequential", workers=2)
-        assert np.array_equal(one.gaps, two.gaps, equal_nan=True)
-
-    def test_batched_engine_unavailable_is_reported(self):
-        # ball noise above one dimension draws per query: sequential only
-        problem, factory, config = quad_ball_setting(T=20, dim=2)
-        with pytest.raises(InputError, match="unavailable: ball noise"):
-            run_trials(problem, factory, config, ["final"], 2, 0, engine="batched")
-
     def test_auto_engine_falls_back_for_recording(self):
         problem, factory, _ = quad_ball_setting(T=20)
         config = RunConfig(T=20, schedule=DEFAULT_SCHEDULE, x1=np.array([1.0]),
                            record_iterates=True)
-        m = run_trials(problem, factory, config, ["final"], 2, 0, engine="auto")
+        m = run_trials(problem, factory, config, ["final"], 2, 0)
         assert m.trials == 2
 
-    @pytest.mark.parametrize("engine", ["auto", "batched"])
-    def test_recording_config_runs_lockstep(self, engine):
+    def test_recording_config_runs_lockstep(self):
         # a trial matrix holds no trajectory, so the recording flag is dropped
         problem, factory, _ = quad_ball_setting(T=300)
         schemes = ["final", "uniform", "suffix", "nonuniform"]
         config = RunConfig(T=300, schedule=DEFAULT_SCHEDULE, x1=np.array([1.0]),
                            eval_every=50, record_iterates=True)
-        m = run_trials(problem, factory, config, schemes, 5, 4, engine=engine)
-        seq = run_trials(problem, factory, config, schemes, 5, 4, engine="sequential")
-        assert m.meta["engine"] == "batched" and m.meta["engine_reason"] is None
-        assert np.array_equal(m.gaps, seq.gaps, equal_nan=True)
+        m = run_trials(problem, factory, config, schemes, 5, 4)
+        seq = per_trial_gaps(problem, factory, config, schemes, 5, 4)
+        assert np.array_equal(m.gaps, seq, equal_nan=True)
 
-    def test_aborted_trial_names_index_and_seed(self):
+    def test_custom_factory_is_refused(self):
         from sgdavg.experiments import TrialFailure
         from sgdavg.oracles import GradientSample
 
@@ -467,17 +418,18 @@ class TestRunTrials:
 
         problem = quadratic_problem(1)
         config = RunConfig(T=5, schedule=DEFAULT_SCHEDULE, x1=np.array([1.0]))
-        with pytest.raises(TrialFailure) as err:
-            run_trials(problem, BadFactory(), config, ["final"], 4, 99,
-                       engine="sequential")
-        msg = str(err.value)
-        assert "trial 2" in msg and "99" in msg
+        with pytest.raises(InputError, match="unsupported oracle factory BadFactory"):
+            run_trials(problem, BadFactory(), config, ["final"], 4, 99)
+        # run_sgd runs it, and the per-trial loop names the failing trial and seed
+        with pytest.raises(TrialFailure, match=r"trial 2 \(base seed 99,"):
+            per_trial_gaps(problem, BadFactory(), config, ["final"], 4, 99)
 
 
 def hinge_ties(ds, lam, feasible, T, seed, trial):
     """Steps t of a sequential SVM run whose sampled margin y_i <x_i, w_t>
     lies within 1e-9 of 1, where rounding decides whether the hinge term
-    enters the step: there the engines, which round differently, may part."""
+    enters the step: there run_sgd and the lockstep engine, which round
+    differently, may part."""
     problem = svm_problem(ds, lam, feasible=feasible)
     config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
                        record_iterates=True)
@@ -494,38 +446,41 @@ class TestScaledSvmTables:
     and the log of deferred updates to the averaged sums."""
 
     @settings(max_examples=40, deadline=None)
-    @given(radius=st.sampled_from([None, 0.4]), T=st.integers(1, 200),
+    @given(kind=st.sampled_from(["none", "ball", "box", "shifted ball"]),
+           T=st.integers(1, 200),
            eval_every=st.integers(1, 200), trials=st.integers(1, 4),
            sizes=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
            seed=st.integers(0, 2**32 - 1))
-    def test_tables_of_1_to_3_steps_agree(self, radius, T, eval_every, trials, sizes, seed):
+    def test_tables_of_1_to_3_steps_agree(self, kind, T, eval_every, trials, sizes, seed):
         # rows with 0 to 9 features; under the default schedule the scale
-        # folds at t = 1 and again near t = 14 and t = 140, and the suffix
-        # window opens at T/2. Any table sizes give the default sizes' gaps
-        # bitwise, and the sequential engine's up to rounding, at every
-        # checkpoint up to the first step whose margin ties 1.
+        # folds at t = 1 and again near t = 14 and t = 140 (on the box and
+        # the shifted ball at every step), and the suffix window opens at
+        # T/2. Any table sizes give the default sizes' gaps bitwise, and
+        # run_sgd's up to rounding, at every checkpoint up to the first step
+        # whose margin ties 1.
         ds = parse_libsvm(SPARSE_TEXT)
         lam = 1.0 / ds.m
-        feasible = Unconstrained() if radius is None else L2Ball(radius, np.zeros(ds.n))
+        feasible = {"none": Unconstrained(), "ball": L2Ball(0.4, np.zeros(ds.n)),
+                    "box": Interval(-0.05, 0.05),
+                    "shifted ball": L2Ball(0.4, np.full(ds.n, 0.05))}[kind]
         problem = svm_problem(ds, lam, feasible=feasible)
         factory = SvmOracleFactory(ds, lam)
         config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
                            eval_every=min(eval_every, T))
         schemes = ["final", "uniform", "suffix", "nonuniform"]
-        default = run_trials(problem, factory, config, schemes, trials, seed, engine="batched")
+        default = run_trials(problem, factory, config, schemes, trials, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(batched, "_svm_blocks", lambda *_: sizes)
-            small = run_trials(problem, factory, config, schemes, trials, seed,
-                               engine="batched")
+            small = run_trials(problem, factory, config, schemes, trials, seed)
         assert np.array_equal(small.gaps, default.gaps, equal_nan=True)
-        seq = run_trials(problem, factory, config, schemes, trials, seed, engine="sequential")
-        assert np.array_equal(np.isnan(small.gaps), np.isnan(seq.gaps))
+        seq = per_trial_gaps(problem, factory, config, schemes, trials, seed)
+        assert np.array_equal(np.isnan(small.gaps), np.isnan(seq))
         cps = np.array(small.checkpoints)
         for i in range(trials):
             ties = hinge_ties(ds, lam, feasible, T, seed, i)
             # the checkpoint at t reports the iterates before step t
             agree = cps <= (ties[0] if ties.size else T)
-            assert not (np.abs(small.gaps[i, agree] - seq.gaps[i, agree]) > 1e-12).any()
+            assert not (np.abs(small.gaps[i, agree] - seq[i, agree]) > 1e-12).any()
 
 
 class TestTelescopingProduct:

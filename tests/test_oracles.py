@@ -62,6 +62,14 @@ class TestRngStream:
             np.concatenate([g1.standard_normal(5) for _ in range(50)]),
             g2.standard_normal((50, 5)).ravel(),
         )
+        # 3-D ball noise: a batch holds consecutive single draws, and a batch
+        # split in parts holds the whole batch's draws
+        noise = BoundedUniformBall(1.5)
+        gens = [RngStream(7, 6).generator() for _ in range(3)]
+        whole = noise.sample_batch(50, 3, gens[0])
+        assert np.array_equal(np.stack([noise.sample(3, gens[1]) for _ in range(50)]), whole)
+        parts = [noise.sample_batch(k, 3, gens[2]) for k in (1, 17, 32)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 class TestNoiseModels:
@@ -77,6 +85,18 @@ class TestNoiseModels:
         # mean within 4 standard errors of zero, per coordinate
         se = draws.std(axis=0) / math.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0)) <= 4 * se)
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_ball_radius_law(self, n):
+        # under the uniform law on the ball, (r/bound)^n is Uniform(0, 1);
+        # the Kolmogorov distance of N draws lies within the DKW band
+        # sqrt(log(2/a)/(2N)) with probability at least 1 - a
+        draws, a = 20000, 1e-3
+        z = BoundedUniformBall(2.0).sample_batch(draws, n, RngStream(4, n).generator())
+        u = np.sort((np.linalg.norm(z, axis=1) / 2.0) ** n)
+        ranks = np.arange(1, draws + 1)
+        distance = max(np.max(ranks / draws - u), np.max(u - (ranks - 1) / draws))
+        assert distance <= math.sqrt(math.log(2 / a) / (2 * draws))
 
     def test_ball_one_dim_is_uniform_interval(self):
         rng = RngStream(2).generator()
@@ -410,13 +430,12 @@ class TestMgfCheck:
 
     @pytest.mark.parametrize("pool", [2, 3])
     def test_whole_batch_noise_holds_one_batch(self, monkeypatch, pool):
-        # 3-D ball noise is drawn a whole 32768 x 3 batch at a time: with the
-        # default _MGF_SUB_ELEMENTS only one batch may be in flight, so a
-        # larger pool must not raise the peak above the one-thread run's
+        # 3-D ball noise is drawn in sub-batches that, with the default
+        # _MGF_SUB_ELEMENTS, share one budget across the threads, so a
+        # larger pool adds at most one batch's buffer of e to the peak
         import tracemalloc
 
         noise = BoundedUniformBall(2.0)
-        assert not noise.batch_by_rows(3)
 
         def peak(threads):
             monkeypatch.setattr(oracles, "_mgf_pool_size", lambda batches: min(batches, threads))

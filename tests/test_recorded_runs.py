@@ -46,6 +46,7 @@ from sgdavg.oracles import (
     svm_problem,
 )
 from sgdavg.sgd import RunConfig, Trajectory, run_sgd
+from trial_reference import per_trial_gaps
 
 
 def assert_same_record(got, want):
@@ -118,28 +119,29 @@ class TestLowerBoundFactory:
         config = lb_run_config(T, record=False)
         auto = run_trials(lb_problem(), LowerBoundOracleFactory(T), config,
                           list(SCHEME_NAMES), 6, 9)
-        seq = run_trials(lb_problem(), LowerBoundOracleFactory(T), config,
-                         list(SCHEME_NAMES), 6, 9, engine="sequential")
-        assert auto.meta["engine"] == "batched"
-        assert np.array_equal(auto.gaps, seq.gaps, equal_nan=True)
+        seq = per_trial_gaps(lb_problem(), LowerBoundOracleFactory(T), config,
+                             list(SCHEME_NAMES), 6, 9)
+        assert np.array_equal(auto.gaps, seq, equal_nan=True)
 
-    @pytest.mark.parametrize("dim, T, factory_T, reason, sequential_error", [
+    @pytest.mark.parametrize("dim, T, factory_T, reason, per_trial_error", [
         (2, 8, 8, "one-dimensional", TrialFailure),
         (1, 10, 10, "not divisible by 4", InputError),
         (1, 12, 8, "differs", TrialFailure),
     ])
     def test_unsupported_settings_fall_back(self, dim, T, factory_T, reason,
-                                            sequential_error):
+                                            per_trial_error):
+        # settings that run_trials once handed to a per-trial loop: the
+        # lockstep engine refuses them, and run_trials with it
         problem = quadratic_problem(dim, feasible=Interval(-6, 6))
         config = RunConfig(T=T, schedule=LOWER_BOUND_SCHEDULE, x1=np.zeros(dim))
         factory = LowerBoundOracleFactory(factory_T)
-        assert reason in batched.unsupported_reason(problem, factory, config)
         with pytest.raises(InputError, match=reason):
             batched.run_all(problem, factory, config, ["final"], 2, 0, 0.5)
-        # the sequential engine the auto choice falls back to reports the
-        # oracle's own error
-        with pytest.raises(sequential_error):
+        with pytest.raises(InputError, match=reason):
             run_trials(problem, factory, config, ["final"], 2, 0)
+        # run_sgd still runs any oracle, and reports the oracle's own error
+        with pytest.raises(per_trial_error):
+            per_trial_gaps(problem, factory, config, ["final"], 2, 0)
 
     def test_simulation_matches_per_trial_runs(self):
         # the per-trial loop lb_simulate_and_match ran before it went lockstep
@@ -196,13 +198,12 @@ class TestPredrawBudget:
         factory = QuadraticOracleFactory(GaussianNoise(1.0))
         config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.ones(dim))
         self._expect_refusal(monkeypatch, lambda: run_trials(
-            problem, factory, config, ["final"], trials, 0, engine="batched"),
-            trials * dim * 8)
+            problem, factory, config, ["final"], trials, 0), trials * dim * 8)
         ds = synthetic_separable_dataset(20, 3, 1)
         config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3))
         self._expect_refusal(monkeypatch, lambda: run_trials(
-            svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config, ["final"], 8000, 0,
-            engine="batched"), 8000 * 8)
+            svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config, ["final"], 8000, 0),
+            8000 * 8)
 
     def test_streamed_run_stays_within_budget(self, monkeypatch):
         # the whole-run tables of these runs would take 320 kB, 10 times the
@@ -238,12 +239,8 @@ class TestBudgetInMeta:
 
     def _check(self, tmp_path, problem, factory, config, trials, predraw):
         bat = run_trials(problem, factory, config, ["final", "uniform"], trials, 5)
-        seq = run_trials(problem, factory, config, ["final", "uniform"], trials, 5,
-                         engine="sequential")
-        assert bat.meta["engine"] == "batched"
         assert bat.meta["predraw_bytes"] == predraw
-        assert seq.meta["predraw_bytes"] == 0
-        assert bat.meta["budget_bytes"] == seq.meta["budget_bytes"] == 1_600_000_000
+        assert bat.meta["budget_bytes"] == 1_600_000_000
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
             again = run_trials(problem, factory, config, ["final", "uniform"], trials, 5)
@@ -293,9 +290,8 @@ def quadratic_settings(draw):
     kind = draw(st.sampled_from(["none", "interval", "ball"]))
     feasible = {"none": None, "interval": Interval(-2.0, 2.0),
                 "ball": L2Ball(2.5, np.zeros(dim))}[kind]  # holds x1 in [-1, 1]^4
-    noises = [NoNoise(), GaussianNoise(draw(st.floats(0.1, 3.0)))]
-    if dim == 1:
-        noises.append(BoundedUniformBall(draw(st.floats(0.1, 3.0))))
+    noises = [NoNoise(), GaussianNoise(draw(st.floats(0.1, 3.0))),
+              BoundedUniformBall(draw(st.floats(0.1, 3.0)))]
     noise = draw(st.sampled_from(noises))
     mu = draw(st.sampled_from([1.0, 0.5]))
     T = draw(st.integers(1, 40))
@@ -313,7 +309,7 @@ def quadratic_settings(draw):
 
 class TestStreamedDraws:
     """Draws made block by block, with blocks of 1-3 steps, give the results
-    of the sequential engine and of one-shot draws."""
+    of run_sgd trial by trial and of one-shot draws."""
 
     @settings(max_examples=60, deadline=None)
     @given(quadratic_settings())
@@ -327,9 +323,9 @@ class TestStreamedDraws:
         config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.full(dim, x1),
                            eval_every=eval_every)
         schemes = list(SCHEME_NAMES)
-        bat = run_trials(problem, factory, config, schemes, trials, seed, engine="batched")
-        seq = run_trials(problem, factory, config, schemes, trials, seed, engine="sequential")
-        assert np.array_equal(bat.gaps, seq.gaps, equal_nan=True)
+        bat = run_trials(problem, factory, config, schemes, trials, seed)
+        seq = per_trial_gaps(problem, factory, config, schemes, trials, seed)
+        assert np.array_equal(bat.gaps, seq, equal_nan=True)
         # recorded: the noise goes block by block into the recorded zhat
         rec_config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=config.x1,
                                eval_every=config.eval_every, record_iterates=True)
@@ -372,14 +368,14 @@ class TestStreamedDraws:
             mp.setattr(batched, "_BLOCK_BYTES", block * trials * 8)
             mp.setattr(batched, "_draw_indices", recording)
             got = run_trials(svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config,
-                             list(SCHEME_NAMES), trials, seed, engine="batched")
+                             list(SCHEME_NAMES), trials, seed)
         assert [len(b) for b in blocks] == [min(block, T - t0) for t0 in range(0, T, block)]
         drawn = np.concatenate(blocks)
         for i in range(trials):
             want = RngStream(seed, i).generator().integers(ds.m, size=T)
             assert np.array_equal(drawn[:, i], want)
         whole = run_trials(svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config,
-                           list(SCHEME_NAMES), trials, seed, engine="batched")
+                           list(SCHEME_NAMES), trials, seed)
         assert np.array_equal(got.gaps, whole.gaps, equal_nan=True)
 
 
