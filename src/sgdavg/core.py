@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "InputError",
     "UsageError",
+    "BudgetExceeded",
     "SparseVec",
     "norm",
     "FeasibleSet",
@@ -37,6 +38,26 @@ class InputError(ValueError):
 
 class UsageError(RuntimeError):
     """An object's call protocol was violated (wrong order, missing state)."""
+
+
+# The bytes that a command's large buffers may take together: the lockstep
+# engine's draw tables and recordings, or a dataset's dense copy.
+_BUDGET_BYTES = 1_600_000_000
+
+
+class BudgetExceeded(InputError, MemoryError):
+    """Buffers would exceed the byte budget; raised before allocating. An
+    InputError, so the command line reports it as a usage error (exit 2)."""
+
+
+def _reserve(nbytes: int, what: str, budget: int = _BUDGET_BYTES) -> int:
+    """Refuse, before allocating, buffers over the byte budget; returns ``nbytes``."""
+    if nbytes > budget:
+        raise BudgetExceeded(
+            f"{what} need {nbytes} bytes, above the batched engine's budget of "
+            f"{budget} bytes"
+        )
+    return nbytes
 
 
 class SparseVec:

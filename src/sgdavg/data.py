@@ -1,5 +1,17 @@
 """Ingestion and feature scaling for two-class datasets in the plain-text
 ``<label> <index>:<value> ...`` sparse format (1-based indices on disk).
+
+Memory: the data layer works through the stored entries in chunks of
+``_CHUNK_TOKENS``, so besides the CSR arrays it holds one chunk's
+temporaries. The parser converts each chunk's tokens, keeps the converted
+indices and values (16 bytes per entry) and joins them at the end, one
+array at a time, so it peaks at about 1.5 times the CSR bytes, plus its
+per-row lists and one chunk. ``Dataset`` validates row-aligned chunks.
+``scale_features`` in sparse01 mode copies the values and maps them in two
+chunked passes, the column ranges and then the map in place, so it holds
+the input, the scaled values and one chunk. ``standardize`` densifies the
+m-by-n matrix and is refused with ``BudgetExceeded`` before allocating when
+the dense matrix and its standardized copy exceed the byte budget.
 """
 
 from __future__ import annotations
@@ -11,7 +23,7 @@ from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
-from .core import InputError, SparseVec
+from .core import InputError, SparseVec, _reserve
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -61,11 +73,18 @@ class Dataset:
             raise InputError(f"indptr must rise from 0 in {labels.size + 1} entries")
         if indices.ndim != 1 or indices.shape != data.shape or indices.size != indptr[-1]:
             raise InputError(f"indices and data must be 1-D with indptr[-1] = {indptr[-1]} entries")
-        # -1 before each row's first entry also checks the lower bound
-        if np.any(indices <= _previous_in_row(indices, indptr, -1)):
-            raise InputError("column indices must be nonnegative and strictly increasing per row")
-        if indices.size and indices.max() >= n:
-            raise InputError(f"column index {indices.max()} out of range for dimension {n}")
+        top = -1
+        for r0, r1 in _row_chunks(indptr):
+            a, b = indptr[r0], indptr[r1]
+            chunk = indices[a:b]
+            # -1 before each row's first entry also checks the lower bound
+            if np.any(chunk <= _previous_in_row(chunk, indptr[r0:r1 + 1] - a, -1)):
+                raise InputError(
+                    "column indices must be nonnegative and strictly increasing per row")
+            if chunk.size:
+                top = max(top, int(chunk.max()))
+        if top >= n:
+            raise InputError(f"column index {top} out of range for dimension {n}")
         self.indptr, self.indices, self.data, self.labels = indptr, indices, data, labels
         self.n = n
         self._matrix: Optional[sp.csr_matrix] = None
@@ -120,6 +139,17 @@ def _frozen(a, dtype) -> np.ndarray:
     return view
 
 
+def _row_chunks(indptr: np.ndarray):
+    """Row ranges [r0, r1) that cover every row in order, each holding at most
+    _CHUNK_TOKENS entries, or one row that alone holds more."""
+    m, chunk = indptr.size - 1, _CHUNK_TOKENS
+    r0 = 0
+    while r0 < m:
+        r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + chunk, side="right")) - 1)
+        yield r0, r1
+        r0 = r1
+
+
 def _previous_in_row(indices: np.ndarray, indptr: np.ndarray, fill: int) -> np.ndarray:
     """indices shifted by one within each row segment, ``fill`` at each row's
     first entry: the value every index must exceed."""
@@ -156,7 +186,9 @@ def _map_labels(tokens: dict[float, str]) -> dict[float, int]:
 
 
 # Feature tokens per conversion call: bounds the parser's temporary token
-# list, whatever the file size. A chunk ends at the end of a line.
+# list, whatever the file size (a chunk ends at the end of a line). Dataset
+# validation and sparse01 scaling work through the stored entries in chunks
+# of the same size, so their temporaries stay O(chunk) too.
 _CHUNK_TOKENS = 65536
 _TOKEN_DTYPE = np.dtype([("i", np.int64), ("v", np.float64)])
 
@@ -208,7 +240,8 @@ def _convert_rows(
                 line,
             )
         raise ParseError(f"malformed feature token {tokens[k]!r}", line)
-    return idx - 1, pairs["v"]
+    # copied out, so that the records of the chunk can be freed now
+    return idx - 1, pairs["v"].copy()
 
 
 def parse_libsvm(
@@ -268,15 +301,19 @@ def parse_libsvm(
 
     if not labels:
         raise ParseError("no data lines found")
+    # each list of chunks is dropped once joined: at most one of them is
+    # held beside the joined arrays
     idx = np.concatenate(indices)
+    indices.clear()
+    val = np.concatenate(values)
+    values.clear()
     inferred = int(idx.max()) + 1 if idx.size else 0
     if n is None:
         n = inferred
     elif n < inferred:
         raise InputError(f"requested dimension {n} is below observed maximum {inferred}")
     mapping = _map_labels(tokens)
-    return Dataset(np.cumsum([0] + lens), idx, np.concatenate(values),
-                   [mapping[label] for label in labels], n)
+    return Dataset(np.cumsum([0] + lens), idx, val, [mapping[label] for label in labels], n)
 
 
 def load_libsvm(path: Union[str, Path], n: Optional[int] = None) -> Dataset:
@@ -328,19 +365,35 @@ def scale_features(
         mode = "sparse01" if dataset.density < 0.5 else "standardize"
 
     if mode == "sparse01":
+        # two passes over the stored entries, one chunk at a time: the column
+        # ranges, then the map applied in place to a copy of the values.
+        # Explicit stored zeros stay 0 and set no range.
         cols, data = dataset.indices, dataset.data.copy()
-        nz = data != 0.0  # explicit stored zeros stay 0 and set no range
-        nz_cols, nz_vals = cols[nz], data[nz]
+
+        def nonzeros():
+            """Per chunk: its values (a view of ``data``), the mask of its
+            nonzeros, and their columns and values."""
+            for a in range(0, data.size, _CHUNK_TOKENS):
+                vals = data[a:a + _CHUNK_TOKENS]
+                nz = vals != 0.0
+                yield vals, nz, cols[a:a + _CHUNK_TOKENS][nz], vals[nz]
+
         lo, hi = np.full(dataset.n, np.inf), np.full(dataset.n, -np.inf)
-        np.minimum.at(lo, nz_cols, nz_vals)
-        np.maximum.at(hi, nz_cols, nz_vals)
-        lo, hi = lo[nz_cols], hi[nz_cols]
-        span = hi > lo
-        scaled = np.ones_like(nz_vals)
-        scaled[span] = (nz_vals[span] - lo[span]) / (hi[span] - lo[span])
-        data[nz] = scaled
+        for _, _, nz_cols, nz_vals in nonzeros():
+            np.minimum.at(lo, nz_cols, nz_vals)
+            np.maximum.at(hi, nz_cols, nz_vals)
+        span, width = hi > lo, hi - lo
+        for vals, nz, nz_cols, nz_vals in nonzeros():
+            ranged = span[nz_cols]
+            at = nz_cols[ranged]
+            scaled = np.ones_like(nz_vals)
+            scaled[ranged] = (nz_vals[ranged] - lo[at]) / width[at]
+            vals[nz] = scaled
         return Dataset(dataset.indptr, cols, data, dataset.labels, dataset.n), []
 
+    # the dense features and the standardized copy are held together
+    _reserve(2 * dataset.m * dataset.n * 8,
+             f"a dense {dataset.m} x {dataset.n} copy of the features and its standardized copy")
     dense = dataset.matrix().toarray()
     mean = dense.mean(axis=0)
     std = np.sqrt(dense.var(axis=0))

@@ -44,9 +44,10 @@ v, their trials, values and labels), so a step only slices them. The updates
 U[k][cols] += A[k]*delta are logged with the step's A and applied by
 np.add.at before each checkpoint and fold and whenever the log is full;
 np.add.at adds an entry's terms one by one in log order, so U holds exactly
-the sums that per-step updates give. The index block, the gathered sub-block
-and the log are sized as if every sampled row were the longest, and they
-count against the budget together.
+the sums that per-step updates give. The index block is sized from
+_BLOCK_BYTES, and the gathered sub-block and the log share a quarter of it
+(2 MB), all as if every sampled row were the longest; the three count
+against the budget together.
 """
 
 from __future__ import annotations
@@ -64,8 +65,10 @@ from ..core import (
     Problem,
     Unconstrained,
     _BALL_SLACK,
+    _BUDGET_BYTES,
     step_size,
 )
+from .. import core
 from ..oracles import (
     LowerBoundOracleFactory,
     NoNoise,
@@ -76,10 +79,6 @@ from ..oracles import (
 from ..sgd import RunAborted, RunConfig, RunRecord, Trajectory, checkpoint_iterations
 
 __all__ = ["LockstepRun", "run_all"]
-
-# The draw buffer of one block and the recorded trajectories together stay
-# within this many bytes.
-_BUDGET_BYTES = 1_600_000_000
 
 # Bytes of one block's draw buffer. At 1000 one-dimensional trials a block is
 # 1000 steps, so each trial's generator is called once per 1000 steps.
@@ -110,10 +109,11 @@ def _svm_blocks(index: int, rows: int, log: int, T: int) -> tuple[int, int, int]
     """Steps per block of the SVM engine's three tables, given the bytes per
     step of each: the sample indices, the gathered rows (a sub-block of the
     index block) and the log of deferred updates. The gathered rows and the
-    log share one _BLOCK_BYTES, and the three tables fit the budget together."""
+    log share a quarter of _BLOCK_BYTES (2 MB sub-blocks ran faster than 8 MB
+    and than 1 MB ones), and the three tables fit the budget together."""
     held = index + rows + log
     block = _block_steps(index, T, held)
-    sub = _block_steps(rows + log, block, held)
+    sub = _block_steps(4 * (rows + log), block, held)
     return block, sub, sub
 
 
@@ -125,19 +125,11 @@ def _generators(trials: int, base_seed: int, block: int, T: int):
     return gens if block >= T else list(gens)
 
 
-class BudgetExceeded(InputError, MemoryError):
-    """A run's buffers would exceed the byte budget; raised before allocating.
-    An InputError, so the command line reports it as a usage error (exit 2)."""
-
-
 def _reserve(nbytes: int, what: str) -> int:
-    """Refuse, before allocating, buffers over the byte budget; returns ``nbytes``."""
-    if nbytes > _BUDGET_BYTES:
-        raise BudgetExceeded(
-            f"{what} need {nbytes} bytes, above the batched engine's budget of "
-            f"{_BUDGET_BYTES} bytes"
-        )
-    return nbytes
+    """Refuse, before allocating, buffers over the byte budget; returns
+    ``nbytes``. The draw buffer of one block and the recorded trajectories
+    count against it together."""
+    return core._reserve(nbytes, what, _BUDGET_BYTES)
 
 
 @dataclass(eq=False)

@@ -33,9 +33,9 @@ class TrialMatrix:
     """Objective gaps indexed [trial][checkpoint][scheme].
 
     Entries are f(report) - fstar, or the raw objective when the optimum is
-    unknown. NaN marks a checkpoint where a scheme's report was not yet
-    defined (a suffix window that has not opened); all defined entries are
-    finite.
+    unknown; ``meta["fstar"]`` records which (None for raw objectives). NaN
+    marks a checkpoint where a scheme's report was not yet defined (a suffix
+    window that has not opened); all defined entries are finite.
     """
 
     gaps: np.ndarray
@@ -108,13 +108,13 @@ def run_trials(
     run = batched.run_all(problem, oracle_factory, config, scheme_names, trials,
                           base_seed, suffix_alpha)
     cps = checkpoint_iterations(config)
-    fstar = problem.fstar if problem.optimum is not None else 0.0
+    fstar = problem.fstar
     # allocated only now, after the engine has freed its draw buffers
     gaps = np.full((trials, len(cps), len(scheme_names)), np.nan)
     for ci, (_, vals) in enumerate(run.checkpoints):
         for si, nm in enumerate(scheme_names):
             if nm in vals:
-                gaps[:, ci, si] = vals[nm] - fstar
+                gaps[:, ci, si] = vals[nm] - (fstar or 0.0)
 
     meta = {
         "problem": problem.name,
@@ -125,6 +125,8 @@ def run_trials(
         "schedule": [config.schedule.c, config.schedule.shift, config.schedule.mu_scaled],
         "schemes": scheme_names,
         "suffix_alpha": suffix_alpha,
+        # the optimum subtracted from every entry; None: the entries are raw objectives
+        "fstar": fstar,
         "predraw_bytes": run.predraw_bytes,
         "budget_bytes": batched._BUDGET_BYTES,
     }

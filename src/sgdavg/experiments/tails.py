@@ -60,7 +60,12 @@ class TailReport:
 
 def tail_fit(matrix: TrialMatrix, scheme: str, deltas) -> TailReport:
     """Quantiles of the final-checkpoint gaps at each delta, fitted through
-    the origin against log(1/delta)/T."""
+    the origin against log(1/delta)/T. Refused for raw objectives (``fstar``
+    recorded as None), which do not go to 0."""
+    if "fstar" in matrix.meta and matrix.meta["fstar"] is None:
+        raise InputError(
+            "no tail fit without a known optimum: the entries are raw objective "
+            "values, not gaps")
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise InputError("at least one delta is required")

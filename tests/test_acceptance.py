@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from sgdavg.averaging import NonUniformAverage
 from sgdavg.cli import main
@@ -190,6 +191,26 @@ def test_criterion_6_subgaussian_mgf():
     print("\nACCEPTANCE PASS criterion 6: "
           + "; ".join(f"n={n}: estimate {e:.4f} vs exact {x:.4f}"
                       for n, (e, x) in measured.items()))
+
+
+def test_criterion_6_n1_with_an_error_bar():
+    """Criterion 6's n = 1 check at kappa = 3, where e = exp(z^2/9) has
+    finite variance (E[e^2] = E[exp(2 z^2/9)] = 3/sqrt(5) is finite for
+    kappa^2 = 9 > 4), so the reported standard error states the sampling
+    error: the estimate lies within 5 standard errors of the closed form
+    sqrt(9/7). E[e^4] = 3 is finite too, so the estimate is asymptotically
+    normal and a correct sampler fails this gate with probability about
+    5.7e-7 (two-sided normal tail at 5 sigma). The standard error itself
+    lies within 10% of the exact sqrt(Var(e)/N), 1.6e-4."""
+    samples = 10**6
+    est, stderr = empirical_mgf_check(GaussianNoise(1.0), 3.0, 1, samples, RngStream(988, 1))
+    exact = gaussian_mgf_exact(1.0, 3.0, 1)
+    assert exact == pytest.approx(math.sqrt(9 / 7), rel=1e-15)
+    sd = math.sqrt((gaussian_mgf_exact(1.0, 3.0 / math.sqrt(2.0), 1) - exact**2) / samples)
+    assert stderr == pytest.approx(sd, rel=0.1)
+    assert abs(est - exact) <= 5 * stderr, (est, exact, stderr)
+    print(f"\nACCEPTANCE PASS criterion 6 (n=1, kappa=3): estimate {est:.6f} vs exact "
+          f"{exact:.6f}, |error| {abs(est - exact):.2e} <= 5 stderr = {5 * stderr:.2e}")
 
 
 def test_criterion_7_determinism_and_provenance(tmp_path):

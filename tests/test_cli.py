@@ -155,6 +155,31 @@ class TestTrials:
         assert code == 2
         assert f"suffix fraction must lie in (0, 1], got {float(alpha)}" in err
 
+    def test_tail_fit_of_raw_svm_objectives_exits_two(self, capsys, tmp_path):
+        # no SVM optimum is known, so the entries are objective values that do
+        # not go to 0: fitting them against log(1/delta)/T is refused
+        path = tmp_path / "d.txt"
+        path.write_text(TestSvmCommandsUseTheCsrArrays.TEXT)
+        code, _, err = run_cli(["trials", "--problem", "svm", "--dataset", str(path),
+                                "--T", "100", "--trials", "20", "--seed", "1",
+                                "--deltas", "0.1"], capsys)
+        assert code == 2
+        assert err == ("error: no tail fit without a known optimum: the entries are "
+                       "raw objective values, not gaps\n")
+
+    def test_standardize_over_budget_exits_two(self, capsys, tmp_path):
+        # two stored entries whose dense form is 2 x 2e8 float64
+        path = tmp_path / "wide.txt"
+        path.write_text("1 200000000:1\n-1 1:1\n")
+        code, out, err = run_cli(["run", "--problem", "svm", "--dataset", str(path),
+                                  "--scaling", "standardize", "--T", "3", "--seed", "1"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: a dense 2 x 200000000 copy of the features and its "
+                       "standardized copy need 6400000000 bytes, above the batched "
+                       "engine's budget of 1600000000 bytes\n")
+
     def test_unwritable_csv_path_exits_one(self, capsys):
         code, _, err = run_cli(
             self.ARGS + ["--csv", "/nonexistent-dir/out.csv"], capsys

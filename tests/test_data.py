@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdavg import data as data_module
-from sgdavg.core import InputError, SparseVec
+from sgdavg.core import BudgetExceeded, InputError, SparseVec
 from sgdavg.data import (
     Dataset,
     ParseError,
     _map_labels,
+    load_libsvm,
     parse_libsvm,
     scale_features,
     serialize_libsvm,
@@ -95,6 +97,37 @@ def reference_parse_libsvm(source, n=None):
         [mapping[label] for label, _, _ in rows],
         n,
     )
+
+
+def reference_sparse01(ds):
+    """sparse01 values by a loop over the columns, each mapped on its own."""
+    out = ds.data.copy()
+    for j in range(ds.n):
+        col = (ds.indices == j) & (out != 0.0)
+        lo, hi = out[col].min(initial=np.inf), out[col].max(initial=-np.inf)
+        out[col] = (out[col] - lo) / (hi - lo) if hi > lo else 1.0
+    return out
+
+
+@st.composite
+def _csr_arrays(draw):
+    """Dataset arguments: up to 8 rows over columns 0-5, some rows empty,
+    values that include stored zeros (+0 and -0) and repeat often (so
+    columns with one distinct nonzero occur), a dimension drawn on its own
+    (an override above the columns used, or one below them), and at times
+    one entry broken (negative, repeated or decreasing)."""
+    m = draw(st.integers(1, 8))
+    rows = [sorted(draw(st.sets(st.integers(0, 5), max_size=4))) for _ in range(m)]
+    indices = np.array([c for r in rows for c in r], dtype=np.int64)
+    values = st.one_of(st.sampled_from([0.0, -0.0, 2.5]),
+                       st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+    data = np.array(draw(st.lists(values, min_size=indices.size, max_size=indices.size)),
+                    dtype=np.float64)
+    if indices.size and draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, indices.size - 1))
+        indices[at] = draw(st.sampled_from([-1, indices[at - 1] if at else 0, 0]))
+    labels = draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m))
+    return np.cumsum([0] + [len(r) for r in rows]), indices, data, labels, draw(st.integers(1, 9))
 
 
 _VALUES = st.one_of(
@@ -184,15 +217,51 @@ class TestParserParity:
         assert_same_csr(got, want)
         # sparse01 against a per-column loop of the same formula
         scaled, _ = scale_features(got, "sparse01")
-        expect = want.data.copy()
-        for j in range(want.n):
-            col = want.indices == j
-            lo, hi = expect[col].min(initial=np.inf), expect[col].max(initial=-np.inf)
-            if hi > lo:
-                expect[col] = (expect[col] - lo) / (hi - lo)
-            else:
-                expect[col] = 1.0
+        expect = reference_sparse01(want)
         assert np.array_equal(scaled.data.view(np.int64), expect.view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_csr_arrays(), st.sampled_from([1, 2, 3]))
+    def test_chunked_validation_and_scaling_match_one_chunk(self, arrays, chunk):
+        # _CHUNK_TOKENS also sizes the chunks of Dataset validation and of
+        # sparse01 scaling; with the default, each of these sets is one chunk
+        def build():
+            try:
+                ds = Dataset(*arrays)
+            except InputError as exc:
+                return exc
+            return ds, scale_features(ds, "sparse01")[0]
+
+        want = build()
+        with mock.patch.object(data_module, "_CHUNK_TOKENS", chunk):
+            got = build()
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        assert not isinstance(got, Exception), got
+        for a, b in zip(got, want):
+            assert_same_csr(a, b)
+        ds, scaled = want
+        assert np.array_equal(scaled.data.view(np.int64),
+                              reference_sparse01(ds).view(np.int64))
+
+    @pytest.mark.parametrize("arrays, message", [
+        (([0, 2, 3], [1, 1, 0], [1.0, 2.0, 3.0], [1, -1], 4),
+         "column indices must be nonnegative and strictly increasing per row"),
+        (([0, 1, 3], [0, -1, 2], [1.0, 2.0, 3.0], [1, -1], 4),
+         "column indices must be nonnegative and strictly increasing per row"),
+        # both faults: the order of the entries does not decide which is named
+        (([0, 1, 3], [7, 2, 1], [1.0, 2.0, 3.0], [1, -1], 4),
+         "column indices must be nonnegative and strictly increasing per row"),
+        (([0, 1, 1, 3], [5, 0, 9], [1.0, 2.0, 3.0], [1, -1, 1], 4),
+         "column index 9 out of range for dimension 4"),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 2, 65536])
+    def test_validation_errors_at_any_chunk_size(self, arrays, message, chunk):
+        with mock.patch.object(data_module, "_CHUNK_TOKENS", chunk):
+            with pytest.raises(InputError) as err:
+                Dataset(*arrays)
+        assert str(err.value) == message
 
     def test_conversions_stay_within_a_chunk(self):
         sizes = []
@@ -439,6 +508,55 @@ class TestScaling:
         ds = parse_libsvm("1 1:1\n")
         with pytest.raises(InputError):
             scale_features(ds, "logscale")
+
+    def test_standardize_refused_before_densifying(self):
+        # two stored entries, but a dense form of 2 x 2e8 float64 (3.2 GB),
+        # held with its standardized copy
+        ds = parse_libsvm("1 200000000:1\n-1 1:1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as err:
+                scale_features(ds, "standardize")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(err.value, InputError) and isinstance(err.value, MemoryError)
+        assert str(err.value) == (
+            "a dense 2 x 200000000 copy of the features and its standardized copy need "
+            "6400000000 bytes, above the batched engine's budget of 1600000000 bytes")
+        assert peak < 1_000_000
+
+
+def test_ingestion_memory_is_bounded(tmp_path):
+    """load_libsvm and sparse01 scaling of a 4000 x 2000 set at 30 nonzeros
+    per row peak within 1.75 times the dataset's CSR bytes plus one chunk of
+    tokens at 128 bytes each (a token's string, list slot and converted
+    entry take about 70). Chunks of 4096 tokens keep the chunk small beside
+    the set. Measured under tracemalloc, for 2.0 MB of CSR arrays: 3.25 MB;
+    4.2 MB when each chunk's converted records stayed alive until the parse
+    ended; 10.9 MB when scaling made full-size temporaries. The bound is
+    4.0 MB."""
+    rng = np.random.default_rng(4)
+    lines = []
+    for i in range(4000):
+        cols = np.sort(rng.choice(2000, size=30, replace=False)) + 1
+        vals = np.round(0.05 + 0.95 * rng.random(30), 6)
+        lines.append(f"{1 if i % 2 else -1} " + " ".join(
+            f"{c}:{v:.6f}" for c, v in zip(cols.tolist(), vals.tolist())))
+    path = tmp_path / "set.txt"
+    path.write_text("\n".join(lines) + "\n")
+    chunk = 4096
+    with mock.patch.object(data_module, "_CHUNK_TOKENS", chunk):
+        tracemalloc.start()
+        try:
+            ds = load_libsvm(path)
+            scaled, _ = scale_features(ds, "sparse01")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    csr = sum(a.nbytes for a in (ds.indptr, ds.indices, ds.data, ds.labels))
+    assert ds.indices.size == 4000 * 30 and scaled.data.size == ds.data.size
+    assert peak <= 1.75 * csr + chunk * 128, (peak, csr)
 
 
 class TestDataset:

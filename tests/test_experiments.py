@@ -134,6 +134,17 @@ class TestTailFit:
             tail_fit(m, "nonuniform", [0.05])
         assert "0.2" in str(err.value)
 
+    def test_raw_objectives_refused(self):
+        m = self._matrix([1.0] * 100)
+        m.meta["fstar"] = None
+        with pytest.raises(InputError, match="no tail fit without a known optimum"):
+            tail_fit(m, "nonuniform", [0.1])
+        # a known optimum, or a matrix that does not say (a CSV written before
+        # the key existed), is fitted
+        for meta in ({"T": 100, "fstar": 0.25}, {"T": 100}):
+            m.meta = meta
+            assert tail_fit(m, "nonuniform", [0.1]).constant > 0
+
     def test_quantiles_non_increasing_in_delta(self):
         rng = np.random.default_rng(0)
         m = self._matrix(rng.exponential(size=500))

@@ -241,6 +241,8 @@ class TestBudgetInMeta:
         bat = run_trials(problem, factory, config, ["final", "uniform"], trials, 5)
         assert bat.meta["predraw_bytes"] == predraw
         assert bat.meta["budget_bytes"] == 1_600_000_000
+        # the subtracted optimum: None for an SVM, whose optimum is unknown
+        assert bat.meta["fstar"] == problem.fstar
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
             again = run_trials(problem, factory, config, ["final", "uniform"], trials, 5)
@@ -248,6 +250,7 @@ class TestBudgetInMeta:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         meta = import_csv(paths[0]).meta
         assert (meta["predraw_bytes"], meta["budget_bytes"]) == (predraw, 1_600_000_000)
+        assert meta["fstar"] == problem.fstar
 
     def test_quadratic_noise_table(self, tmp_path, monkeypatch):
         problem = quadratic_problem(2, feasible=Interval(-6, 6))
@@ -277,6 +280,18 @@ class TestBudgetInMeta:
         monkeypatch.setattr(batched, "_BLOCK_BYTES", 9 * 4 * 8)
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
                     9 * index + rows + log)
+
+    def test_svm_sub_blocks_fill_a_quarter_block(self, tmp_path, monkeypatch):
+        ds = synthetic_separable_dataset(40, 3, 1)
+        problem = svm_problem(ds, 0.1)
+        config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=50)
+        # the bytes per step of test_svm_index_table
+        index, rows, log = 4 * 8, 4 * (3 * 24 + 8) + 2 * 8, 4 * (3 * 24 + 8)
+        # a quarter of the block bytes holds 3 steps of gathered rows and
+        # log; the index block holds 246 steps
+        monkeypatch.setattr(batched, "_BLOCK_BYTES", 4 * 3 * (rows + log) + 3)
+        self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
+                    246 * index + 3 * (rows + log))
 
     def test_noiseless_run_draws_nothing(self, tmp_path):
         config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.ones(2), eval_every=50)
