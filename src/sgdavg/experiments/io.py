@@ -5,9 +5,13 @@ defined cell, 17-significant-digit floats, UTF-8, LF line endings, '.'
 decimal separator. Lines starting with '#' are comments; the matrix metadata
 rides along in a ``# meta:`` comment so a round trip is exact.
 
-Both writers emit their lines in chunks of about ``_CHUNK_CHARS``
-characters, so a file is never held in memory whole, into a temporary file
-that replaces the target only when complete.
+The numbers are the bytes of Python's ``'%.17g' % v`` (CSV values) and
+``'%.2f' % v`` (SVG coordinates), produced a block of values at a time by
+``numfmt.format_floats`` and filled into per-cell templates.
+
+Both writers emit their lines in chunks of about ``_CHUNK_BYTES``, so a file
+is never held in memory whole, into a temporary file that replaces the
+target only when complete.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -22,23 +27,45 @@ import numpy as np
 
 from ..core import InputError
 from .harness import TrialMatrix
+from .numfmt import format_floats
 
 __all__ = ["CSV_HEADER", "export_csv", "import_csv", "render_svg"]
 
 CSV_HEADER = "trial,checkpoint_iter,scheme,objective"
 
-_CHUNK_CHARS = 1 << 20
+_CHUNK_BYTES = 1 << 20
+_BLOCK_VALUES = 4096  # cells per call of the formatting kernel
+
+
+def _formatted_rows(values: np.ndarray, defined: np.ndarray, fmt: str) -> Iterator[list[bytes]]:
+    """Per row of the 2-D ``values``, the bytes ``fmt % v`` of its entries
+    where ``defined`` holds; ``format_floats`` takes _BLOCK_VALUES cells
+    per call, whatever the row length."""
+    flat, keep = values.reshape(-1), defined.reshape(-1)
+    row_ends = np.cumsum(defined.sum(axis=1)).tolist()
+    strs: list[bytes] = []
+    first = row = 0  # strs[0] is defined value number `first`
+    for start in range(0, flat.size, _BLOCK_VALUES):
+        block = slice(start, start + _BLOCK_VALUES)
+        strs += format_floats(flat[block][keep[block]], fmt)
+        pos = 0
+        while row < len(row_ends) and row_ends[row] - first <= len(strs):
+            end = row_ends[row] - first
+            yield strs[pos:end]
+            pos, row = end, row + 1
+        del strs[:pos]
+        first += pos
 
 
 @contextmanager
-def _line_writer(path: Union[str, Path]) -> Iterator[Callable[[str], None]]:
-    """An ``add(line)`` callable writing LF-terminated UTF-8 lines in chunks
-    of about _CHUNK_CHARS characters to a temporary file beside ``path``,
-    which replaces ``path`` once every line is written: a write that stops
+def _line_writer(path: Union[str, Path]) -> Iterator[Callable[[bytes], None]]:
+    """An ``add(line)`` callable writing LF-terminated lines of bytes in
+    chunks of about _CHUNK_BYTES to a temporary file beside ``path``, which
+    replaces ``path`` once every line is written: a write that stops
     partway leaves the old file whole."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    pending: list[str] = []
+    pending: list[bytes] = []
     size = 0
     try:
         with open(tmp, "wb") as fh:
@@ -46,15 +73,16 @@ def _line_writer(path: Union[str, Path]) -> Iterator[Callable[[str], None]]:
             def flush() -> None:
                 nonlocal size
                 if pending:
-                    fh.write(("\n".join(pending) + "\n").encode("utf-8"))
+                    pending.append(b"")
+                    fh.write(b"\n".join(pending))
                     pending.clear()
                     size = 0
 
-            def add(line: str) -> None:
+            def add(line: bytes) -> None:
                 nonlocal size
                 pending.append(line)
                 size += len(line)
-                if size >= _CHUNK_CHARS:
+                if size >= _CHUNK_BYTES:
                     flush()
 
             yield add
@@ -72,22 +100,25 @@ def export_csv(
     """Write one row per defined cell, preceded by comment lines."""
     if matrix.gaps.size == 0:
         raise InputError("refusing to export an empty matrix")
-    # one "%"-template per trial row, in [checkpoint][scheme] cell order;
+    # one "%s"-template per trial row, in [checkpoint][scheme] cell order;
     # rows with undefined cells use the template of their mask's cells
     cells = [
-        f"{cp},{scheme.replace('%', '%%')},%.17g"
+        f"{cp},{scheme.replace('%', '%%')},%s".encode()
         for cp in matrix.checkpoints
         for scheme in matrix.scheme_names
     ]
     flat = matrix.gaps.reshape(matrix.gaps.shape[0], -1)
     defined = ~np.isnan(flat)
-    by_mask: dict[bytes, list[str]] = {}
+    by_mask: dict[bytes, list[bytes]] = {}
     with _line_writer(path) as add:
         for c in comments:
-            add(f"# {c}")
-        add(f"# meta: {json.dumps(matrix.meta, sort_keys=True)}")
-        add(CSV_HEADER)
-        for trial, (row, mask) in enumerate(zip(flat, defined)):
+            add(f"# {c}".encode())
+        add(f"# meta: {json.dumps(matrix.meta, sort_keys=True)}".encode())
+        add(CSV_HEADER.encode())
+        rows = _formatted_rows(flat, defined, "%.17g")
+        for trial, (mask, values) in enumerate(zip(defined, rows)):
+            if not values:
+                continue
             if mask.all():
                 row_cells = cells
             else:
@@ -96,11 +127,8 @@ def export_csv(
                     row_cells = by_mask[mask.tobytes()] = [
                         c for c, keep in zip(cells, mask) if keep
                     ]
-                if not row_cells:
-                    continue
-                row = row[mask]
-            head = f"{trial},"
-            add((head + f"\n{head}".join(row_cells)) % tuple(row.tolist()))
+            head = b"%d," % trial
+            add((head + (b"\n" + head).join(row_cells)) % tuple(values))
 
 
 def import_csv(path: Union[str, Path]) -> TrialMatrix:
@@ -190,50 +218,51 @@ def render_svg(
     height = 2 * _MARGIN + _PANEL_H
     with _line_writer(path) as add:
         add(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">')
-        add('<rect width="100%" height="100%" fill="white"/>')
+            f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'.encode())
+        add(b'<rect width="100%" height="100%" fill="white"/>')
         for panel, nm in enumerate(names):
             si = matrix.scheme_index(nm)
             x0 = _MARGIN + panel * (_PANEL_W + _MARGIN)
             add(
                 f'<text x="{x0 + _PANEL_W / 2:.2f}" y="{_MARGIN - 16}" '
-                f'text-anchor="middle" font-family="sans-serif" font-size="15">{nm}</text>'
+                f'text-anchor="middle" font-family="sans-serif" font-size="15">{nm}</text>'.encode()
             )
             add(
                 f'<rect x="{x0}" y="{_MARGIN}" width="{_PANEL_W}" height="{_PANEL_H}" '
-                'fill="none" stroke="#999" stroke-width="1"/>'
+                'fill="none" stroke="#999" stroke-width="1"/>'.encode()
             )
             for label, v in ((f"{y_hi:.4g}", y_hi), (f"{y_lo:.4g}", y_lo)):
                 add(
                     f'<text x="{x0 - 4}" y="{py(v):.2f}" text-anchor="end" '
-                    f'font-family="sans-serif" font-size="10">{label}</text>'
+                    f'font-family="sans-serif" font-size="10">{label}</text>'.encode()
                 )
-            # "x,%.2f" per checkpoint; a trial's polyline fills the points it defines
-            points = [f"{x0 + sx(x):.2f},%.2f" for x in xs]
-            by_mask: dict[bytes, str] = {}
+            # "x,%s" per checkpoint; a trial's polyline fills the points it defines
+            px = np.broadcast_to(x0 + sx(xs), xs.shape)
+            points = [p + b",%s" for p in format_floats(px, "%.2f")]
+            by_mask: dict[bytes, bytes] = {}
             col = matrix.gaps[:, :, si]
             defined = defined_all[:, :, si]
             py_col = np.broadcast_to(py(col), col.shape)
-            for py_row, mask in zip(py_col, defined):
-                if mask.sum() < 2:
+            for mask, values in zip(defined, _formatted_rows(py_col, defined, "%.2f")):
+                if len(values) < 2:
                     continue
                 template = by_mask.get(mask.tobytes())
                 if template is None:
-                    template = by_mask[mask.tobytes()] = " ".join(
+                    template = by_mask[mask.tobytes()] = b" ".join(
                         p for p, keep in zip(points, mask) if keep
                     )
                 add(
-                    f'<polyline points="{template % tuple(py_row[mask].tolist())}" fill="none" '
-                    'stroke="#1f77b4" stroke-width="1" stroke-opacity="0.08"/>'
+                    b'<polyline points="' + template % tuple(values) + b'" fill="none" '
+                    b'stroke="#1f77b4" stroke-width="1" stroke-opacity="0.08"/>'
                 )
-            mean_pts = []
-            for ci in range(len(matrix.checkpoints)):
-                mask = defined[:, ci]
-                if mask.any():
-                    mean_pts.append(points[ci] % py(float(col[mask, ci].mean())))
-            if len(mean_pts) >= 2:
+            has_mean = defined.any(axis=0)
+            means = [py(float(col[defined[:, ci], ci].mean())) for ci in np.flatnonzero(has_mean)]
+            if len(means) >= 2:
+                mean_pts = b" ".join(
+                    p % v for p, v in zip(compress(points, has_mean), format_floats(means, "%.2f"))
+                )
                 add(
-                    f'<polyline points="{" ".join(mean_pts)}" fill="none" '
-                    'stroke="#222" stroke-width="2" stroke-dasharray="5 4"/>'
+                    b'<polyline points="' + mean_pts + b'" fill="none" '
+                    b'stroke="#222" stroke-width="2" stroke-dasharray="5 4"/>'
                 )
-        add("</svg>")
+        add(b"</svg>")

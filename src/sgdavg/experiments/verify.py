@@ -362,6 +362,11 @@ def run_verification_fleet(
     for s in selected:
         if s not in _FLEET_CHECKS:
             raise InputError(f"unknown check {s!r}; expected one of {_FLEET_CHECKS}")
+    if runs < 1:
+        raise InputError(f"need runs >= 1, got {runs}")
+    if product_max_t < 4:
+        raise InputError(f"need product_max_t >= 4 for a pair 3 <= i < t <= product_max_t, "
+                         f"got {product_max_t}")
     results: list[CheckResult] = []
 
     traj_checks = {"diameter", "recursive", "chicken-and-egg"} & set(selected)

@@ -321,6 +321,27 @@ class TestVerify:
         assert code == 0
         assert "product-identity" in out
 
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_no_runs_exits_two(self, capsys, runs):
+        code, out, err = run_cli(["verify", "--runs", runs, "--T", "5",
+                                  "--only", "diameter"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: need runs >= 1, got {runs}\n"
+
+    @pytest.mark.parametrize("max_t", ["2", "3"])
+    def test_product_sweep_without_a_pair_exits_two(self, capsys, max_t):
+        # 3 <= i < t <= max_t holds no pair: a PASS would check nothing
+        code, out, err = run_cli(["verify", "--product-max-t", max_t,
+                                  "--only", "product-identity"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: need product_max_t >= 4 for a pair 3 <= i < t <= "
+                       f"product_max_t, got {max_t}\n")
+
+    def test_smallest_product_sweep_checks_one_pair(self, capsys):
+        code, out, _ = run_cli(["verify", "--product-max-t", "4",
+                                "--only", "product-identity"], capsys)
+        assert code == 0 and out.startswith("PASS product-identity")
+
 
 class TestConsoleScript:
     def test_module_invocation_works(self, tmp_path):

@@ -30,6 +30,7 @@ from sgdavg.sgd import RunConfig, run_sgd
 from sgdavg.averaging import make_averager
 from sgdavg.experiments import batched
 from sgdavg.experiments import io as io_module
+from sgdavg.experiments import numfmt, numfmt_kernel
 from sgdavg.experiments import verify as verify_module
 from sgdavg.experiments.io import _MARGIN, _PANEL_H, _PANEL_W, _scale
 from sgdavg.experiments import (
@@ -977,9 +978,37 @@ def _single_checkpoint_matrix():
                        meta={"T": 100})
 
 
+def _svm_objectives_matrix():
+    # raw SVM objective values: no optimum is known, so nothing is subtracted
+    ds = synthetic_separable_dataset(60, 5, seed=8)
+    problem = svm_problem(ds, 1.0 / ds.m)
+    config = RunConfig(T=400, schedule=DEFAULT_SCHEDULE, x1=np.zeros(5), eval_every=50)
+    m = run_trials(problem, SvmOracleFactory(ds, 1.0 / ds.m), config,
+                   ["final", "uniform", "suffix", "nonuniform"], 6, 9)
+    assert m.meta["fstar"] is None
+    return m
+
+
+def _tail_study_matrix():
+    # the tail study's shape: 1000 trials x 100 checkpoints x 4 schemes
+    problem, factory, config = quad_ball_setting(T=10_000, eval_every=100)
+    return run_trials(problem, factory, config,
+                      ["final", "uniform", "suffix", "nonuniform"], 1000, 12201)
+
+
+_EMITTER_MATRICES = [_suffix_not_open_matrix, _ragged_nan_matrix, _constant_matrix,
+                     _single_checkpoint_matrix, _svm_objectives_matrix]
+
+
+@pytest.fixture
+def kernel_for_any_size(monkeypatch):
+    # the kernel formats even one value, so that small matrices test it
+    monkeypatch.setattr(numfmt, "_KERNEL_MIN", 1)
+
+
+@pytest.mark.usefixtures("kernel_for_any_size")
 class TestEmittersMatchPerCellReference:
-    @pytest.mark.parametrize("make", [_suffix_not_open_matrix, _ragged_nan_matrix,
-                                      _constant_matrix, _single_checkpoint_matrix])
+    @pytest.mark.parametrize("make", _EMITTER_MATRICES)
     @pytest.mark.parametrize("comments", [(), ("config: x=1", "100% sure")])
     def test_csv_bytes(self, tmp_path, make, comments):
         m = make()
@@ -987,8 +1016,7 @@ class TestEmittersMatchPerCellReference:
         reference_export_csv(m, tmp_path / "ref.csv", comments=comments)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    @pytest.mark.parametrize("make", [_suffix_not_open_matrix, _ragged_nan_matrix,
-                                      _constant_matrix, _single_checkpoint_matrix])
+    @pytest.mark.parametrize("make", _EMITTER_MATRICES)
     def test_svg_bytes(self, tmp_path, make):
         m = make()
         for schemes in (None, m.scheme_names[-1:], m.scheme_names[::-1][:2]):
@@ -1001,7 +1029,7 @@ class TestEmittersMatchPerCellReference:
     @pytest.mark.parametrize("chunk", [1, 100])
     def test_chunked_writes_match_whole_file(self, tmp_path, monkeypatch, make, chunk):
         m = make()
-        monkeypatch.setattr(io_module, "_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(io_module, "_CHUNK_BYTES", chunk)
         export_csv(m, tmp_path / "new.csv", comments=["config: x=1"])
         render_svg(m, tmp_path / "new.svg")
         reference_export_csv(m, tmp_path / "ref.csv", comments=["config: x=1"])
@@ -1011,7 +1039,7 @@ class TestEmittersMatchPerCellReference:
 
     def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         # lines already flushed when the write stops must not reach the target
-        monkeypatch.setattr(io_module, "_CHUNK_CHARS", 1)
+        monkeypatch.setattr(io_module, "_CHUNK_BYTES", 1)
         path = tmp_path / "out.csv"
         path.write_bytes(b"old contents\n")
 
@@ -1025,9 +1053,134 @@ class TestEmittersMatchPerCellReference:
         assert path.read_bytes() == b"old contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    @pytest.mark.parametrize("make", [_suffix_not_open_matrix, _ragged_nan_matrix,
+                                      _svm_objectives_matrix])
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_kernel_blocks_split_rows(self, tmp_path, monkeypatch, make, block):
+        # kernel blocks of 1 and 7 cells end inside the trial rows (10 to 16 cells)
+        m = make()
+        monkeypatch.setattr(io_module, "_BLOCK_VALUES", block)
+        monkeypatch.setattr(io_module, "_CHUNK_BYTES", 100)
+        export_csv(m, tmp_path / "new.csv")
+        render_svg(m, tmp_path / "new.svg")
+        reference_export_csv(m, tmp_path / "ref.csv")
+        reference_render_svg(m, tmp_path / "ref.svg")
+        for name in ("csv", "svg"):
+            assert (tmp_path / f"new.{name}").read_bytes() == (tmp_path / f"ref.{name}").read_bytes()
+
+    @pytest.mark.parametrize("block", [1013, 4096])
+    def test_tail_study_matrix(self, tmp_path, monkeypatch, block):
+        # 1013-cell kernel blocks end inside the 400-cell trial rows
+        m = _tail_study_matrix()
+        assert m.gaps.shape == (1000, 100, 4)
+        monkeypatch.setattr(io_module, "_BLOCK_VALUES", block)
+        export_csv(m, tmp_path / "new.csv", comments=["config: x=1"])
+        render_svg(m, tmp_path / "new.svg")
+        reference_export_csv(m, tmp_path / "ref.csv", comments=["config: x=1"])
+        reference_render_svg(m, tmp_path / "ref.svg")
+        for name in ("csv", "svg"):
+            assert (tmp_path / f"new.{name}").read_bytes() == (tmp_path / f"ref.{name}").read_bytes()
+
     def test_percent_in_scheme_name_is_literal(self, tmp_path):
         m = TrialMatrix(gaps=np.ones((2, 2, 1)), checkpoints=[1, 2],
                         scheme_names=["50%d"], meta={})
         export_csv(m, tmp_path / "new.csv")
         reference_export_csv(m, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _python_bytes(values, fmt):
+    return [(fmt % v).encode() for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def _bit_patterns(rng, size):
+    return rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+
+
+_FORMATS = ["%.17g", "%.2f"]
+
+
+@pytest.mark.usefixtures("kernel_for_any_size")
+class TestFormatKernel:
+    """numfmt.format_floats against Python's % on float64 values."""
+
+    @given(st.lists(st.one_of(st.floats(width=64),
+                              st.integers(0, 2**64 - 1).map(
+                                  lambda b: float(np.uint64(b).view(np.float64)))),
+                    max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float64(self, values):
+        # NaN, +-inf, +-0, subnormals, extremes and any bit pattern
+        x = np.array(values, dtype=np.float64)
+        for fmt in _FORMATS:
+            assert numfmt.format_floats(x, fmt) == _python_bytes(x, fmt)
+
+    @pytest.mark.parametrize("fmt", _FORMATS)
+    def test_seeded_sweep(self, fmt):
+        # 1e6 values per format: random bit patterns, log-uniform values over
+        # the whole range, and over the range the tail study and the SVG use
+        rng = np.random.default_rng(1313)
+        span = (-300, 300) if fmt == "%.17g" else (-4, 15)
+        sweep = np.concatenate([
+            _bit_patterns(rng, 250_000),
+            10.0 ** rng.uniform(*span, size=250_000),
+            10.0 ** rng.uniform(-9, 1, size=250_000),
+            rng.uniform(54.0, 354.0, size=250_000),
+        ])
+        block = io_module._BLOCK_VALUES
+        for start in range(0, sweep.size, block):
+            part = sweep[start:start + block]
+            assert numfmt.format_floats(part, fmt) == _python_bytes(part, fmt), start
+
+    def test_exact_ties(self):
+        # 17 digits of these doubles end in a tie: Python rounds half to even
+        ties = [1234567890123456.25, 1234567890123456.75]
+        got = numfmt.format_floats(np.array(ties), "%.17g")
+        assert got == [b"1234567890123456.2", b"1234567890123456.8"]
+        halves = np.array([0.125, 0.375, 2.5, 1.005, 2.675, 1e14 + 0.125])
+        assert numfmt.format_floats(halves, "%.2f") == _python_bytes(halves, "%.2f")
+
+    def test_neighbours_of_powers_of_ten(self):
+        powers = np.array([float(f"1e{p}") for p in range(-310, 309)])
+        near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                               np.nextafter(np.nextafter(powers, 0.0), 0.0)])
+        for fmt in _FORMATS:
+            assert numfmt.format_floats(near, fmt) == _python_bytes(near, fmt)
+
+    def test_round_up_to_the_next_power(self):
+        # doubles below a power of ten whose 17 digits round up to it
+        candidates = [float(f"1e{p}") for p in range(-300, 300)]
+        candidates += [np.nextafter(v, 0.0) for v in candidates]
+        below = [v for v in candidates if ("%.17g" % v).startswith("1e")
+                 and Fraction(v) < Fraction(10) ** int(("%.17g" % v)[2:])]
+        assert len(below) > 10
+        assert numfmt.format_floats(np.array(below), "%.17g") == _python_bytes(below, "%.17g")
+        carries = np.array([9.995, 99.995, 999.995, 9999.995, 0.995, 0.005, 99999999999.995])
+        assert numfmt.format_floats(carries, "%.2f") == _python_bytes(carries, "%.2f")
+
+    def test_window_is_what_keeps_ties_exact(self, monkeypatch):
+        # negative control: a window of 0 lets the kernel round an exact tie
+        # itself, half down, where Python rounds half to even
+        tie = np.array([1234567890123456.75])
+        assert numfmt.format_floats(tie, "%.17g") == [b"1234567890123456.8"]
+        monkeypatch.setattr(numfmt_kernel, "_WINDOW", 0.0)
+        assert numfmt.format_floats(tie, "%.17g") == [b"1234567890123456.7"]
+
+    @pytest.mark.parametrize("fmt", _FORMATS)
+    def test_no_value_in_range(self, fmt):
+        x = np.array([np.nan, -0.0, 0.0, -1.5, np.inf, 5e-324, 1.7976931348623157e308])
+        assert numfmt.format_floats(x, fmt) == _python_bytes(x, fmt)
+        assert numfmt.format_floats(np.empty(0), fmt) == []
+
+    def test_other_formats_refused(self):
+        with pytest.raises(ValueError):
+            numfmt.format_floats(np.ones(2), "%.3f")
+
+
+def test_small_inputs_bypass_the_kernel(monkeypatch):
+    x = 10.0 ** np.random.default_rng(5).uniform(-20, 20, size=numfmt._KERNEL_MIN)
+    monkeypatch.setattr(numfmt_kernel, "rounded", None)  # a kernel call would fail
+    for fmt in _FORMATS:
+        assert numfmt.format_floats(x[:-1], fmt) == _python_bytes(x[:-1], fmt)
+        with pytest.raises(TypeError):
+            numfmt.format_floats(x, fmt)
