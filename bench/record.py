@@ -27,12 +27,23 @@ each side.
 A run that times out or prints no result line stops the recording: the
 pairs finished so far are still written to --out, with "incomplete" naming
 the workload, seed and side that failed, and the script exits 1.
+
+When every pair is finished and written, the outputs are checked: each
+workload's commands (as `perfbench/workloads.py` defines them, read and not
+changed) run once more on each side, with the first seed of that workload's
+--runs, on the same generated inputs and into the same output path. Their
+exit codes, their standard output and every output file must agree byte for
+byte, except a file's `# config:` line. The verdict, or the error that
+stopped the check, is added to --out under "check_outputs", and the script
+exits 1 when anything differs or the check fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -100,6 +111,69 @@ def run_once(side: Path, workload: str, seed: int) -> dict:
         "provenance": {k: provenance.get(k) for k in
                        ("cores", "cores_usable", "python", "numpy", "scipy", "src_sha256")},
     }
+
+
+def load_workloads() -> dict:
+    """The benchmark's workloads, from `perfbench/workloads.py`."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def without_config(text: bytes) -> bytes:
+    """A file's bytes without its `# config:` line, which names the paths."""
+    return b"".join(ln for ln in text.splitlines(keepends=True)
+                    if not ln.startswith(b"# config:"))
+
+
+def side_outputs(side: Path, workload, seed: int, facts: dict, out: Path) -> dict:
+    """Run a workload's commands once on one side, writing into ``out``:
+    each command's exit code and standard output, and each output file
+    without its `# config:` line, by name."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SGDAVG_")}
+    env["PYTHONPATH"] = str(side / "src")
+    out.mkdir(parents=True)
+    got = {}
+    for i, argv in enumerate(workload.commands(out, seed, facts), start=1):
+        try:
+            proc = subprocess.run(argv, cwd=side, env=env, capture_output=True,
+                                  timeout=RUN_TIMEOUT_S)
+            got[f"command {i} exit"], got[f"command {i} stdout"] = proc.returncode, proc.stdout
+        except subprocess.TimeoutExpired:
+            got[f"command {i} exit"] = "timed out"
+    for path in workload.outputs(out):
+        got[path.name] = without_config(path.read_bytes()) if path.exists() else None
+    return got
+
+
+def check_outputs(sides: dict, runs, workdir: Path) -> dict:
+    """Per workload, whether both sides' outputs agree (see the module docstring)."""
+    workloads = load_workloads()
+    seeds = {}
+    for workload, seed, _ in runs:
+        seeds.setdefault(workload, seed)
+    verdicts = {}
+    for name, seed in seeds.items():
+        inputs = workdir / "outputs" / name
+        facts = workloads[name].prepare(inputs, seed)
+        got = {}
+        for side, tree in sides.items():
+            # the same output path on both sides, which the commands print
+            got[side] = side_outputs(tree, workloads[name], seed, facts, inputs / "out")
+            (inputs / "out").rename(inputs / side)
+        names = sorted(got["parent"].keys() | got["change"].keys())
+        differ = [k for k in names if got["parent"].get(k) != got["change"].get(k)]
+        verdicts[name] = {"seed": seed, "compared": names, "identical": not differ,
+                          "differ": differ}
+        print(f"{name} seed {seed} outputs: "
+              + ("identical" if not differ else "differ in " + ", ".join(differ)), flush=True)
+    return verdicts
+
+
+def write_report(path: Path, report: dict) -> None:
+    path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -182,11 +256,20 @@ def main(argv=None) -> int:
                 }
             if "incomplete" in report:
                 break
-        args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+        write_report(args.out, report)
+        if "incomplete" not in report:
+            try:
+                report["check_outputs"] = check_outputs(sides, args.runs, workdir)
+            except Exception as exc:  # the timed pairs are written already
+                report["check_outputs"] = {"error": f"{type(exc).__name__}: {exc}"}
+                print(f"output check failed: {exc}", file=sys.stderr)
+            write_report(args.out, report)
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
-    return 1 if "incomplete" in report else 0
+    checked = report.get("check_outputs", {})
+    failed = "error" in checked or any(not v["identical"] for v in checked.values())
+    return 1 if "incomplete" in report or failed else 0
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@
 Memory: the data layer works through the stored entries in chunks of
 ``_CHUNK_TOKENS``, so besides the CSR arrays it holds one chunk's
 temporaries. The parser converts each chunk's tokens, keeps the converted
-indices and values (16 bytes per entry) and joins them at the end, one
-array at a time, so it peaks at about 1.5 times the CSR bytes, plus its
-per-row lists and one chunk. ``Dataset`` validates row-aligned chunks.
+indices (int32 when they fit, see ``Dataset``) and values (12 bytes per
+entry) and joins them at the end, one array at a time, so it peaks at
+about 1.5 times the CSR bytes, plus its per-row lists and one chunk.
+``Dataset`` validates row-aligned chunks.
 ``scale_features`` in sparse01 mode copies the values and maps them in two
 chunked passes, the column ranges and then the map in place, so it holds
 the input, the scaled values and one chunk. ``standardize`` densifies the
@@ -52,17 +53,25 @@ class Dataset:
     ``indices[indptr[i]:indptr[i+1]]`` (strictly increasing, below n) and its
     values the same slice of ``data``; ``labels`` holds the y_i as floats.
 
+    ``indptr`` and ``indices`` are int32 while m, n and the number of stored
+    entries are all below 2**31, and int64 otherwise: the index dtype scipy
+    picks, so ``matrix()`` wraps these arrays without copying them, and a
+    stored entry takes 12 bytes (16 with int64 indices). Arrays that do not
+    have that dtype are converted after validation, so no value can wrap.
+
     The arrays are validated once here and are read-only views afterwards;
     share freely across threads.
     """
 
     def __init__(self, indptr, indices, data, labels, n: int):
-        if any(a.size and not np.issubdtype(a.dtype, np.integer)
-               for a in map(np.asarray, (indptr, indices))):
+        indptr, indices = map(np.asarray, (indptr, indices))
+        if any(a.size and not np.issubdtype(a.dtype, np.integer) for a in (indptr, indices)):
             raise InputError("indptr and indices must hold integers")
-        indptr, indices, data, labels = (
-            _frozen(a, dt) for a, dt in ((indptr, np.int64), (indices, np.int64),
-                                         (data, np.float64), (labels, np.float64)))
+        # validated as given when int32 or int64, else as int64, and stored
+        # in the index dtype once every value is known to fit it
+        indptr, indices = (a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
+                           for a in (indptr, indices))
+        data, labels = _frozen(data, np.float64), _frozen(labels, np.float64)
         n = int(n)
         if labels.ndim != 1 or labels.size == 0:
             raise InputError("dataset must contain at least one point")
@@ -85,7 +94,9 @@ class Dataset:
                 top = max(top, int(chunk.max()))
         if top >= n:
             raise InputError(f"column index {top} out of range for dimension {n}")
-        self.indptr, self.indices, self.data, self.labels = indptr, indices, data, labels
+        dtype = _index_dtype(labels.size, n, int(indptr[-1]))
+        self.indptr, self.indices = _frozen(indptr, dtype), _frozen(indices, dtype)
+        self.data, self.labels = data, labels
         self.n = n
         self._matrix: Optional[sp.csr_matrix] = None
 
@@ -117,8 +128,10 @@ class Dataset:
         )
 
     def matrix(self) -> sp.csr_matrix:
-        """The m-by-n feature matrix as a scipy CSR matrix (cached). scipy is
-        imported here, so runs that never build the matrix do not load it."""
+        """The m-by-n feature matrix as a scipy CSR matrix (cached), built on
+        the dataset's own arrays: scipy picks the same index dtype, so
+        nothing is copied. scipy is imported here, so runs that never build
+        the matrix do not load it."""
         if self._matrix is None:
             import scipy.sparse as sp
 
@@ -145,9 +158,20 @@ def _row_chunks(indptr: np.ndarray):
     m, chunk = indptr.size - 1, _CHUNK_TOKENS
     r0 = 0
     while r0 < m:
-        r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + chunk, side="right")) - 1)
+        # the sum as a Python int: an int32 one would wrap near 2**31
+        end = int(indptr[r0]) + chunk
+        r1 = max(r0 + 1, int(np.searchsorted(indptr, end, side="right")) - 1)
         yield r0, r1
         r0 = r1
+
+
+_INT32_MAX = 2**31 - 1
+
+
+def _index_dtype(*bounds: int) -> np.dtype:
+    """The index dtype scipy picks for a CSR matrix whose shape and number of
+    entries are ``bounds``: int32 when they all fit in it, else int64."""
+    return np.dtype(np.int32 if max(bounds) <= _INT32_MAX else np.int64)
 
 
 def _previous_in_row(indices: np.ndarray, indptr: np.ndarray, fill: int) -> np.ndarray:
@@ -240,8 +264,10 @@ def _convert_rows(
                 line,
             )
         raise ParseError(f"malformed feature token {tokens[k]!r}", line)
-    # copied out, so that the records of the chunk can be freed now
-    return idx - 1, pairs["v"].copy()
+    # copied out, so that the records of the chunk can be freed now; the
+    # indices as int32 when they fit, which Dataset then stores as they are
+    idx -= 1
+    return idx.astype(_index_dtype(idx.max(initial=0) + 1)), pairs["v"].copy()
 
 
 def parse_libsvm(

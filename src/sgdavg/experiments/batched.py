@@ -30,7 +30,10 @@ the hinge step touches only the sampled row's columns of v (the scaled-weight
 trick of Pegasos). Each running sum sum_i a_i w_i behind the uniform, suffix
 and t-weighted averages is held as A*v - U with a scalar A, and U changes only
 where v does (the lazily updated average of ASGD). Dense vectors are built
-only at checkpoints and at folds, which write the pending scale into v. An
+only at checkpoints and at folds, which write the pending scale into v. A
+checkpoint builds and evaluates the reports scheme by scheme, a chunk of
+trials at a time, whose dense reports and margins take about 1 MB; only the
+final reports, at T, are built for every trial at once. An
 L2 ball about the origin rescales s alone. Any other bounded set (the
 interval box, a ball off the origin) folds every trial at every step, which
 costs O(n), and then projects v: after a fold A = 0, so the sums keep their
@@ -53,6 +56,7 @@ against the budget together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -165,17 +169,43 @@ def _failure(trial: int, base_seed: int, t: int, reason: str):
     return trial_failure(trial, base_seed, RunAborted(t, reason))
 
 
+def _finite(v: np.ndarray, nm: str, t: int, base_seed: int) -> np.ndarray:
+    """The objectives ``v`` of scheme ``nm``'s reports, one per trial, when
+    all are finite; else the failure of the first trial whose value is not,
+    at this checkpoint."""
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise _failure(int(np.argmax(bad)), base_seed, t,
+                       f"non-finite {nm} objective at checkpoint")
+    return v
+
+
 def _evaluate(problem: Problem, reports: dict[str, np.ndarray], t: int, base_seed: int):
     """Objective of every trial's report per scheme; a non-finite value
     fails the trial at this checkpoint."""
-    vals: dict[str, np.ndarray] = {}
-    for nm, rows in reports.items():
-        v = problem.objective_rows(rows)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            raise _failure(int(np.argmax(bad)), base_seed, t,
-                           f"non-finite {nm} objective at checkpoint")
-        vals[nm] = v
+    return {nm: _finite(problem.objective_rows(rows), nm, t, base_seed)
+            for nm, rows in reports.items()}
+
+
+def _trials_per_chunk(trial_bytes: int) -> int:
+    """Trials per chunk of a checkpoint evaluation that holds ``trial_bytes``
+    per trial (an SVM's dense report and margins, n + m floats): as many as
+    fit in an eighth of _BLOCK_BYTES (1 MB), and at least one."""
+    return max(1, _BLOCK_BYTES // 8 // trial_bytes)
+
+
+def _evaluate_chunked(problem: Problem, reports: dict, t: int, base_seed: int, trials: int,
+                      chunk: int):
+    """_evaluate, scheme by scheme and ``chunk`` trials at a time: ``reports``
+    maps each scheme to a function from a slice of trials to their (rows,
+    dim) reports."""
+    vals = {}
+    for nm, report in reports.items():
+        v = np.empty(trials)
+        for lo in range(0, trials, chunk):
+            rows = slice(lo, lo + chunk)
+            v[rows] = problem.objective_rows(report(rows))
+        vals[nm] = _finite(v, nm, t, base_seed)
     return vals
 
 
@@ -424,18 +454,27 @@ class _ScaledSvm:
         self.log_counts.clear()
         self.log_used = 0
 
-    def reports(self, t) -> dict[str, np.ndarray]:
+    def reports(self, t) -> dict:
+        """Per scheme whose report is defined at step t, a function from a
+        slice of trials to their dense (rows, n) reports; valid until the
+        next step."""
         self._flush()
         out = {}
         for nm in self.names:
             if nm == "final":
-                out[nm] = self.s[:, None] * self.v
+                out[nm] = lambda rows: self.s[rows, None] * self.v[rows]
                 continue
-            k = self.averaged.index(nm)
             total = self._total(nm, t)
             if total:
-                out[nm] = (self.A[k][:, None] * self.v - self.U[k]) / total
+                out[nm] = partial(self._average, self.averaged.index(nm), total)
         return out
+
+    def _average(self, k, total, rows):
+        """(A[k]*v - U[k]) / total for the trials ``rows``, in one (rows, n) array."""
+        R = self.A[k][rows, None] * self.v[rows]
+        R -= self.U[k][rows]
+        R /= total
+        return R
 
     def fold(self, rows, scale, t):
         """Write the sums densely into U, then v <- scale*v, s <- 1 and A <- 0
@@ -510,14 +549,19 @@ def _run_svm(problem, factory, config, scheme_names, trials, base_seed, suffix_a
     sched = config.schedule
     cp_set = set(checkpoint_iterations(config))
     cp_values: list[tuple[int, dict[str, np.ndarray]]] = []
+    d = factory.dataset
+    chunk = _trials_per_chunk(8 * (d.n + d.m))
     for t in range(1, config.T + 1):
         plan.observe(t)
         if t in cp_set:
             reports = plan.reports(t)
-            cp_values.append((t, _evaluate(problem, reports, t, base_seed)))
+            cp_values.append((t, _evaluate_chunked(problem, reports, t, base_seed, trials,
+                                                   chunk)))
+        if t == config.T:
+            # T is always a checkpoint; only the final reports are built whole
+            final = {nm: report(slice(None)) for nm, report in reports.items()}
         plan.step(t, step_size(sched, problem.mu, t))
-    # T is always a checkpoint, so these are the final reports
-    return LockstepRun(cp_values, reports, plan.reserved)
+    return LockstepRun(cp_values, final, plan.reserved)
 
 
 def run_all(

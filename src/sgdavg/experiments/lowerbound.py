@@ -85,6 +85,18 @@ def iterate_identity_error(record: RunRecord) -> float:
     return _identity_error(traj.X, traj.zhat)
 
 
+def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.union1d(a, b) by a sort and a neighbour mask, as np.unique finds
+    it, without loading numpy.ma (np.unique's import of it costs a command
+    11-16 ms and 1.6 MB)."""
+    points = np.concatenate((a, b), axis=None)
+    points.sort()
+    keep = np.empty(points.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(points[1:], points[:-1], out=keep[1:])
+    return points[keep]
+
+
 def kolmogorov_gap(samples, pmf: list[tuple[float, Fraction]]) -> float:
     """Maximum absolute CDF difference between an empirical sample and an
     exact discrete pmf. Sample values within 1e-9 of a support point are
@@ -99,7 +111,7 @@ def kolmogorov_gap(samples, pmf: list[tuple[float, Fraction]]) -> float:
         for cand in (pos, left):
             close = np.abs(support[cand] - snapped) <= 1e-9
             snapped = np.where(close, support[cand], snapped)
-    points = np.union1d(support, snapped)
+    points = _sorted_union(support, snapped)
     emp = np.searchsorted(np.sort(snapped), points, side="right") / snapped.size
     cdf = np.concatenate(([0.0], np.cumsum(probs)))
     exact = cdf[np.searchsorted(support, points, side="right")]

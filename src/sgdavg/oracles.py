@@ -203,15 +203,29 @@ def full_svm_objective(w: np.ndarray, dataset: Dataset, lam: float) -> float:
 
 def _svm_objective_rows(W: np.ndarray, dataset: Dataset, lam: float) -> np.ndarray:
     """full_svm_objective of each row of a (B, n) array, with one sparse
-    product for all the hinge terms."""
+    product for all the hinge terms, computed in place."""
     if not lam > 0:
         raise InputError(f"regularization parameter must be positive, got {lam}")
     W = np.asarray(W, dtype=np.float64)
     # (B, m) in C order: each row's hinge mean is then summed exactly as a
     # lone row's is, whatever B
-    margins = dataset.labels * np.ascontiguousarray(dataset.matrix().dot(W.T).T)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * lam * np.einsum("ij,ij->i", W, W) + hinge.mean(axis=1)
+    hinge = np.ascontiguousarray(dataset.matrix().dot(W.T).T)
+    hinge *= dataset.labels
+    np.subtract(1.0, hinge, out=hinge)
+    np.maximum(0.0, hinge, out=hinge)
+    return 0.5 * lam * _squared_norms(W) + hinge.mean(axis=1)
+
+
+def _squared_norms(W: np.ndarray) -> np.ndarray:
+    """||w||^2 of each row of a (B, n) array, summed as einsum sums the rows
+    of a many-row array. einsum takes a lone row of more than 8192 entries
+    through its buffered loop, whose pieces round differently, so a lone row
+    goes through as two broadcast copies: a row's value does not depend on
+    how many rows come with it."""
+    if W.shape[0] == 1:
+        pair = np.broadcast_to(W, (2, W.shape[1]))
+        return np.einsum("ij,ij->i", pair, pair)[:1]
+    return np.einsum("ij,ij->i", W, W)
 
 
 def quadratic_oracle_query(

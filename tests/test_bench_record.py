@@ -1,8 +1,11 @@
-"""bench/record.py keeps the pairs it finished when a run fails."""
+"""bench/record.py keeps the pairs it finished when a run or the output
+check fails, and compares both sides' outputs byte for byte."""
 
 import importlib.util
 import json
 import subprocess
+import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,20 @@ def no_git(monkeypatch):
     monkeypatch.setattr(record, "export_revision", lambda rev, dest: dest.mkdir(parents=True))
     monkeypatch.setattr(record, "export_working_tree", lambda dest: dest.mkdir(parents=True))
     monkeypatch.setattr(record, "git", lambda *args: "0123abc\n")
+    # the output check runs no command unless a test gives it a workload
+    monkeypatch.setattr(record, "load_workloads", lambda: defaultdict(NoCommands))
+
+
+class NoCommands:
+    def prepare(self, tmp, seed):
+        tmp.mkdir(parents=True)
+        return {}
+
+    def commands(self, out, seed, facts):
+        return []
+
+    def outputs(self, out):
+        return []
 
 
 def fake_runs(monkeypatch, fail_at, exc):
@@ -80,3 +97,73 @@ def test_complete_recording_exits_zero(monkeypatch, tmp_path):
     assert "incomplete" not in report
     assert [p["first"] for p in report["workloads"]["tail_verify"]["pairs"]] == \
         ["parent", "change"]
+
+
+class FakeWorkload:
+    """One command that prints the value in its side's `value.txt` and
+    writes it to `out/a.csv` under a `# config:` line naming the side."""
+
+    def prepare(self, tmp, seed):
+        tmp.mkdir(parents=True)
+        return {}
+
+    def commands(self, out, seed, facts):
+        script = ("import os, sys\n"
+                  "v = open('value.txt').read()\n"
+                  "with open(sys.argv[1], 'w') as fh:\n"
+                  "    fh.write('# config: ' + os.getcwd() + '\\n' + v + '\\n')\n"
+                  "print(v, sys.argv[1])\n")
+        return [[sys.executable, "-c", script, str(out / "a.csv")]]
+
+    def outputs(self, out):
+        return [out / "a.csv"]
+
+
+@pytest.mark.parametrize("parent_value, identical", [("7", True), ("8", False)])
+def test_check_outputs(monkeypatch, tmp_path, parent_value, identical):
+    def exporter(value):
+        def export(*args):
+            dest = args[-1]
+            dest.mkdir(parents=True)
+            (dest / "value.txt").write_text(value)
+        return export
+
+    monkeypatch.setattr(record, "export_revision", exporter(parent_value))
+    monkeypatch.setattr(record, "export_working_tree", exporter("7"))
+    monkeypatch.setattr(record, "load_workloads", lambda: {"tail_verify": FakeWorkload()})
+    fake_runs(monkeypatch, 0, None)
+    out = tmp_path / "bench.json"
+    code = record.main(["--parent", "HEAD", "--runs", "tail_verify:5:1", "--runs",
+                        "tail_verify:9:1", "--out", str(out), "--workdir",
+                        str(tmp_path / "work")])
+    verdict = json.loads(out.read_text())["check_outputs"]["tail_verify"]
+    # the first seed of the workload; the `# config:` lines name different
+    # sides and are left out, while the printed output path is the same
+    assert verdict["seed"] == 5
+    assert verdict["compared"] == ["a.csv", "command 1 exit", "command 1 stdout"]
+    assert verdict["identical"] is identical
+    assert verdict["differ"] == ([] if identical else ["a.csv", "command 1 stdout"])
+    assert code == (0 if identical else 1)
+    parent, change = (tmp_path / "work" / "outputs" / "tail_verify" / s / "a.csv"
+                      for s in ("parent", "change"))
+    assert parent.read_text().splitlines()[0] != change.read_text().splitlines()[0]
+
+
+def test_without_config_drops_only_the_config_line():
+    text = b"# config: {\"csv\": \"/a\"}\n# meta: {}\nx,y\n1,2\n"
+    assert record.without_config(text) == b"# meta: {}\nx,y\n1,2\n"
+
+
+def test_failed_output_check_keeps_the_pairs(monkeypatch, tmp_path):
+    def fail(*args):
+        raise FileExistsError("outputs/tail_verify")
+
+    fake_runs(monkeypatch, 0, None)
+    monkeypatch.setattr(record, "check_outputs", fail)
+    out = tmp_path / "bench.json"
+    code = record.main(["--parent", "HEAD", "--runs", "tail_verify:5:2", "--out", str(out),
+                        "--workdir", str(tmp_path / "work")])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert [p["seed"] for p in report["workloads"]["tail_verify"]["pairs"]] == [5, 6]
+    assert report["check_outputs"] == {"error": "FileExistsError: outputs/tail_verify"}

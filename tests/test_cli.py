@@ -375,6 +375,24 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_lb_leaves_numpy_ma_unloaded(self, tmp_path):
+        # kolmogorov_gap unions the support and the sample without
+        # np.union1d, whose np.unique imports numpy.ma
+        script = (
+            "import sys\n"
+            "import sgdavg.cli\n"
+            "code = sgdavg.cli.main(['lb', '--T', '16', '--trials', '200', '--exact',\n"
+            "                        '--delta', '0.1', '--seed', '1'])\n"
+            "assert code in (0, 1), code\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "kolmogorov gap" in proc.stdout
+
     def test_cli_import_loads_no_process_pool(self, tmp_path):
         # no command uses a process pool, and only dataset runs use scipy;
         # importing the CLI loads neither

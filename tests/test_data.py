@@ -535,7 +535,9 @@ def test_ingestion_memory_is_bounded(tmp_path):
     the set. Measured under tracemalloc, for 2.0 MB of CSR arrays: 3.25 MB;
     4.2 MB when each chunk's converted records stayed alive until the parse
     ended; 10.9 MB when scaling made full-size temporaries. The bound is
-    4.0 MB."""
+    4.0 MB. With int32 indices the CSR arrays take 1.49 MB and the bound
+    3.13 MB: converting each chunk's indices peaks at 2.72 MB, converting
+    them after the join at 3.20 MB."""
     rng = np.random.default_rng(4)
     lines = []
     for i in range(4000):
@@ -586,7 +588,9 @@ class TestDataset:
     def test_csr_arrays_validated(self):
         ok = ([0, 2, 2, 3], [1, 4, 0], [1.0, 2.0, 3.0], [1, -1, 1], 5)
         ds = Dataset(*ok)
-        assert ds.m == 3 and ds.n == 5 and ds.indices.dtype == np.int64
+        # m, n and nnz all fit in int32, so scipy's index dtype is int32
+        assert ds.m == 3 and ds.n == 5
+        assert ds.indices.dtype == ds.indptr.dtype == np.int32
         bad = [
             ([0, 2, 2, 3], [1, 5, 0], [1.0, 2.0, 3.0], [1, -1, 1], 5),   # index >= n
             ([0, 2, 2, 3], [-1, 4, 0], [1.0, 2.0, 3.0], [1, -1, 1], 5),  # negative
@@ -605,6 +609,34 @@ class TestDataset:
         for args in bad:
             with pytest.raises(InputError):
                 Dataset(*args)
+
+    def test_matrix_shares_the_arrays(self):
+        # scipy picks the dataset's own index dtype, so it copies nothing
+        for ds in (parse_libsvm("1 1:1 2:2\n-1 2:1\n"),
+                   Dataset([0, 1, 2], [0, 2**31], [1.0, 2.0], [1, -1], 2**31 + 1)):
+            X = ds.matrix()
+            for name in ("indptr", "indices", "data"):
+                assert np.shares_memory(getattr(X, name), getattr(ds, name)), name
+
+    def test_int64_indices_when_a_bound_exceeds_int32(self):
+        # n >= 2**31 (m and nnz could be too): no array of that size is made
+        ds = Dataset([0, 1, 2], [0, 2**31], [1.0, 2.0], [1, -1], 2**31 + 1)
+        assert ds.indices.dtype == ds.indptr.dtype == np.int64
+        assert ds.indices[1] == 2**31
+        assert parse_libsvm("1 3000000000:1\n").indices.dtype == np.int64
+        assert Dataset([0, 1], [2**31 - 2], [1.0], [1], 2**31 - 1).indices.dtype == np.int32
+        # validated before narrowing: 2**32 + 1 would wrap to 1 as int32
+        with pytest.raises(InputError, match="out of range"):
+            Dataset([0, 1], np.array([2**32 + 1]), [1.0], [1], 5)
+
+    def test_row_chunks_near_int32_limit(self):
+        # an int32 indptr whose entries reach 2**31 - 1: the chunk end is
+        # summed as a Python int, not wrapped round as an int32
+        big = 2**31
+        indptr = np.array([0, big - 100, big - 90, big - 80, big - 1], dtype=np.int32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(data_module._row_chunks(indptr)) == [(0, 1), (1, 4)]
 
     def test_arrays_are_read_only_views(self):
         data = np.array([1.0, 2.0])

@@ -253,6 +253,22 @@ class TestLbSimulation:
             samples = np.where(rng.random(n) < 0.7, on + jitter, off)
             assert abs(kolmogorov_gap(samples, pmf) - reference(samples, pmf)) <= 1e-15
 
+    def test_sorted_union_is_union1d_bitwise(self):
+        # duplicates within and across the inputs, signed zeros (which one
+        # of an equal pair survives depends on the sort), tiny and infinite
+        # values; the result's bits, not only its values, must agree
+        from sgdavg.experiments.lowerbound import _sorted_union
+
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 5e-324, -5e-324, np.inf, -np.inf])
+        rng = np.random.default_rng(14)
+        for _ in range(2000):
+            a = rng.choice(pool, size=int(rng.integers(0, 12)))
+            b = rng.choice(np.concatenate([pool, rng.standard_normal(3)]),
+                           size=int(rng.integers(0, 40)))
+            want, got = np.union1d(a, b), _sorted_union(a, b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_report_equals_half_mean_of_signs(self):
         T = 16
         problem = lb_problem()
@@ -493,6 +509,122 @@ class TestScaledSvmTables:
             # the checkpoint at t reports the iterates before step t
             agree = cps <= (ties[0] if ties.size else T)
             assert not (np.abs(small.gaps[i, agree] - seq[i, agree]) > 1e-12).any()
+
+
+def sparse_dataset(m, n, per_row, seed):
+    """m rows of ``per_row`` entries each, one in each of ``per_row`` equal
+    bands of the n columns, with uniform values and alternating labels."""
+    rng = np.random.default_rng(seed)
+    band = n // per_row
+    cols = rng.integers(0, band, size=(m, per_row)) + band * np.arange(per_row)
+    return Dataset(np.arange(0, m * per_row + 1, per_row), cols.ravel(),
+                   rng.random(m * per_row), [1 if i % 2 else -1 for i in range(m)], n)
+
+
+class TestCheckpointChunks:
+    """SVM checkpoints are evaluated scheme by scheme over chunks of trials
+    (about 1 MB of dense reports and margins per chunk)."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    def test_chunks_of_1_and_3_trials_agree(self, monkeypatch, wide):
+        # the wide set's rows hold 9000 > 8192 entries, past which einsum
+        # rounds a lone row differently from a row among others; the suffix
+        # window opens after the first checkpoint
+        ds = sparse_dataset(40, 9000, 4, 1) if wide else parse_libsvm(SPARSE_TEXT)
+        lam = 1.0 / ds.m
+        problem, factory = svm_problem(ds, lam), SvmOracleFactory(ds, lam)
+        config = RunConfig(T=200, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
+                           eval_every=50)
+        schemes = ["final", "uniform", "suffix", "nonuniform"]
+        want = run_trials(problem, factory, config, schemes, 5, 9)
+        assert np.isnan(want.gaps[:, 0, 2]).all() and not np.isnan(want.gaps[:, -1]).any()
+        for chunk in (1, 3):
+            monkeypatch.setattr(batched, "_trials_per_chunk", lambda trial_bytes: chunk)
+            got = run_trials(problem, factory, config, schemes, 5, 9)
+            assert np.array_equal(got.gaps, want.gaps, equal_nan=True), chunk
+
+    def test_objective_rows_do_not_depend_on_the_chunk(self):
+        ds = sparse_dataset(40, 9000, 4, 2)
+        objective = svm_problem(ds, 0.1).objective
+        W = np.random.default_rng(3).standard_normal((5, ds.n))
+        want = objective.rows(W)
+        # a lone row, as run_sgd evaluates it, sums as it does among others
+        lone = np.array([objective(w) for w in W])
+        assert np.array_equal(lone, want)
+        for chunk in (1, 2, 3):
+            got = np.concatenate([objective.rows(W[lo:lo + chunk]) for lo in range(0, 5, chunk)])
+            assert np.array_equal(got, want), chunk
+
+    def test_non_finite_objective_in_a_later_chunk(self, monkeypatch):
+        # the largest uniform objective at the first checkpoint, that of
+        # trial 4 at seed 5, is made infinite: every chunking names trial 4
+        # and the uniform scheme, as evaluating all trials at once does
+        import dataclasses
+
+        from sgdavg.experiments import TrialFailure
+
+        ds = parse_libsvm(SPARSE_TEXT)
+        lam = 1.0 / ds.m
+        problem, factory = svm_problem(ds, lam), SvmOracleFactory(ds, lam)
+        config = RunConfig(T=60, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
+                           eval_every=20)
+        first = run_trials(problem, factory, config, ["uniform", "final"], 5, 5).gaps[:, 0, 0]
+        assert int(np.argmax(first)) == 4
+        real = problem.objective
+
+        class Poisoned:
+            def __call__(self, w):
+                return real(w)
+
+            def rows(self, W):
+                v = real.rows(W)
+                v[v >= first[4]] = np.inf
+                return v
+
+        poisoned = dataclasses.replace(problem, objective=Poisoned())
+        for chunk in (None, 1, 2, 3):
+            if chunk is not None:
+                monkeypatch.setattr(batched, "_trials_per_chunk", lambda trial_bytes: chunk)
+            with pytest.raises(TrialFailure) as err:
+                run_trials(poisoned, factory, config, ["uniform", "final"], 5, 5)
+            assert str(err.value) == (
+                "trial 4 (base seed 5, stream index 4) failed: run aborted at iteration "
+                "20: non-finite uniform objective at checkpoint"), chunk
+
+    def test_checkpoint_memory_is_bounded(self, monkeypatch):
+        # 32 trials on a 20000 x 5000 set: one scheme's dense reports take
+        # 1.28 MB and their margins 5.12 MB. Evaluated 5 trials at a time,
+        # a checkpoint allocates 1.8 MB under tracemalloc; building every
+        # scheme's reports and margins for all trials at once took 15.4 MB
+        # for the evaluation alone. The bound is 2.5 MB.
+        import tracemalloc
+
+        ds = sparse_dataset(20_000, 5_000, 5, 3)
+        lam = 1.0 / ds.m
+        problem, factory = svm_problem(ds, lam), SvmOracleFactory(ds, lam)
+        config = RunConfig(T=40, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
+                           eval_every=10)
+        schemes = ["final", "uniform", "suffix", "nonuniform"]
+        # a first, untraced run: the first call in a process allocates caches
+        run_trials(problem, factory, config, schemes, 2, 1)
+        peaks = []
+        evaluate = batched._evaluate_chunked
+
+        def traced(*args):
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = evaluate(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        monkeypatch.setattr(batched, "_evaluate_chunked", traced)
+        tracemalloc.start()
+        try:
+            run_trials(problem, factory, config, schemes, 32, 1)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 4
+        assert max(peaks) < 2_500_000, peaks
 
 
 class TestTelescopingProduct:
