@@ -269,9 +269,12 @@ DEFAULT_SCHEDULE = StepSchedule(c=2.0, shift=1.0, mu_scaled=True)
 LOWER_BOUND_SCHEDULE = StepSchedule(c=1.0, shift=1.0, mu_scaled=False)
 
 
-def step_size(s: StepSchedule, mu: float, t: int) -> float:
-    if t < 1:
-        raise InputError(f"step index must be >= 1, got {t}")
+def step_size(s: StepSchedule, mu: float, t):
+    """eta_t at step t >= 1; given a nonempty integer array of steps, the
+    array of their step sizes, each bitwise the scalar call's."""
+    first = t if type(t) is int else np.min(t)
+    if first < 1:
+        raise InputError(f"step index must be >= 1, got {first}")
     if s.mu_scaled:
         if not mu > 0:
             raise InputError(f"mu-scaled schedule requires mu > 0, got {mu}")

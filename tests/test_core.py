@@ -184,6 +184,23 @@ class TestStepSchedule:
         with pytest.raises(InputError):
             step_size(DEFAULT_SCHEDULE, 0.0, 1)
 
+    @pytest.mark.parametrize("sched, mu", [(DEFAULT_SCHEDULE, 1.0 / 3.0),
+                                           (LOWER_BOUND_SCHEDULE, 123.0)])
+    def test_array_of_steps_matches_the_scalar_loop(self, sched, mu):
+        T = 5000
+        want = np.array([step_size(sched, mu, t) for t in range(1, T + 1)])
+        got = step_size(sched, mu, np.arange(1, T + 1))
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # any stretch of steps, as a sub-block of the SVM engine asks for them
+        assert np.array_equal(step_size(sched, mu, np.arange(700, 905)), want[699:904])
+
+    def test_array_with_a_step_below_one_is_refused(self):
+        with pytest.raises(InputError, match="step index must be >= 1, got 0"):
+            step_size(DEFAULT_SCHEDULE, 1.0, np.array([3, 0, 5]))
+        with pytest.raises(InputError):
+            step_size(LOWER_BOUND_SCHEDULE, 1.0, np.array([-2]))
+
 
 class TestProblem:
     def test_optimum_consistency_checked(self):

@@ -412,6 +412,13 @@ class TestRunTrials:
         assert messages[0].startswith("trial 0 "), messages[0]
         assert f"iteration {iteration}: non-finite iterate" in messages[0]
         assert messages[1] == messages[0]
+        # the same failure with the SVM engine's sub-blocks cut to 1-3 steps
+        for sub in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp, pytest.raises(TrialFailure) as err, \
+                    np.errstate(all="ignore"):
+                mp.setattr(batched, "_svm_blocks", lambda *_: (400, sub))
+                run_trials(problem, factory, config, ["final", "uniform"], 3, 5)
+            assert str(err.value) == messages[0], sub
 
     def test_auto_engine_falls_back_for_recording(self):
         problem, factory, _ = quad_ball_setting(T=20)
@@ -469,15 +476,103 @@ def hinge_ties(ds, lam, feasible, T, seed, trial):
     return np.nonzero(np.abs(margins - 1.0) <= 1e-9)[0] + 1
 
 
+# Gaps of run_trials on SPARSE_TEXT (3 trials, T = 1600, eval_every 200,
+# seed 8, lam = 1/m, default schedule, all four schemes), one line per trial
+# and checkpoint in the order final, uniform, suffix, nonuniform, as
+# float.hex, computed before the SVM engine's step tables replaced its
+# per-step updates: the tables must leave every bit in place.
+PINNED_SVM_GAPS = {
+    "none": (
+        "0x1.a6ec7544e2c27p-2 0x1.9eb41213b16b5p-2 nan 0x1.8a3e559006e56p-2",
+        "0x1.9629627d97372p-2 0x1.8939df5d25d39p-2 nan 0x1.85d48ef285b5fp-2",
+        "0x1.7cf2a9d9eed2ap-2 0x1.8465da77826aep-2 nan 0x1.7fb174714c76fp-2",
+        "0x1.815e08295a738p-2 0x1.80f4d962e3b62p-2 nan 0x1.7cb98508ce0a5p-2",
+        "0x1.830e9b7970808p-2 0x1.7e80a3d081010p-2 0x1.76e301480e6a8p-2 0x1.79a6a9e98be08p-2",
+        "0x1.7b06ac0b5e7e0p-2 0x1.7cc9886789deap-2 0x1.766b92f30d460p-2 0x1.783bcf06d18e2p-2",
+        "0x1.782d5794bec9fp-2 0x1.7b9b1ec6ac07dp-2 0x1.761e00bb6709ep-2 0x1.7738439b3680dp-2",
+        "0x1.779166ea2538ap-2 0x1.7ae41d008ec64p-2 0x1.7635324247785p-2 0x1.770ff4c896416p-2",
+        "0x1.a57c966e714fap-2 0x1.b04ae816e65c2p-2 nan 0x1.928da09651d0ap-2",
+        "0x1.897f4ad8822d0p-2 0x1.91717e8857630p-2 nan 0x1.801c9243132e4p-2",
+        "0x1.7b873207cdd88p-2 0x1.87c644c55d084p-2 nan 0x1.7be801c1d0b92p-2",
+        "0x1.7ee4b46ad1ca8p-2 0x1.830d46845e4a0p-2 nan 0x1.79946e879f6d5p-2",
+        "0x1.7b71712c613c2p-2 0x1.806dbed35f03fp-2 0x1.78421305ac976p-2 0x1.791490ac87058p-2",
+        "0x1.7905f07ea6228p-2 0x1.7e130f3e4a97ap-2 0x1.76ec89bdc3762p-2 0x1.780856c9cb302p-2",
+        "0x1.7c15f4cd16bdap-2 0x1.7c4e8a2b76290p-2 0x1.7695c4cd633acp-2 0x1.7773820a2b754p-2",
+        "0x1.7b4f0df7a8ca7p-2 0x1.7b244408c2a58p-2 0x1.7610d269f0c5dp-2 0x1.76bae088da1d0p-2",
+        "0x1.92664c7ff0c65p-2 0x1.b60c66e52b2bdp-2 nan 0x1.8e32de64b9b0ap-2",
+        "0x1.81528dbad8a2ep-2 0x1.99a907958f628p-2 nan 0x1.846779f3d748bp-2",
+        "0x1.7cde988c59b5ep-2 0x1.8d07d453dd8bap-2 nan 0x1.7b8a6c0e4b491p-2",
+        "0x1.79408cc3ebdc1p-2 0x1.87348b3568422p-2 nan 0x1.79e279cd07e0ap-2",
+        "0x1.7b906261a91a1p-2 0x1.8312d1ec0a35bp-2 0x1.7758e9542bf92p-2 0x1.77f6696b26e29p-2",
+        "0x1.78e2d60247182p-2 0x1.808c1fae20482p-2 0x1.770bd6af4343ap-2 0x1.772bdefe2d66cp-2",
+        "0x1.7a9a59ef978e6p-2 0x1.7ecd8153eb81dp-2 0x1.768c1c390ff5ap-2 0x1.76bf19cae7d2ep-2",
+        "0x1.77e56c11901acp-2 0x1.7d70d71ddf5b8p-2 0x1.76127e3da7444p-2 0x1.764c23bf70b3ep-2",
+    ),
+    "ball": (
+        "0x1.b66b41df9d80dp-1 0x1.c54ef0bf33060p-1 nan 0x1.bd71eb30036bdp-1",
+        "0x1.b2515f0c97afap-1 0x1.bbb8646f17da8p-1 nan 0x1.b530a49ecd6b4p-1",
+        "0x1.a6ff240cc0a12p-1 0x1.b6b5c41fbea74p-1 nan 0x1.b08cc6424f773p-1",
+        "0x1.af55465b8ec9ap-1 0x1.b3fb59565b058p-1 nan 0x1.ae96469f2f9d8p-1",
+        "0x1.ac1d2e7e0739bp-1 0x1.b1b854830fc2fp-1 0x1.a8cca903b845fp-1 0x1.ac74117e77895p-1",
+        "0x1.a8c08e8d39dd5p-1 0x1.b0714b06fe495p-1 0x1.a973ec78c12bep-1 0x1.abb2809c74fabp-1",
+        "0x1.af2dbf17cea2ap-1 0x1.af7ee277ea15bp-1 0x1.a999953c7b85cp-1 0x1.ab375fcda237dp-1",
+        "0x1.a7454640de2a0p-1 0x1.ae8815390c518p-1 0x1.a9274779f9023p-1 0x1.aa6960d14d62bp-1",
+        "0x1.bd5f68ce45926p-1 0x1.c554218a3126ep-1 nan 0x1.be7c76d968a6ep-1",
+        "0x1.b276a5234d2ddp-1 0x1.bc6dd72ca0a1cp-1 nan 0x1.b5c069ecc74f1p-1",
+        "0x1.aacf5a5b5e8f2p-1 0x1.b72f06d5ac4a1p-1 nan 0x1.b0c51998f33ccp-1",
+        "0x1.a7ea7008df112p-1 0x1.b3e2d3b8c1443p-1 nan 0x1.adc4a81bbf026p-1",
+        "0x1.a87c100e2d136p-1 0x1.b1ca4f0c1e3cep-1 0x1.a98704671eaf2p-1 0x1.ac32790fd7bedp-1",
+        "0x1.aafd10dd31c4cp-1 0x1.b0a626f318234p-1 0x1.aa3e6fd1a137cp-1 0x1.abd29d81178b6p-1",
+        "0x1.a74a792253c8bp-1 0x1.afa48392bbd28p-1 0x1.aa107e93983f8p-1 0x1.ab3dc52f1494bp-1",
+        "0x1.a92c381db69a6p-1 0x1.ae9d8bfa0f58dp-1 0x1.a966e5b6fcca7p-1 0x1.aa5c5ae4c9c84p-1",
+        "0x1.b7a40ed1c9df8p-1 0x1.c466fee028eefp-1 nan 0x1.bc7a0293c1149p-1",
+        "0x1.addcca13590a2p-1 0x1.ba1673db1a443p-1 nan 0x1.b2b61fa66cdf4p-1",
+        "0x1.a8e4d1b165802p-1 0x1.b4ec7da30ced4p-1 nan 0x1.ae2c3b66dc5f3p-1",
+        "0x1.abc4222ebb888p-1 0x1.b26a392e47ab7p-1 nan 0x1.acd0f99c42708p-1",
+        "0x1.a832ba9825932p-1 0x1.b0b1521019be2p-1 0x1.a9e79f29cc63ap-1 0x1.abbca1c989b06p-1",
+        "0x1.a9ec802f7bb70p-1 0x1.af51f73cc524ap-1 0x1.a938ce768278ep-1 0x1.aac050d02dc92p-1",
+        "0x1.a7bc2d50fe438p-1 0x1.ae4702a35c717p-1 0x1.a8d5e2634669fp-1 0x1.aa05aa1e95045p-1",
+        "0x1.a67aefac728c0p-1 0x1.ad7b49b34dcd2p-1 0x1.a89b0791a64a4p-1 0x1.a98b2a11d3c7bp-1",
+    ),
+    "box": (
+        "0x1.ea659c21799e1p-1 0x1.ec4e2c86d3263p-1 nan 0x1.eae068a5c654ap-1",
+        "0x1.ea4e501bbe2abp-1 0x1.eb5a4cb4b14b3p-1 nan 0x1.ea6e9aafb8e9cp-1",
+        "0x1.e08303922193cp-1 0x1.e99cccd18ab57p-1 nan 0x1.e80c16150ab5ap-1",
+        "0x1.e792f0d8b1819p-1 0x1.e8a2f78898591p-1 nan 0x1.e71b6a82627d3p-1",
+        "0x1.e32b731610301p-1 0x1.e78b66fc1ddbdp-1 0x1.e33965f5d1816p-1 0x1.e5b4c78e4d288p-1",
+        "0x1.e18e3a0f1cf9ap-1 0x1.e6e8d70947089p-1 0x1.e37ecf0eaf210p-1 0x1.e51716666c9b0p-1",
+        "0x1.e3d8670e7aae1p-1 0x1.e6726858d0b97p-1 0x1.e390ccf70a5bep-1 0x1.e4b88683fefc3p-1",
+        "0x1.e1b2b3daf2063p-1 0x1.e5d7569dc3dacp-1 0x1.e31501a5bfe89p-1 0x1.e3fd85d63a925p-1",
+        "0x1.e86f34f2396d7p-1 0x1.ed05e8bf2585fp-1 nan 0x1.ebd21aeba01bdp-1",
+        "0x1.e9cb63e2a9ed5p-1 0x1.ea717e4865590p-1 nan 0x1.e90f33c52f964p-1",
+        "0x1.eb08be3472be1p-1 0x1.e8666e7bbc766p-1 nan 0x1.e673b2d68b923p-1",
+        "0x1.e2412df8bc7dcp-1 0x1.e7692aa4ac41ep-1 nan 0x1.e58687f6b6de4p-1",
+        "0x1.e1ebd3b62fe25p-1 0x1.e6c08be0744ccp-1 0x1.e425568365d9cp-1 0x1.e500d4d612a53p-1",
+        "0x1.e24e2550873b7p-1 0x1.e60301df4ed14p-1 0x1.e340a1a26919cp-1 0x1.e435674db1a49p-1",
+        "0x1.e426ae48d21c3p-1 0x1.e5ab1c89c64b9p-1 0x1.e361f11a1d04cp-1 0x1.e40ec4f951f5ap-1",
+        "0x1.e15d28e791fd9p-1 0x1.e51c3728dd3a3p-1 0x1.e2d7797f58a47p-1 0x1.e36539a6cbc6cp-1",
+        "0x1.eeb21a9b3bac5p-1 0x1.eb7359cbb16f1p-1 nan 0x1.eaf61f83da559p-1",
+        "0x1.e8b164d60f0bep-1 0x1.e90740e889cc5p-1 nan 0x1.e7ae800186cd6p-1",
+        "0x1.e33afdc83b7f3p-1 0x1.e7d11f2341e68p-1 nan 0x1.e65dc711e92d1p-1",
+        "0x1.e338f3dc2f9afp-1 0x1.e727b3d17b66dp-1 nan 0x1.e5de9e3764803p-1",
+        "0x1.e11ae6ff43af1p-1 0x1.e67ad4b8ae001p-1 0x1.e3d6ca0a8f2e0p-1 0x1.e51d1328a6cadp-1",
+        "0x1.e15f2f5cf486bp-1 0x1.e5c37a52633d4p-1 0x1.e305da07b5aa7p-1 0x1.e437d7f2e8fd9p-1",
+        "0x1.e200b100cfa77p-1 0x1.e54c641b2d82dp-1 0x1.e2da362906ed0p-1 0x1.e3c2d0ebbff5bp-1",
+        "0x1.e22ade2555886p-1 0x1.e4fa49781552cp-1 0x1.e2d329b6bd70bp-1 0x1.e3880c5c80514p-1",
+    ),
+}
+
+
 class TestScaledSvmTables:
-    """The SVM engine's tables: blocks of sample indices, gathered sub-blocks
-    and the log of deferred updates to the averaged sums."""
+    """The SVM engine's tables: blocks of sample indices and sub-blocks of
+    gathered rows and step tables, which are also the log of deferred
+    updates to the averaged sums."""
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["none", "ball", "box", "shifted ball"]),
            T=st.integers(1, 200),
            eval_every=st.integers(1, 200), trials=st.integers(1, 4),
-           sizes=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           sizes=st.tuples(st.integers(1, 3), st.integers(1, 3)),
            seed=st.integers(0, 2**32 - 1))
     def test_tables_of_1_to_3_steps_agree(self, kind, T, eval_every, trials, sizes, seed):
         # rows with 0 to 9 features; under the default schedule the scale
@@ -509,6 +604,94 @@ class TestScaledSvmTables:
             # the checkpoint at t reports the iterates before step t
             agree = cps <= (ties[0] if ties.size else T)
             assert not (np.abs(small.gaps[i, agree] - seq[i, agree]) > 1e-12).any()
+
+    @pytest.mark.parametrize("kind", ["none", "box"])
+    @pytest.mark.parametrize("sub", [7, 13])
+    def test_step_tables_follow_the_scalar_recurrence(self, monkeypatch, kind, sub):
+        # Under the default schedule s folds at t = 1, 14 and 145, and the
+        # suffix window opens at t = 101. Sub-blocks of 7 steps fold on their
+        # first step (t = 1), on their last (t = 14) and inside one (t = 145);
+        # those of 13 steps on their first step (t = 14) and inside one; both
+        # open the window inside a sub-block. On the box s folds at t = 1 and
+        # every step ends in a fold. Every table row must be the per-step
+        # recurrence's value, bit for bit.
+        from sgdavg.averaging import suffix_window_start
+        from sgdavg.core import step_size
+
+        ds = parse_libsvm(SPARSE_TEXT)
+        lam = 1.0 / ds.m
+        T, trials, seed = 200, 3, 6
+        feasible = Unconstrained() if kind == "none" else Interval(-0.05, 0.05)
+        problem = svm_problem(ds, lam, feasible=feasible)
+        config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n), eval_every=T)
+
+        # the recurrence: s and the sums' A of uniform, suffix and nonuniform
+        start = suffix_window_start(T, 0.5)
+        assert start == 101
+        s, A = 1.0, [0.0, 0.0, 0.0]
+        entering, observed, logged, at, etas, folds = [], [], [], [], [], []
+        for t in range(1, T + 1):
+            entering.append(s)
+            A = [A[0] + 1.0 * s, A[1] + (0.0 if t < start else 1.0) * s, A[2] + t * s]
+            observed.append(A)
+            eta = step_size(DEFAULT_SCHEDULE, lam, t)
+            shrink = 1.0 - eta * lam
+            s = s * shrink
+            if not (abs(s) >= batched._MIN_SCALE and (abs(shrink) <= 1.0 or abs(s) <= 1.0)):
+                folds.append(t)
+                s, A = 1.0, [0.0, 0.0, 0.0]
+            logged.append(A)
+            at.append(s)
+            etas.append(eta)
+            if kind == "box":
+                s, A = 1.0, [0.0, 0.0, 0.0]
+        assert folds == ([1, 14, 145] if kind == "none" else [1])
+        samples = [RngStream(seed, b).generator().integers(ds.m, size=T) for b in range(trials)]
+
+        tables = []
+        fill = batched._ScaledSvm._tables
+
+        def recorded(plan, t0, steps):
+            fill(plan, t0, steps)
+            tables.append((t0, plan.S[:plan.steps].copy(), plan.A_obs[:, :plan.steps].copy(),
+                           plan.A_log[:, 1:plan.steps + 1].copy(),
+                           plan.coef[:plan.offsets[-1]].copy()))
+
+        monkeypatch.setattr(batched._ScaledSvm, "_tables", recorded)
+        monkeypatch.setattr(batched, "_svm_blocks", lambda *_: (T, sub))
+        run_trials(problem, SvmOracleFactory(ds, lam), config,
+                   ["final", "uniform", "suffix", "nonuniform"], trials, seed)
+        def bits(x):
+            return np.asarray(x, dtype=np.float64).view(np.int64)
+
+        assert [t0 for t0, *_ in tables] == list(range(0, T, sub))
+        for t0, S, A_obs, A_log, coef in tables:
+            steps = range(t0, min(t0 + sub, T))
+            assert S.shape == (len(steps), trials)
+            assert np.array_equal(bits(S), bits([[entering[i]] * trials for i in steps]))
+            for k in range(3):
+                want = [[observed[i][k]] * trials for i in steps]
+                assert np.array_equal(bits(A_obs[k]), bits(want))
+                want = [[logged[i][k]] * trials for i in steps]
+                assert np.array_equal(bits(A_log[k]), bits(want))
+            want = [etas[i] * ds.labels[r] / at[i] * ds.data[p]
+                    for i in steps for r in (samples[b][i] for b in range(trials))
+                    for p in range(ds.indptr[r], ds.indptr[r + 1])]
+            assert np.array_equal(bits(coef), bits(want))
+
+    @pytest.mark.parametrize("kind", ["none", "ball", "box"])
+    def test_gaps_keep_their_pinned_bits(self, kind):
+        ds = parse_libsvm(SPARSE_TEXT)
+        lam = 1.0 / ds.m
+        feasible = {"none": Unconstrained(), "ball": L2Ball(0.4, np.zeros(ds.n)),
+                    "box": Interval(-0.05, 0.05)}[kind]
+        problem = svm_problem(ds, lam, feasible=feasible)
+        config = RunConfig(T=1600, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
+                           eval_every=200)
+        got = run_trials(problem, SvmOracleFactory(ds, lam), config,
+                         ["final", "uniform", "suffix", "nonuniform"], 3, 8)
+        lines = [" ".join(float(g).hex() for g in row) for row in got.gaps.reshape(-1, 4)]
+        assert lines == list(PINNED_SVM_GAPS[kind])
 
 
 def sparse_dataset(m, n, per_row, seed):

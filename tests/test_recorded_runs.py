@@ -271,31 +271,34 @@ class TestBudgetInMeta:
         problem = svm_problem(ds, 0.1)
         config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=50)
         # bytes per step of 4 trials on rows of 3 entries with one averaged
-        # scheme: the sample indices; the gathered rows (flat column, owner
-        # and value per entry, a label per trial, the scheme's a_t and the
-        # step's offset); the logged updates (flat column, owner and update
-        # per entry, A per trial)
-        index, rows, log = 4 * 8, 4 * (3 * 24 + 8) + 2 * 8, 4 * (3 * 24 + 8)
+        # scheme: the sample indices; the sub-block tables (flat column,
+        # owner, value and update coefficient per entry, its applied flag
+        # and 16 bytes for the arrays the gather builds them from; label, s
+        # and the scheme's observed and logged A per trial; the step's size,
+        # shrink, fold flag, offset and a_t); and once the carried s and
+        # logged A per trial
+        index, rows, carry = 4 * 8, 4 * (3 * 49 + 16 + 16) + 5 * 8, 4 * 2 * 8
         # a whole run fits in one block of each table
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
-                    250 * (index + rows + log))
-        # index blocks of 9 steps; the gathered rows and the log, which share
-        # the 288 bytes, still hold one step each
+                    250 * (index + rows) + carry)
+        # index blocks of 9 steps; the sub-block tables, whose quarter block
+        # holds 72 bytes, still hold one step
         monkeypatch.setattr(batched, "_BLOCK_BYTES", 9 * 4 * 8)
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
-                    9 * index + rows + log)
+                    9 * index + rows + carry)
 
     def test_svm_sub_blocks_fill_a_quarter_block(self, tmp_path, monkeypatch):
         ds = synthetic_separable_dataset(40, 3, 1)
         problem = svm_problem(ds, 0.1)
-        config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=50)
+        # a horizon past the 283 steps of the index block below
+        config = RunConfig(T=300, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=50)
         # the bytes per step of test_svm_index_table
-        index, rows, log = 4 * 8, 4 * (3 * 24 + 8) + 2 * 8, 4 * (3 * 24 + 8)
-        # a quarter of the block bytes holds 3 steps of gathered rows and
-        # log; the index block holds 246 steps
-        monkeypatch.setattr(batched, "_BLOCK_BYTES", 4 * 3 * (rows + log) + 3)
+        index, rows, carry = 4 * 8, 4 * (3 * 49 + 16 + 16) + 5 * 8, 4 * 2 * 8
+        # a quarter of the block bytes holds 3 steps of the sub-block
+        # tables; the index block holds 283 steps
+        monkeypatch.setattr(batched, "_BLOCK_BYTES", 4 * 3 * rows + 3)
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
-                    246 * index + 3 * (rows + log))
+                    283 * index + 3 * rows + carry)
 
     def test_noiseless_run_draws_nothing(self, tmp_path):
         config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.ones(2), eval_every=50)
