@@ -39,18 +39,15 @@ from .oracles import (
     LowerBoundOracleFactory,
     NoNoise,
     NoiseModel,
+    Oracle,
     QuadraticOracle,
     QuadraticOracleFactory,
     RngStream,
-    SvmOracle,
     SvmOracleFactory,
     empirical_mgf_check,
     full_svm_objective,
     gaussian_mgf_exact,
-    lb_oracle_query,
-    quadratic_oracle_query,
     quadratic_problem,
-    svm_oracle_query,
     svm_problem,
 )
 from .sgd import RunAborted, RunConfig, RunRecord, run_sgd

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -28,19 +28,15 @@ from .data import Dataset
 
 __all__ = [
     "RngStream",
-    "as_generator",
+    "Oracle",
     "GradientSample",
     "NoiseModel",
     "NoNoise",
     "BoundedUniformBall",
     "GaussianNoise",
-    "svm_oracle_query",
     "full_svm_objective",
-    "quadratic_oracle_query",
-    "lb_oracle_query",
     "empirical_mgf_check",
     "gaussian_mgf_exact",
-    "SvmOracle",
     "QuadraticOracle",
     "LowerBoundOracle",
     "SvmOracleFactory",
@@ -69,14 +65,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def as_generator(rng: Union[RngStream, np.random.Generator]) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise InputError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-
-
 @dataclass
 class GradientSample:
     """Oracle reply: the noisy subgradient, plus the true subgradient and the
@@ -94,21 +82,14 @@ _MGF_SUB_ELEMENTS = 1 << 17
 class NoiseModel:
     """Mean-zero noise law for the gradient oracle."""
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
     def sample_batch(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """(count, n) draws. Consumes the stream exactly like ``count``
-        successive sample() calls, so splitting a batch leaves every draw
-        unchanged."""
-        return np.stack([self.sample(n, rng) for _ in range(count)])
+        """(count, n) draws. Consumes the stream row by row, so splitting a
+        batch leaves every draw unchanged."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class NoNoise(NoiseModel):
-    def sample(self, n, rng):
-        return np.zeros(n)
-
     def sample_batch(self, count, n, rng):
         return np.zeros((count, n))
 
@@ -127,9 +108,6 @@ class BoundedUniformBall(NoiseModel):
     def __post_init__(self):
         if not self.bound > 0:
             raise InputError(f"noise bound must be positive, got {self.bound}")
-
-    def sample(self, n, rng):
-        return self.sample_batch(1, n, rng)[0]
 
     def sample_batch(self, count, n, rng):
         if n == 1:
@@ -160,40 +138,8 @@ class GaussianNoise(NoiseModel):
         if not self.scale > 0:
             raise InputError(f"noise scale must be positive, got {self.scale}")
 
-    def sample(self, n, rng):
-        return rng.standard_normal(n) * (self.scale / math.sqrt(n))
-
     def sample_batch(self, count, n, rng):
         return rng.standard_normal((count, n)) * (self.scale / math.sqrt(n))
-
-
-def svm_oracle_query(
-    w: np.ndarray,
-    dataset: Dataset,
-    lam: float,
-    rng: Union[RngStream, np.random.Generator],
-) -> GradientSample:
-    """Stochastic subgradient of the mean-form regularized hinge objective.
-
-    Samples one data point uniformly and returns
-    lam*w - y_i*x_i*[y_i <w, x_i> < 1], which is unbiased for the full
-    objective (lam/2)||w||^2 + mean_i hinge_i(w). The true subgradient needs
-    a full pass, so g and zhat stay unpopulated.
-    """
-    if not lam > 0:
-        raise InputError(f"regularization parameter must be positive, got {lam}")
-    if w.shape != (dataset.n,):
-        raise InputError(f"dimension mismatch: iterate has shape {w.shape}, "
-                         f"dataset dimension is {dataset.n}")
-    rng = as_generator(rng)
-    i = int(rng.integers(dataset.m))
-    lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
-    idx, vals = dataset.indices[lo:hi], dataset.data[lo:hi]
-    y_i = dataset.labels[i]
-    ghat = lam * w
-    if y_i * np.dot(w[idx], vals) < 1.0:
-        ghat[idx] += -y_i * vals
-    return GradientSample(ghat)
 
 
 def full_svm_objective(w: np.ndarray, dataset: Dataset, lam: float) -> float:
@@ -226,53 +172,6 @@ def _squared_norms(W: np.ndarray) -> np.ndarray:
         pair = np.broadcast_to(W, (2, W.shape[1]))
         return np.einsum("ij,ij->i", pair, pair)[:1]
     return np.einsum("ij,ij->i", W, W)
-
-
-def quadratic_oracle_query(
-    x: np.ndarray,
-    noise: NoiseModel,
-    rng: Union[RngStream, np.random.Generator],
-    mu: float = 1.0,
-) -> GradientSample:
-    """Exact gradient of (mu/2)||x||^2 minus an injectable noise draw.
-
-    The g field is stored as ghat + zhat (within one ulp of mu*x) so the
-    returned decomposition is exactly self-consistent.
-    """
-    rng = as_generator(rng)
-    g = x if mu == 1.0 else mu * x
-    z = noise.sample(x.shape[0], rng)
-    ghat = g - z
-    return GradientSample(ghat, ghat + z, z)
-
-
-def lb_oracle_query(
-    x_t: np.ndarray,
-    t: int,
-    T: int,
-    rng: Union[RngStream, np.random.Generator],
-) -> GradientSample:
-    """Adversarial one-dimensional oracle for f(x) = x^2/2.
-
-    Noise is zero for t <= T/2 and t > 3T/4; in between it is
-    ((T+1)/(T-t)) * X_t with X_t a uniform sign, so |zhat| <= 6 always.
-    """
-    if T % 4 != 0:
-        raise InputError(f"horizon must be divisible by 4, got {T}")
-    if not 1 <= t <= T:
-        raise InputError(f"t must lie in [1, {T}], got {t}")
-    if x_t.shape[0] != 1:
-        raise InputError("this oracle is one-dimensional")
-    rng = as_generator(rng)
-    if t <= T // 2 or t > (3 * T) // 4:
-        z = 0.0
-    else:
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        z = (T + 1.0) / (T - t) * sign
-    zv = np.array([z])
-    ghat = x_t - zv
-    # g stored as ghat + zhat, keeping the decomposition exactly consistent
-    return GradientSample(ghat, ghat + zv, zv)
 
 
 def _mgf_pool_size(batches: int) -> int:
@@ -361,70 +260,133 @@ def gaussian_mgf_exact(scale: float, kappa: float, n: int) -> float:
     return (1.0 - a) ** (-n / 2.0)
 
 
-class SvmOracle:
-    """Per-query uniform sampling over the dataset; one stream per trial."""
+class Oracle:
+    """One trial's oracle: a law (an oracle factory) bound to the trial's
+    RngStream. query(x, t) draws step t's randomness with the law's
+    ``draw``, the same draw that fills the lockstep engine's blocks, and
+    replies with the law's ``ghat``."""
 
-    def __init__(self, dataset: Dataset, lam: float, rng: Union[RngStream, np.random.Generator]):
-        if not lam > 0:
-            raise InputError(f"regularization parameter must be positive, got {lam}")
-        self.dataset = dataset
-        self.lam = float(lam)
-        self.rng = as_generator(rng)
-
-    def query(self, w: np.ndarray, t: int) -> GradientSample:
-        return svm_oracle_query(w, self.dataset, self.lam, self.rng)
-
-
-class QuadraticOracle:
-    def __init__(
-        self,
-        noise: NoiseModel,
-        rng: Union[RngStream, np.random.Generator],
-        mu: float = 1.0,
-    ):
-        self.noise = noise
-        self.mu = float(mu)
-        self.rng = as_generator(rng)
+    def __init__(self, law, stream: RngStream):
+        if not isinstance(stream, RngStream):
+            raise InputError(f"an oracle draws from an RngStream, got {type(stream)!r}")
+        self.law = law
+        self.rng = stream.generator()
 
     def query(self, x: np.ndarray, t: int) -> GradientSample:
-        return quadratic_oracle_query(x, self.noise, self.rng, mu=self.mu)
+        law = self.law
+        draw = law.draw(self.rng, t - 1, 1, x.shape[0])[0]
+        ghat = law.ghat(x, t, draw)
+        if law.draws_zhat:
+            # g stored as ghat + zhat, keeping the decomposition exactly consistent
+            return GradientSample(ghat, ghat + draw, draw)
+        return GradientSample(ghat)
 
 
-class LowerBoundOracle:
-    def __init__(self, T: int, rng: Union[RngStream, np.random.Generator]):
-        if T % 4 != 0:
-            raise InputError(f"horizon must be divisible by 4, got {T}")
-        self.T = int(T)
-        self.rng = as_generator(rng)
+class _Law:
+    """An oracle's law: ``draw(gen, t0, steps, dim)`` returns the randomness
+    of steps t0+1 .. t0+steps from one trial's generator, consuming it step
+    by step, so that any split of the steps into blocks draws the same
+    values; ``ghat(x, t, draw)`` forms the reply at x from step t's draw.
+    Called with a trial's RngStream, a law gives that trial's Oracle."""
 
-    def query(self, x: np.ndarray, t: int) -> GradientSample:
-        return lb_oracle_query(x, t, self.T, self.rng)
+    draws_zhat = False  # whether a draw is the noise zhat itself
+
+    def __call__(self, stream: RngStream) -> Oracle:
+        return Oracle(self, stream)
+
+
+class _NoisyGradient(_Law):
+    """ghat = mu*x - zhat: the gradient of (mu/2)||x||^2 minus a drawn
+    noise row. x and zhat may be stacked (trials, dim) arrays."""
+
+    draws_zhat = True
+    mu = 1.0
+    noise: Optional[NoiseModel] = None
+
+    def ghat(self, x: np.ndarray, t: int, z) -> np.ndarray:
+        return (x if self.mu == 1.0 else self.mu * x) - z
 
 
 @dataclass(frozen=True)
-class SvmOracleFactory:
-    dataset: Dataset
-    lam: float
+class QuadraticOracleFactory(_NoisyGradient):
+    """Exact gradient of (mu/2)||x||^2 minus a draw of ``noise``."""
 
-    def __call__(self, rng: Union[RngStream, np.random.Generator]) -> SvmOracle:
-        return SvmOracle(self.dataset, self.lam, rng)
-
-
-@dataclass(frozen=True)
-class QuadraticOracleFactory:
     noise: NoiseModel = field(default_factory=NoNoise)
     mu: float = 1.0
 
-    def __call__(self, rng: Union[RngStream, np.random.Generator]) -> QuadraticOracle:
-        return QuadraticOracle(self.noise, rng, mu=self.mu)
+    def draw(self, gen, t0, steps, dim) -> np.ndarray:
+        return self.noise.sample_batch(steps, dim, gen)
 
 
 @dataclass(frozen=True)
-class LowerBoundOracleFactory:
+class LowerBoundOracleFactory(_NoisyGradient):
+    """Adversarial one-dimensional oracle for f(x) = x^2/2 at horizon T.
+
+    Noise is zero for t <= T/2 and t > 3T/4; in between it is
+    ((T+1)/(T-t)) * X_t with X_t a uniform sign, so |zhat| <= 6 always.
+    """
+
     T: int
 
-    def __call__(self, rng: Union[RngStream, np.random.Generator]) -> LowerBoundOracle:
-        return LowerBoundOracle(self.T, rng)
+    def __post_init__(self):
+        if self.T % 4 != 0:
+            raise InputError(f"the lower-bound oracle's horizon {self.T} is not divisible by 4")
+
+    def draw(self, gen, t0, steps, dim) -> np.ndarray:
+        T = self.T
+        if dim != 1:
+            raise InputError("this oracle is one-dimensional")
+        if not 0 <= t0 <= T - steps:
+            raise InputError(f"t must lie in [1, {T}], got steps {t0 + 1} to {t0 + steps}")
+        z = np.zeros((steps, 1))
+        lo, hi = max(t0, T // 2), min(t0 + steps, (3 * T) // 4)  # 0-based steps [lo, hi)
+        if lo < hi:
+            sign = np.where(gen.random(hi - lo) < 0.5, 1.0, -1.0)
+            z[lo - t0:hi - t0, 0] = (T + 1.0) / (T - np.arange(lo + 1, hi + 1)) * sign
+        return z
+
+
+@dataclass(frozen=True)
+class SvmOracleFactory(_Law):
+    """Stochastic subgradient of the mean-form regularized hinge objective
+    from one uniformly sampled data point.
+
+    The reply lam*w - y_i*x_i*[y_i <w, x_i> < 1] is unbiased for the full
+    objective (lam/2)||w||^2 + mean_i hinge_i(w). The true subgradient needs
+    a full pass, so g and zhat stay unpopulated.
+    """
+
+    dataset: Dataset
+    lam: float
+
+    def __post_init__(self):
+        if not self.lam > 0:
+            raise InputError(f"regularization parameter must be positive, got {self.lam}")
+
+    def draw(self, gen, t0, steps, dim) -> np.ndarray:
+        return gen.integers(self.dataset.m, size=steps)
+
+    def ghat(self, w: np.ndarray, t: int, i) -> np.ndarray:
+        d = self.dataset
+        if w.shape != (d.n,):
+            raise InputError(f"dimension mismatch: iterate has shape {w.shape}, "
+                             f"dataset dimension is {d.n}")
+        lo, hi = d.indptr[i], d.indptr[i + 1]
+        idx, vals = d.indices[lo:hi], d.data[lo:hi]
+        y_i = d.labels[i]
+        ghat = self.lam * w
+        if y_i * np.dot(w[idx], vals) < 1.0:
+            ghat[idx] += -y_i * vals
+        return ghat
+
+
+# one trial's quadratic and lower-bound oracles, by their laws' arguments
+def QuadraticOracle(noise: NoiseModel, rng: RngStream, mu: float = 1.0) -> Oracle:
+    return Oracle(QuadraticOracleFactory(noise, mu), rng)
+
+
+def LowerBoundOracle(T: int, rng: RngStream) -> Oracle:
+    return Oracle(LowerBoundOracleFactory(T), rng)
 
 
 @dataclass(frozen=True)

@@ -393,6 +393,26 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert "kolmogorov gap" in proc.stdout
 
+    def test_quadratic_commands_leave_the_svm_engine_unloaded(self, tmp_path):
+        # the SVM engine's module is imported only by SVM runs
+        script = (
+            "import sys\n"
+            "import sgdavg.cli\n"
+            "for argv in (['trials', '--problem', 'quadratic', '--noise', 'ball', '--set',\n"
+            "              'interval', '--T', '40', '--trials', '3', '--seed', '1'],\n"
+            "             ['lb', '--T', '16', '--trials', '20', '--seed', '1'],\n"
+            "             ['verify', '--seed', '1', '--runs', '1', '--T', '5', '--only',\n"
+            "              'diameter']):\n"
+            "    code = sgdavg.cli.main(argv)\n"
+            "    assert code in (0, 1), (argv, code)\n"
+            "assert 'sgdavg.experiments.batched_svm' not in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_cli_import_loads_no_process_pool(self, tmp_path):
         # no command uses a process pool, and only dataset runs use scipy;
         # importing the CLI loads neither

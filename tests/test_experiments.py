@@ -28,7 +28,7 @@ from sgdavg.oracles import (
 )
 from sgdavg.sgd import RunConfig, run_sgd
 from sgdavg.averaging import make_averager
-from sgdavg.experiments import batched
+from sgdavg.experiments import batched, batched_svm
 from sgdavg.experiments import io as io_module
 from sgdavg.experiments import numfmt, numfmt_kernel
 from sgdavg.experiments import verify as verify_module
@@ -416,7 +416,7 @@ class TestRunTrials:
         for sub in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp, pytest.raises(TrialFailure) as err, \
                     np.errstate(all="ignore"):
-                mp.setattr(batched, "_svm_blocks", lambda *_: (400, sub))
+                mp.setattr(batched_svm, "_svm_blocks", lambda *_: (400, sub))
                 run_trials(problem, factory, config, ["final", "uniform"], 3, 5)
             assert str(err.value) == messages[0], sub
 
@@ -593,7 +593,7 @@ class TestScaledSvmTables:
         schemes = ["final", "uniform", "suffix", "nonuniform"]
         default = run_trials(problem, factory, config, schemes, trials, seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(batched, "_svm_blocks", lambda *_: sizes)
+            mp.setattr(batched_svm, "_svm_blocks", lambda *_: sizes)
             small = run_trials(problem, factory, config, schemes, trials, seed)
         assert np.array_equal(small.gaps, default.gaps, equal_nan=True)
         seq = per_trial_gaps(problem, factory, config, schemes, trials, seed)
@@ -637,7 +637,7 @@ class TestScaledSvmTables:
             eta = step_size(DEFAULT_SCHEDULE, lam, t)
             shrink = 1.0 - eta * lam
             s = s * shrink
-            if not (abs(s) >= batched._MIN_SCALE and (abs(shrink) <= 1.0 or abs(s) <= 1.0)):
+            if not (abs(s) >= batched_svm._MIN_SCALE and (abs(shrink) <= 1.0 or abs(s) <= 1.0)):
                 folds.append(t)
                 s, A = 1.0, [0.0, 0.0, 0.0]
             logged.append(A)
@@ -649,7 +649,7 @@ class TestScaledSvmTables:
         samples = [RngStream(seed, b).generator().integers(ds.m, size=T) for b in range(trials)]
 
         tables = []
-        fill = batched._ScaledSvm._tables
+        fill = batched_svm._ScaledSvm._tables
 
         def recorded(plan, t0, steps):
             fill(plan, t0, steps)
@@ -657,8 +657,8 @@ class TestScaledSvmTables:
                            plan.A_log[:, 1:plan.steps + 1].copy(),
                            plan.coef[:plan.offsets[-1]].copy()))
 
-        monkeypatch.setattr(batched._ScaledSvm, "_tables", recorded)
-        monkeypatch.setattr(batched, "_svm_blocks", lambda *_: (T, sub))
+        monkeypatch.setattr(batched_svm._ScaledSvm, "_tables", recorded)
+        monkeypatch.setattr(batched_svm, "_svm_blocks", lambda *_: (T, sub))
         run_trials(problem, SvmOracleFactory(ds, lam), config,
                    ["final", "uniform", "suffix", "nonuniform"], trials, seed)
         def bits(x):
@@ -722,7 +722,7 @@ class TestCheckpointChunks:
         want = run_trials(problem, factory, config, schemes, 5, 9)
         assert np.isnan(want.gaps[:, 0, 2]).all() and not np.isnan(want.gaps[:, -1]).any()
         for chunk in (1, 3):
-            monkeypatch.setattr(batched, "_trials_per_chunk", lambda trial_bytes: chunk)
+            monkeypatch.setattr(batched_svm, "_trials_per_chunk", lambda trial_bytes: chunk)
             got = run_trials(problem, factory, config, schemes, 5, 9)
             assert np.array_equal(got.gaps, want.gaps, equal_nan=True), chunk
 
@@ -767,7 +767,7 @@ class TestCheckpointChunks:
         poisoned = dataclasses.replace(problem, objective=Poisoned())
         for chunk in (None, 1, 2, 3):
             if chunk is not None:
-                monkeypatch.setattr(batched, "_trials_per_chunk", lambda trial_bytes: chunk)
+                monkeypatch.setattr(batched_svm, "_trials_per_chunk", lambda trial_bytes: chunk)
             with pytest.raises(TrialFailure) as err:
                 run_trials(poisoned, factory, config, ["uniform", "final"], 5, 5)
             assert str(err.value) == (
@@ -791,7 +791,7 @@ class TestCheckpointChunks:
         # a first, untraced run: the first call in a process allocates caches
         run_trials(problem, factory, config, schemes, 2, 1)
         peaks = []
-        evaluate = batched._evaluate_chunked
+        evaluate = batched_svm._evaluate_chunked
 
         def traced(*args):
             start, _ = tracemalloc.get_traced_memory()
@@ -800,7 +800,7 @@ class TestCheckpointChunks:
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
             return out
 
-        monkeypatch.setattr(batched, "_evaluate_chunked", traced)
+        monkeypatch.setattr(batched_svm, "_evaluate_chunked", traced)
         tracemalloc.start()
         try:
             run_trials(problem, factory, config, schemes, 32, 1)

@@ -12,18 +12,18 @@ from sgdavg.oracles import (
     BoundedUniformBall,
     GaussianNoise,
     LowerBoundOracle,
+    LowerBoundOracleFactory,
     NoNoise,
+    Oracle,
     QuadraticObjective,
+    QuadraticOracleFactory,
     RngStream,
     SvmObjective,
-    SvmOracle,
+    SvmOracleFactory,
     empirical_mgf_check,
     full_svm_objective,
     gaussian_mgf_exact,
-    lb_oracle_query,
-    quadratic_oracle_query,
     quadratic_problem,
-    svm_oracle_query,
     svm_problem,
 )
 
@@ -67,14 +67,16 @@ class TestRngStream:
         noise = BoundedUniformBall(1.5)
         gens = [RngStream(7, 6).generator() for _ in range(3)]
         whole = noise.sample_batch(50, 3, gens[0])
-        assert np.array_equal(np.stack([noise.sample(3, gens[1]) for _ in range(50)]), whole)
+        assert np.array_equal(
+            np.concatenate([noise.sample_batch(1, 3, gens[1]) for _ in range(50)]), whole)
         parts = [noise.sample_batch(k, 3, gens[2]) for k in (1, 17, 32)]
         assert np.array_equal(np.concatenate(parts), whole)
 
 
 class TestNoiseModels:
     def test_no_noise(self):
-        assert np.array_equal(NoNoise().sample(4, RngStream(0).generator()), np.zeros(4))
+        assert np.array_equal(NoNoise().sample_batch(1, 4, RngStream(0).generator()),
+                              np.zeros((1, 4)))
 
     def test_ball_stays_inside(self):
         rng = RngStream(1).generator()
@@ -121,29 +123,29 @@ class TestNoiseModels:
 class TestSvmOracle:
     def test_zero_weights_active_hinge(self):
         w = np.zeros(3)
-        s = svm_oracle_query(w, one_point_dataset(), 0.7, RngStream(0))
+        s = SvmOracleFactory(one_point_dataset(), 0.7)(RngStream(0)).query(w, 1)
         assert np.array_equal(s.ghat, [-1.0, 0.0, 0.0])
         assert s.g is None and s.zhat is None
 
     def test_inactive_hinge_returns_regularizer(self):
         # y <w, x> = 2 >= 1, so only lam*w survives
         w = np.array([2.0, 0.0, 0.0])
-        s = svm_oracle_query(w, one_point_dataset(), 0.5, RngStream(0))
+        s = SvmOracleFactory(one_point_dataset(), 0.5)(RngStream(0)).query(w, 1)
         assert np.allclose(s.ghat, 0.5 * w, rtol=0, atol=0)
 
     def test_single_point_expectation_exact(self):
         # with one data point every draw picks it: the mean over 1e4 draws
         # is exactly the unique subgradient
         w = np.zeros(3)
-        rng = RngStream(5).generator()
+        oracle = SvmOracleFactory(one_point_dataset(), 1.0)(RngStream(5))
         acc = np.zeros(3)
-        for _ in range(10**4):
-            acc += svm_oracle_query(w, one_point_dataset(), 1.0, rng).ghat
+        for t in range(1, 10**4 + 1):
+            acc += oracle.query(w, t).ghat
         assert np.array_equal(acc / 10**4, [-1.0, 0.0, 0.0])
 
     def test_empty_lam_validation(self):
         with pytest.raises(InputError):
-            svm_oracle_query(np.zeros(3), one_point_dataset(), 0.0, RngStream(0))
+            SvmOracleFactory(one_point_dataset(), 0.0)(RngStream(0)).query(np.zeros(3), 1)
 
     @pytest.mark.parametrize("ds", [
         parse_libsvm("+1 2:0.5 5:-1.25 9:3\n-1 1:2 3:0.75\n+1\n-1 4:-0.5 9:1\n", n=10),
@@ -156,7 +158,7 @@ class TestSvmOracle:
         lam = 0.25
         for k in range(40):
             w = rng.standard_normal(10) * (0.1 if k % 2 else 3.0)
-            s = svm_oracle_query(w, ds, lam, RngStream(k))
+            s = SvmOracleFactory(ds, lam)(RngStream(k)).query(w, 1)
             i = int(RngStream(k).generator().integers(ds.m))
             x, y = dense[i], ds.labels[i]
             want = lam * w - (y * x if y * float(x @ w) < 1.0 else 0.0)
@@ -177,7 +179,7 @@ class TestSvmOracle:
             w0 = rng.standard_normal(10)
             side = 1.0 if k % 2 else -1.0
             w = w0 * ((1.0 + side * 1e-9) / (y * float(x @ w0)))
-            s = svm_oracle_query(w, ds, lam, RngStream(k))
+            s = SvmOracleFactory(ds, lam)(RngStream(k)).query(w, 1)
             want = lam * w - (y * x if side < 0 else 0.0)
             assert np.allclose(s.ghat, want, rtol=1e-12, atol=1e-15)
 
@@ -189,7 +191,7 @@ class TestSvmOracle:
         lam = 0.5
         for k in range(40):
             w = rng.standard_normal(10) * 1e-3
-            s = svm_oracle_query(w, ds, lam, RngStream(k))
+            s = SvmOracleFactory(ds, lam)(RngStream(k)).query(w, 1)
             i = int(RngStream(k).generator().integers(ds.m))
             idx = ds.indices[ds.indptr[i]:ds.indptr[i + 1]]
             vals = ds.data[ds.indptr[i]:ds.indptr[i + 1]]
@@ -199,12 +201,12 @@ class TestSvmOracle:
 
     def test_iterate_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):
-            svm_oracle_query(np.zeros(2), one_point_dataset(), 0.5, RngStream(0))
+            SvmOracleFactory(one_point_dataset(), 0.5)(RngStream(0)).query(np.zeros(2), 1)
 
     def test_oracle_class_deterministic(self):
         ds = two_point_dataset()
-        o1 = SvmOracle(ds, 0.5, RngStream(9, 1))
-        o2 = SvmOracle(ds, 0.5, RngStream(9, 1))
+        o1 = SvmOracleFactory(ds, 0.5)(RngStream(9, 1))
+        o2 = SvmOracleFactory(ds, 0.5)(RngStream(9, 1))
         w = np.array([0.3])
         for t in range(1, 50):
             assert np.array_equal(o1.query(w, t).ghat, o2.query(w, t).ghat)
@@ -280,60 +282,60 @@ class TestRowObjectives:
 
 class TestQuadraticOracle:
     def test_exact_gradient_no_noise(self):
-        s = quadratic_oracle_query(np.array([3.0]), NoNoise(), RngStream(0))
+        s = QuadraticOracleFactory(NoNoise())(RngStream(0)).query(np.array([3.0]), 1)
         assert np.array_equal(s.ghat, [3.0])
         assert np.array_equal(s.zhat, [0.0])
 
     def test_noise_only_at_origin(self):
-        s = quadratic_oracle_query(np.zeros(2), BoundedUniformBall(1.0), RngStream(1))
+        s = QuadraticOracleFactory(BoundedUniformBall(1.0))(RngStream(1)).query(np.zeros(2), 1)
         assert np.array_equal(s.ghat, -s.zhat)
 
     def test_decomposition_identity_exact(self):
-        rng = RngStream(2).generator()
-        for _ in range(200):
-            x = rng.standard_normal(3)
-            s = quadratic_oracle_query(x, GaussianNoise(1.0), rng)
+        oracle = QuadraticOracleFactory(GaussianNoise(1.0))(RngStream(2))
+        for t in range(1, 201):
+            x = oracle.rng.standard_normal(3)  # x and the noise share one stream
+            s = oracle.query(x, t)
             assert np.array_equal(s.ghat + s.zhat, s.g)
 
     def test_ball_noise_monte_carlo(self):
-        rng = RngStream(3).generator()
+        oracle = QuadraticOracleFactory(BoundedUniformBall(1.0))(RngStream(3))
         zs = np.empty(10**5)
         x = np.array([1.0])
         for i in range(zs.size):
-            s = quadratic_oracle_query(x, BoundedUniformBall(1.0), rng)
+            s = oracle.query(x, i + 1)
             zs[i] = s.zhat[0]
         assert np.abs(zs).max() <= 1.0
         assert abs(zs.mean()) <= 4 * zs.std() / math.sqrt(zs.size)
 
     def test_mean_zero_gaussian(self):
-        rng = RngStream(4).generator()
+        oracle = QuadraticOracleFactory(GaussianNoise(1.0))(RngStream(4))
         zs = np.empty((10**5, 2))
         x = np.array([0.5, -0.5])
         for i in range(zs.shape[0]):
-            zs[i] = quadratic_oracle_query(x, GaussianNoise(1.0), rng).zhat
+            zs[i] = oracle.query(x, i + 1).zhat
         se = zs.std(axis=0) / math.sqrt(zs.shape[0])
         assert np.all(np.abs(zs.mean(axis=0)) <= 4 * se)
 
 
 class TestLowerBoundOracle:
     def test_silent_first_half(self):
-        s = lb_oracle_query(np.array([0.5]), 3, 8, RngStream(0))
+        s = LowerBoundOracle(8, RngStream(0)).query(np.array([0.5]), 3)
         assert s.zhat[0] == 0.0
         assert s.ghat[0] == 0.5
 
     def test_magnitude_at_t6_T8(self):
-        s = lb_oracle_query(np.array([0.0]), 6, 8, RngStream(0))
+        s = LowerBoundOracle(8, RngStream(0)).query(np.array([0.0]), 6)
         assert abs(s.zhat[0]) == pytest.approx(4.5)
 
     def test_silent_last_quarter(self):
-        s = lb_oracle_query(np.array([0.0]), 7, 8, RngStream(0))
+        s = LowerBoundOracle(8, RngStream(0)).query(np.array([0.0]), 7)
         assert s.zhat[0] == 0.0
 
     @pytest.mark.parametrize("T", [4, 8, 100, 1024])
     def test_noise_window_and_bound(self, T):
-        rng = RngStream(1).generator()
+        oracle = LowerBoundOracle(T, RngStream(1))
         for t in range(1, T + 1):
-            z = lb_oracle_query(np.zeros(1), t, T, rng).zhat[0]
+            z = oracle.query(np.zeros(1), t).zhat[0]
             if t <= T // 2 or t > 3 * T // 4:
                 assert z == 0.0
             else:
@@ -341,22 +343,20 @@ class TestLowerBoundOracle:
                 assert abs(z) <= 6.0
 
     def test_mean_zero_in_window(self):
-        rng = RngStream(2).generator()
-        zs = np.array(
-            [lb_oracle_query(np.zeros(1), 6, 8, rng).zhat[0] for _ in range(10**5)]
-        )
+        oracle = LowerBoundOracle(8, RngStream(2))
+        zs = np.array([oracle.query(np.zeros(1), 6).zhat[0] for _ in range(10**5)])
         assert abs(zs.mean()) <= 4 * zs.std() / math.sqrt(zs.size)
 
     def test_divisibility_precondition(self):
-        with pytest.raises(InputError):
-            lb_oracle_query(np.zeros(1), 1, 10, RngStream(0))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="not divisible by 4"):
+            LowerBoundOracleFactory(10)
+        with pytest.raises(InputError, match="not divisible by 4"):
             LowerBoundOracle(6, RngStream(0))
 
     def test_decomposition_identity(self):
-        rng = RngStream(3).generator()
+        oracle = LowerBoundOracle(8, RngStream(3))
         for t in range(1, 9):
-            s = lb_oracle_query(np.array([0.25]), t, 8, rng)
+            s = oracle.query(np.array([0.25]), t)
             assert np.array_equal(s.ghat + s.zhat, s.g)
 
     def test_determinism(self):
@@ -365,6 +365,72 @@ class TestLowerBoundOracle:
         x = np.array([0.1])
         for t in range(1, 9):
             assert np.array_equal(o1.query(x, t).ghat, o2.query(x, t).ghat)
+
+
+def draw_in_blocks(law, stream, T, dim, sizes):
+    """Steps 1..T of one trial's draws, in consecutive blocks of the given
+    sizes (cycled, the last block cut at T), from one generator."""
+    gen, parts, t0, k = stream.generator(), [], 0, 0
+    while t0 < T:
+        steps = min(sizes[k % len(sizes)], T - t0)
+        parts.append(law.draw(gen, t0, steps, dim))
+        t0, k = t0 + steps, k + 1
+    return np.concatenate(parts)
+
+
+LAWS = [
+    *[(QuadraticOracleFactory(noise, mu=0.5), 20, dim)
+      for noise in (NoNoise(), BoundedUniformBall(1.5), GaussianNoise(2.0)) for dim in (1, 3)],
+    *[(LowerBoundOracleFactory(T), T, 1) for T in (8, 12, 100)],
+    (SvmOracleFactory(parse_libsvm("+1 1:0.5\n-1 2:2\n+1\n-1 1:1 3:-1\n+1 2:0.25\n"), 0.1),
+     20, 3),
+]
+
+
+class TestLawDraws:
+    """The one draw of each law serves run_sgd (a step at a time) and the
+    lockstep engine (blocks of any length): a split never changes a draw."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from(range(len(LAWS))),
+           sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_of_1_to_3_steps_equal_one_at_a_time(self, case, sizes, seed):
+        law, T, dim = LAWS[case]
+        stream = RngStream(seed, 3)
+        whole = draw_in_blocks(law, stream, T, dim, [T])
+        assert len(whole) == T
+        assert np.array_equal(draw_in_blocks(law, stream, T, dim, [1]), whole)
+        assert np.array_equal(draw_in_blocks(law, stream, T, dim, sizes), whole)
+
+    @pytest.mark.parametrize("case", range(len(LAWS)))
+    def test_every_block_split_and_the_oracle_agree(self, case):
+        # blocks of exactly 1, 2 and 3 steps, and the Oracle's own queries,
+        # whose zhat is step t's draw when the law draws the noise itself
+        law, T, dim = LAWS[case]
+        stream = RngStream(41, case)
+        whole = draw_in_blocks(law, stream, T, dim, [T])
+        for sizes in ([1], [2], [3], [3, 1, 2]):
+            assert np.array_equal(draw_in_blocks(law, stream, T, dim, sizes), whole)
+        if law.draws_zhat:
+            oracle = law(stream)
+            x = np.full(dim, 0.75)
+            zs = np.stack([oracle.query(x, t).zhat for t in range(1, T + 1)])
+            assert np.array_equal(zs, whole)
+
+    def test_lower_bound_draws_only_in_its_window(self):
+        # steps 1..T/2 and 3T/4+1..T draw nothing from the stream
+        law = LowerBoundOracleFactory(12)
+        gen = RngStream(5).generator()
+        assert not law.draw(gen, 0, 6, 1).any() and not law.draw(gen, 9, 3, 1).any()
+        assert np.array_equal(law.draw(gen, 6, 3, 1), law.draw(RngStream(5).generator(), 6, 3, 1))
+
+    def test_oracle_refuses_a_numpy_generator(self):
+        for law in (QuadraticOracleFactory(), LowerBoundOracleFactory(8), LAWS[-1][0]):
+            with pytest.raises(InputError, match="Generator"):
+                Oracle(law, np.random.default_rng(0))
+            with pytest.raises(InputError, match="Generator"):
+                law(np.random.default_rng(0))
 
 
 MGF_NOISES = [(GaussianNoise(1.0), 1), (GaussianNoise(1.3), 50), (BoundedUniformBall(2.0), 1),

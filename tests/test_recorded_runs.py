@@ -134,6 +134,11 @@ class TestLowerBoundFactory:
         # lockstep engine refuses them, and run_trials with it
         problem = quadratic_problem(dim, feasible=Interval(-6, 6))
         config = RunConfig(T=T, schedule=LOWER_BOUND_SCHEDULE, x1=np.zeros(dim))
+        if factory_T % 4:
+            # the law itself refuses the horizon, for every engine alike
+            with pytest.raises(InputError, match=reason):
+                LowerBoundOracleFactory(factory_T)
+            return
         factory = LowerBoundOracleFactory(factory_T)
         with pytest.raises(InputError, match=reason):
             batched.run_all(problem, factory, config, ["final"], 2, 0, 0.5)
@@ -378,20 +383,25 @@ class TestStreamedDraws:
            seed=st.integers(0, 2**32 - 1))
     def test_svm_indices_equal_one_shot_draws(self, T, trials, block, seed):
         ds = synthetic_separable_dataset(13, 3, 1)
-        blocks = []
-        draw = batched._draw_indices
+        calls = []
 
-        def recording(gens, m, out):
-            draw(gens, m, out)
-            blocks.append(out.copy())
+        class Recording(SvmOracleFactory):
+            def draw(self, gen, t0, steps, dim):
+                drawn = super().draw(gen, t0, steps, dim)
+                calls.append((t0, drawn))
+                return drawn
 
         config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(batched, "_BLOCK_BYTES", block * trials * 8)
-            mp.setattr(batched, "_draw_indices", recording)
-            got = run_trials(svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config,
+            got = run_trials(svm_problem(ds, 0.1), Recording(ds, 0.1), config,
                              list(SCHEME_NAMES), trials, seed)
-        assert [len(b) for b in blocks] == [min(block, T - t0) for t0 in range(0, T, block)]
+        # each block is drawn trial by trial: (block steps, trials) per block
+        starts = list(range(0, T, block))
+        assert [t0 for t0, _ in calls] == [t0 for t0 in starts for _ in range(trials)]
+        blocks = [np.stack([d for _, d in calls[j * trials:(j + 1) * trials]], axis=1)
+                  for j in range(len(starts))]
+        assert [len(b) for b in blocks] == [min(block, T - t0) for t0 in starts]
         drawn = np.concatenate(blocks)
         for i in range(trials):
             want = RngStream(seed, i).generator().integers(ds.m, size=T)
