@@ -32,10 +32,16 @@ When every pair is finished and written, the outputs are checked: each
 workload's commands (as `perfbench/workloads.py` defines them, read and not
 changed) run once more on each side, with the first seed of that workload's
 --runs, on the same generated inputs and into the same output path. Their
-exit codes, their standard output and every output file must agree byte for
-byte, except a file's `# config:` line. The verdict, or the error that
-stopped the check, is added to --out under "check_outputs", and the script
-exits 1 when anything differs or the check fails.
+exit codes, their standard output and every output file are compared,
+leaving out a file's `# config:` line. A file's `# meta:` line is compared
+field by field, and every differing field is reported with both values; for
+each differing file or standard output, the first differing line is
+reported with its number (counted without the `# config:` and `# meta:`
+lines) and its text on both sides. The verdict, or the error that stopped the check, is
+added to --out under "check_outputs". The script exits 1 when the check
+fails or anything differs other than the `# meta:` fields in
+ALLOWED_META_FIELDS: the bytes of the engine's tables, which a change may
+resize without changing any result.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN_SECONDS = 60
 RUN_TIMEOUT_S = 900
+ALLOWED_META_FIELDS = {"predraw_bytes"}
 
 
 def git(*args: str) -> str:
@@ -128,10 +135,62 @@ def without_config(text: bytes) -> bytes:
                     if not ln.startswith(b"# config:"))
 
 
+def split_meta(text: bytes) -> tuple[dict, list[bytes]]:
+    """An output file's `# meta:` fields and its other lines."""
+    meta, lines = {}, []
+    for line in text.splitlines():
+        if line.startswith(b"# meta:"):
+            meta = json.loads(line[len(b"# meta:"):])
+        else:
+            lines.append(line)
+    return meta, lines
+
+
+def first_difference(parent: list[bytes], change: list[bytes]) -> dict | None:
+    """The first line at which two texts differ: its 1-based number and its
+    text on each side (None past a side's end)."""
+    for i in range(max(len(parent), len(change))):
+        p = parent[i].decode(errors="replace") if i < len(parent) else None
+        c = change[i].decode(errors="replace") if i < len(change) else None
+        if p != c:
+            return {"line": i + 1, "parent": p, "change": c}
+    return None
+
+
+def difference(parent, change) -> dict:
+    """How one compared output differs between the sides: for two files
+    (split by split_meta), each differing `# meta:` field with both values
+    and the first differing line; for two standard outputs, the first
+    differing line; else both values. ``allowed`` is whether only fields in
+    ALLOWED_META_FIELDS differ."""
+    if isinstance(parent, bytes) and isinstance(change, bytes):
+        parent, change = ({}, parent.splitlines()), ({}, change.splitlines())
+    elif not (isinstance(parent, tuple) and isinstance(change, tuple)):
+        def shown(v):
+            return "present" if isinstance(v, (bytes, tuple)) else v
+        return {"parent": shown(parent), "change": shown(change), "allowed": False}
+    (meta_p, lines_p), (meta_c, lines_c) = parent, change
+    meta = {k: [meta_p.get(k), meta_c.get(k)] for k in sorted(meta_p.keys() | meta_c.keys())
+            if meta_p.get(k) != meta_c.get(k)}
+    line = first_difference(lines_p, lines_c)
+    return {"meta": meta, "first_line": line,
+            "allowed": line is None and meta.keys() <= ALLOWED_META_FIELDS}
+
+
+def describe(name: str, diff: dict) -> str:
+    if "meta" not in diff:
+        return f"{name}: {diff['parent']!r} -> {diff['change']!r}"
+    parts = [f"meta {k} {p!r} -> {c!r}" for k, (p, c) in diff["meta"].items()]
+    if diff["first_line"] is not None:
+        line = diff["first_line"]
+        parts.append(f"line {line['line']} {line['parent']!r} -> {line['change']!r}")
+    return f"{name}: " + "; ".join(parts) + (" (allowed)" if diff["allowed"] else "")
+
+
 def side_outputs(side: Path, workload, seed: int, facts: dict, out: Path) -> dict:
     """Run a workload's commands once on one side, writing into ``out``:
     each command's exit code and standard output, and each output file
-    without its `# config:` line, by name."""
+    without its `# config:` line, split by split_meta, by name."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("SGDAVG_")}
     env["PYTHONPATH"] = str(side / "src")
     out.mkdir(parents=True)
@@ -144,7 +203,7 @@ def side_outputs(side: Path, workload, seed: int, facts: dict, out: Path) -> dic
         except subprocess.TimeoutExpired:
             got[f"command {i} exit"] = "timed out"
     for path in workload.outputs(out):
-        got[path.name] = without_config(path.read_bytes()) if path.exists() else None
+        got[path.name] = split_meta(without_config(path.read_bytes())) if path.exists() else None
     return got
 
 
@@ -165,10 +224,12 @@ def check_outputs(sides: dict, runs, workdir: Path) -> dict:
             (inputs / "out").rename(inputs / side)
         names = sorted(got["parent"].keys() | got["change"].keys())
         differ = [k for k in names if got["parent"].get(k) != got["change"].get(k)]
+        details = {k: difference(got["parent"].get(k), got["change"].get(k)) for k in differ}
         verdicts[name] = {"seed": seed, "compared": names, "identical": not differ,
-                          "differ": differ}
-        print(f"{name} seed {seed} outputs: "
-              + ("identical" if not differ else "differ in " + ", ".join(differ)), flush=True)
+                          "differ": differ, "details": details,
+                          "passed": all(d["allowed"] for d in details.values())}
+        print(f"{name} seed {seed} outputs: " + ("identical" if not differ else "differ in "
+              + ", ".join(describe(k, d) for k, d in details.items())), flush=True)
     return verdicts
 
 
@@ -268,7 +329,7 @@ def main(argv=None) -> int:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
     checked = report.get("check_outputs", {})
-    failed = "error" in checked or any(not v["identical"] for v in checked.values())
+    failed = "error" in checked or any(not v["passed"] for v in checked.values())
     return 1 if "incomplete" in report or failed else 0
 
 

@@ -7,6 +7,11 @@ simulation match), ``verify`` (the trajectory-inequality verifier fleet).
 Exit codes: 0 success/PASS, 1 runtime or verification failure, 2 usage
 error. All randomness flows from --seed (or SGDAVG_SEED); flags beat
 environment variables beat built-in defaults.
+
+Each handler imports the modules only its command runs: the data layer (and
+with it scipy) for dataset problems, the harness, CSV/SVG writers and tail
+fit for ``trials``, the lower-bound law for ``lb``, the verifiers for
+``verify``.
 """
 
 from __future__ import annotations
@@ -26,20 +31,9 @@ from .core import (
     InputError,
     Interval,
     L2Ball,
+    ParseError,
     StepSchedule,
     Unconstrained,
-)
-from .data import ParseError, load_libsvm, scale_features
-from .experiments import (
-    TrialFailure,
-    export_csv,
-    lb_exact_distribution_rational,
-    lb_exceedance_probability,
-    lb_simulate_and_match,
-    render_svg,
-    run_trials,
-    run_verification_fleet,
-    tail_fit,
 )
 from .oracles import (
     BoundedUniformBall,
@@ -51,7 +45,7 @@ from .oracles import (
     quadratic_problem,
     svm_problem,
 )
-from .sgd import RunAborted, RunConfig, run_sgd
+from .sgd import RunAborted, RunConfig, TrialFailure, run_sgd
 
 _ENV_PREFIX = "SGDAVG_"
 
@@ -162,6 +156,8 @@ def _build_setting(args):
         dim = args.dim
         eval_every = args.eval_every if args.eval_every is not None else args.T
     else:
+        from .data import load_libsvm, scale_features
+
         if not args.dataset:
             raise InputError("--problem svm requires --dataset")
         dataset = load_libsvm(args.dataset, n=args.dataset_dim)
@@ -218,6 +214,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_trials(args) -> int:
+    from .experiments.harness import run_trials
+    from .experiments.io import export_csv, render_svg
+    from .experiments.tails import tail_fit
+
     seed = _resolve_seed(args)
     problem, factory, config = _build_setting(args)
     matrix = run_trials(problem, factory, config, args.schemes, args.trials, seed,
@@ -239,6 +239,9 @@ def cmd_trials(args) -> int:
 
 
 def cmd_lb(args) -> int:
+    from .experiments.lowerbound import (lb_exact_distribution_rational,
+                                         lb_exceedance_probability, lb_simulate_and_match)
+
     seed = args.seed
     if args.exact or args.trials is None:
         print(f"exact pmf of the reported objective at T={args.T}:")
@@ -272,6 +275,8 @@ _FLEET_SEED = 20260810  # the standard verifier fleet is pinned, not entropic
 
 
 def cmd_verify(args) -> int:
+    from .experiments.verify import run_verification_fleet
+
     if args.seed is not None:
         seed = args.seed
     else:

@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "InputError",
     "UsageError",
+    "ParseError",
     "BudgetExceeded",
     "SparseVec",
     "norm",
@@ -38,6 +39,15 @@ class InputError(ValueError):
 
 class UsageError(RuntimeError):
     """An object's call protocol was violated (wrong order, missing state)."""
+
+
+class ParseError(InputError):
+    """A dataset's text is malformed; names the line when it is known."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        self.line = line
+        prefix = f"line {line}: " if line is not None else ""
+        super().__init__(prefix + message)
 
 
 # The bytes that a command's large buffers may take together: the lockstep

@@ -24,7 +24,7 @@ from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
-from .core import InputError, SparseVec, _reserve
+from .core import InputError, ParseError, SparseVec, _reserve
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -38,13 +38,6 @@ __all__ = [
     "scale_features",
     "synthetic_separable_dataset",
 ]
-
-
-class ParseError(InputError):
-    def __init__(self, message: str, line: Optional[int] = None):
-        self.line = line
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
 
 
 class Dataset:

@@ -40,7 +40,8 @@ from ..averaging import WindowNotStarted, make_averager
 from ..core import InputError, Interval, L2Ball, Problem, Unconstrained, _BUDGET_BYTES, step_size
 from .. import core
 from ..oracles import LowerBoundOracleFactory, NoNoise, RngStream, SvmOracleFactory, _NoisyGradient
-from ..sgd import RunAborted, RunConfig, RunRecord, Trajectory, checkpoint_iterations
+from ..sgd import (RunAborted, RunConfig, RunRecord, Trajectory, checkpoint_iterations,
+                   trial_failure)
 
 __all__ = ["LockstepRun", "run_all"]
 
@@ -112,8 +113,6 @@ class LockstepRun:
 
 
 def _failure(trial: int, base_seed: int, t: int, reason: str):
-    from .harness import trial_failure
-
     return trial_failure(trial, base_seed, RunAborted(t, reason))
 
 

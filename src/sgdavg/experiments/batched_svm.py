@@ -37,11 +37,15 @@ which of its entries it applied to v, and U[k][cols] += A[k]*coef is applied
 for the marked entries by np.add.at before each checkpoint and fold and at
 the end of the sub-block. np.add.at adds an entry's terms one by one in
 entry order, which is step order, so U holds exactly the sums that per-step
-updates give. The index block is sized from ``batched._BLOCK_BYTES`` (read
-at call time, as the budget is), and a sub-block's tables, with the arrays
-its gather builds them from, take a quarter of it (2 MB), all as if every
-sampled row were the longest; the two count against the budget together,
-and ``predraw_bytes`` reports them.
+updates give. The sample indices (below m) and the gathered flat columns
+and owners (below trials*n) take ``Dataset``'s index dtype rule: int32
+while it holds their bound, else int64. The index block is sized from
+``batched._BLOCK_BYTES`` (read at call time, as the budget is), and a
+sub-block's tables, with the arrays its gather builds them from, take a
+quarter of it (2 MB), all as if every sampled row were the longest and
+every index took 8 bytes, the lengths at which the engine was timed; int32
+tables then take fewer bytes. The two count against the budget together,
+and ``predraw_bytes`` reports the bytes they are allocated.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import numpy as np
 
 from ..averaging import suffix_window_start
 from ..core import L2Ball, Problem, Unconstrained, _BALL_SLACK, step_size
+from ..data import _index_dtype
 from ..oracles import SvmOracleFactory
 from ..sgd import checkpoint_iterations
 from . import batched
@@ -78,6 +83,17 @@ def _svm_blocks(index: int, rows: int, T: int) -> tuple[int, int]:
     held = index + rows
     block = _block_steps(index, T, held)
     return block, _block_steps(4 * rows, block, held)
+
+
+def _sub_block_bytes(trials: int, longest: int, k: int, width: int) -> int:
+    """Bytes per step of a sub-block's tables for ``trials`` trials and
+    ``k`` averaged schemes, with every sampled row as long as the longest,
+    at ``width`` bytes per flat column and owner: per entry those two, the
+    value and update coefficient (8 bytes each), the applied flag (1) and 16
+    bytes for the arrays _gather builds them from; per trial the label, s
+    and each scheme's observed and logged A; per step its size, shrink, fold
+    flag, offset and each scheme's a_t."""
+    return trials * (longest * (2 * width + 33) + 16 + 16 * k) + (k + 4) * 8
 
 
 def _trials_per_chunk(trial_bytes: int) -> int:
@@ -140,31 +156,32 @@ class _ScaledSvm:
         bounded = not (centered or isinstance(feasible, Unconstrained))
         self.project = feasible.project_rows if bounded else None
 
-        # bytes per step of each table, with every sampled row as long as the
-        # longest: a sample index per trial; the flat column, owner, value,
-        # update coefficient (8 bytes each) and applied flag (1) per entry,
-        # and the 16 bytes per entry of the arrays _gather builds them from;
-        # the label, s and each scheme's observed and logged A per trial; the
-        # step's size, shrink, fold flag, offset and each scheme's a_t. The
-        # tables of s and logged A hold one more row, the carry.
+        # the sample indices (below m) and the gathered flat columns and
+        # owners (below trials*n) take Dataset's index dtype: int32 while it
+        # holds them
+        sample = _index_dtype(d.m)
+        entry = _index_dtype(trials * d.n)
         k = len(self.averaged)
         longest = int(self.lens.max())
-        index = trials * 8
-        rows = trials * (longest * 49 + 16 + 16 * k) + (k + 4) * 8
-        self.block, self.sub = _svm_blocks(index, rows, config.T)
+        # the block lengths are those of 8-byte indices, at which they were
+        # timed; the tables then take the bytes of their own dtypes. The
+        # tables of s and logged A hold one more row, the carry.
+        self.block, self.sub = _svm_blocks(
+            trials * 8, _sub_block_bytes(trials, longest, k, 8), config.T)
+        index = trials * sample.itemsize
         # the index block alone names its own bytes when it exceeds the budget
         _reserve(self.block * index, "one block of sample indices")
         self.reserved = _reserve(
-            self.block * index + self.sub * rows + trials * (k + 1) * 8,
-            "one block of sample indices and a sub-block's tables")
+            self.block * index + self.sub * _sub_block_bytes(trials, longest, k, entry.itemsize)
+            + trials * (k + 1) * 8, "one block of sample indices and a sub-block's tables")
         # (block, trials): step t reads one contiguous row
-        self.idx = np.empty((self.block, trials), dtype=np.int64)
+        self.idx = np.empty((self.block, trials), dtype=sample)
         self.gens = _generators(trials, base_seed, self.block, config.T)
         # the gathered entries of one sub-block: those of step j lie in
         # offsets[j]:offsets[j+1], trial by trial; see _gather
         entries = self.sub * trials * longest
-        self.owner = np.empty(entries, dtype=np.int64)
-        self.flat = np.empty(entries, dtype=np.int64)
+        self.owner = np.empty(entries, dtype=entry)
+        self.flat = np.empty(entries, dtype=entry)
         self.vals = np.empty(entries)
         self.coef = np.empty(entries)
         # the log of deferred updates U[k][flat] += A_log[k]*coef: the entries
@@ -366,9 +383,10 @@ class _ScaledSvm:
         if self.vv is not None:
             self.vv[rows] = np.einsum("ij,ij->i", v, v)
 
-    def _ball_row(self, j, t, a, b) -> bool:
+    def _ball_row(self, j, t, a, b, owner) -> bool:
         """Under the ball: s after step j's shrink and folds, its logged A and
-        the coefficients of its entries; returns whether any trial folded."""
+        the coefficients of its entries a:b, owned by the trials ``owner``;
+        returns whether any trial folded."""
         shrink = self.shrink[j]
         s = self.S[j] * shrink
         A = self.A_log[:, j + 1]
@@ -381,7 +399,7 @@ class _ScaledSvm:
             A[:, rows] = 0.0
             s[rows] = 1.0
         self.S[j + 1] = s
-        np.multiply((self.eta[j] * self.y[j] / s)[self.owner[a:b]], self.vals[a:b],
+        np.multiply((self.eta[j] * self.y[j] / s)[owner], self.vals[a:b],
                     out=self.coef[a:b])
         return folded
 
@@ -389,13 +407,17 @@ class _ScaledSvm:
         """Step t of every trial, then enter step t+1."""
         j = self.j
         a, b = self.offsets[j], self.offsets[j + 1]
-        owner, flat, vals = self.owner[a:b], self.flat[a:b], self.vals[a:b]
+        # the step's owners and columns as intp, once: numpy converts int32
+        # index arrays at every use, about 1 us each at 200 entries
+        owner = self.owner[a:b].astype(np.intp, copy=False)
+        flat = self.flat[a:b].astype(np.intp, copy=False)
+        vals = self.vals[a:b]
         vflat = self.v_flat
         old = vflat[flat]
         margins = self.S[j] * np.bincount(owner, weights=old * vals,
                                           minlength=self.trials) * self.y[j]
         if self.radius is not None:
-            if self._ball_row(j, t, a, b):
+            if self._ball_row(j, t, a, b, owner):
                 old = vflat[flat]
         elif self.folds[j]:
             self.fold(self.trial_ids, self.S[j, 0] * self.shrink[j], t, self.A_obs[:, j])

@@ -11,21 +11,10 @@ import numpy as np
 
 from ..averaging import SCHEME_NAMES
 from ..core import InputError, Problem
-from ..sgd import RunConfig, checkpoint_iterations
+from ..sgd import RunConfig, TrialFailure, checkpoint_iterations
 from . import batched
 
 __all__ = ["TrialFailure", "TrialMatrix", "run_trials"]
-
-
-class TrialFailure(RuntimeError):
-    """One trial of a batch aborted; carries the trial index and seed."""
-
-
-def trial_failure(index: int, base_seed: int, exc: Exception) -> TrialFailure:
-    """The failure of trial ``index``, naming its seed and stream."""
-    return TrialFailure(
-        f"trial {index} (base seed {base_seed}, stream index {index}) failed: {exc}"
-    )
 
 
 @dataclass(eq=False)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from .core import (
     FeasibleSet,
     project,
 )
-from .data import Dataset
+
+if TYPE_CHECKING:  # only SVM runs load the data layer
+    from .data import Dataset
 
 __all__ = [
     "RngStream",
@@ -139,7 +142,9 @@ class GaussianNoise(NoiseModel):
             raise InputError(f"noise scale must be positive, got {self.scale}")
 
     def sample_batch(self, count, n, rng):
-        return rng.standard_normal((count, n)) * (self.scale / math.sqrt(n))
+        z = rng.standard_normal((count, n))
+        z *= self.scale / math.sqrt(n)  # in place: one (count, n) array
+        return z
 
 
 def full_svm_objective(w: np.ndarray, dataset: Dataset, lam: float) -> float:
@@ -342,8 +347,14 @@ class LowerBoundOracleFactory(_NoisyGradient):
         lo, hi = max(t0, T // 2), min(t0 + steps, (3 * T) // 4)  # 0-based steps [lo, hi)
         if lo < hi:
             sign = np.where(gen.random(hi - lo) < 0.5, 1.0, -1.0)
-            z[lo - t0:hi - t0, 0] = (T + 1.0) / (T - np.arange(lo + 1, hi + 1)) * sign
+            z[lo - t0:hi - t0, 0] = self._scales[lo - T // 2:hi - T // 2] * sign
         return z
+
+    @cached_property
+    def _scales(self) -> np.ndarray:
+        """(T+1)/(T-t) for t in (T/2, 3T/4], computed once per law."""
+        T = self.T
+        return (T + 1.0) / (T - np.arange(T // 2 + 1, (3 * T) // 4 + 1))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .oracles import GradientSample
 
 __all__ = [
     "RunAborted",
+    "TrialFailure",
     "RunConfig",
     "RunRecord",
     "Trajectory",
@@ -35,6 +36,17 @@ class RunAborted(RuntimeError):
     def __init__(self, iteration: int, reason: str):
         self.iteration = iteration
         super().__init__(f"run aborted at iteration {iteration}: {reason}")
+
+
+class TrialFailure(RuntimeError):
+    """One trial of a batch aborted; carries the trial index and seed."""
+
+
+def trial_failure(index: int, base_seed: int, exc: Exception) -> TrialFailure:
+    """The failure of trial ``index``, naming its seed and stream."""
+    return TrialFailure(
+        f"trial {index} (base seed {base_seed}, stream index {index}) failed: {exc}"
+    )
 
 
 @dataclass(frozen=True, eq=False)

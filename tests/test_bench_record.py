@@ -1,5 +1,6 @@
 """bench/record.py keeps the pairs it finished when a run or the output
-check fails, and compares both sides' outputs byte for byte."""
+check fails, and compares both sides' outputs: byte for byte, except the
+`# meta:` fields it allows to differ."""
 
 import importlib.util
 import json
@@ -147,6 +148,54 @@ def test_check_outputs(monkeypatch, tmp_path, parent_value, identical):
     parent, change = (tmp_path / "work" / "outputs" / "tail_verify" / s / "a.csv"
                       for s in ("parent", "change"))
     assert parent.read_text().splitlines()[0] != change.read_text().splitlines()[0]
+
+
+class MetaWorkload(FakeWorkload):
+    """One command that writes its side's `value.txt` to `out/a.csv` under a
+    `# config:` line naming the side, and prints only the path."""
+
+    def commands(self, out, seed, facts):
+        script = ("import os, sys\n"
+                  "with open(sys.argv[1], 'w') as fh:\n"
+                  "    fh.write('# config: ' + os.getcwd() + '\\n' + open('value.txt').read())\n"
+                  "print(sys.argv[1])\n")
+        return [[sys.executable, "-c", script, str(out / "a.csv")]]
+
+
+CSV = '# meta: {{"predraw_bytes": {}, "trials": {}}}\ntrial,value\n0,{}\n1,0.5\n'
+
+
+@pytest.mark.parametrize("parent_value, details, code", [
+    # only the engine's table bytes differ: reported, and allowed
+    (CSV.format(64, 2, 0.25), {"meta": {"predraw_bytes": [64, 32]}, "first_line": None,
+                               "allowed": True}, 0),
+    (CSV.format(32, 3, 0.25), {"meta": {"trials": [3, 2]}, "first_line": None,
+                               "allowed": False}, 1),
+    # a data row differs: its number counts neither the config nor the meta line
+    (CSV.format(32, 2, 0.75), {"meta": {}, "allowed": False,
+                               "first_line": {"line": 2, "parent": "0,0.75", "change": "0,0.25"}},
+     1),
+], ids=["predraw-bytes", "other-meta-field", "data-row"])
+def test_check_outputs_reports_meta_fields_and_first_line(monkeypatch, tmp_path, parent_value,
+                                                          details, code):
+    def exporter(value):
+        def export(*args):
+            dest = args[-1]
+            dest.mkdir(parents=True)
+            (dest / "value.txt").write_text(value)
+        return export
+
+    monkeypatch.setattr(record, "export_revision", exporter(parent_value))
+    monkeypatch.setattr(record, "export_working_tree", exporter(CSV.format(32, 2, 0.25)))
+    monkeypatch.setattr(record, "load_workloads", lambda: {"svm_sparse": MetaWorkload()})
+    fake_runs(monkeypatch, 0, None)
+    out = tmp_path / "bench.json"
+    assert record.main(["--parent", "HEAD", "--runs", "svm_sparse:5:1", "--out", str(out),
+                        "--workdir", str(tmp_path / "work")]) == code
+    verdict = json.loads(out.read_text())["check_outputs"]["svm_sparse"]
+    assert verdict["identical"] is False and verdict["differ"] == ["a.csv"]
+    assert verdict["details"] == {"a.csv": details}
+    assert verdict["passed"] is (code == 0)
 
 
 def test_without_config_drops_only_the_config_line():

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,24 +397,61 @@ class TestConsoleScript:
         assert "kolmogorov gap" in proc.stdout
 
     def test_quadratic_commands_leave_the_svm_engine_unloaded(self, tmp_path):
-        # the SVM engine's module is imported only by SVM runs
-        script = (
-            "import sys\n"
-            "import sgdavg.cli\n"
-            "for argv in (['trials', '--problem', 'quadratic', '--noise', 'ball', '--set',\n"
-            "              'interval', '--T', '40', '--trials', '3', '--seed', '1'],\n"
-            "             ['lb', '--T', '16', '--trials', '20', '--seed', '1'],\n"
-            "             ['verify', '--seed', '1', '--runs', '1', '--T', '5', '--only',\n"
-            "              'diameter']):\n"
-            "    code = sgdavg.cli.main(argv)\n"
-            "    assert code in (0, 1), (argv, code)\n"
-            "assert 'sgdavg.experiments.batched_svm' not in sys.modules\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC_DIR},
-        )
-        assert proc.returncode == 0, proc.stderr
+        # each command loads only its own modules: the SVM engine and the data
+        # layer only for SVM runs, the CSV writer only for trials, the
+        # lower-bound law only for lb, the verifiers only for verify
+        (tmp_path / "d.txt").write_text("+1 1:0.5 2:1\n-1 2:0.3\n+1 1:-0.2\n")
+        commands = [
+            (['trials', '--problem', 'quadratic', '--noise', 'ball', '--set', 'interval',
+              '--T', '40', '--trials', '3', '--seed', '1', '--csv', 'q.csv'],
+             ['sgdavg.experiments.batched_svm', 'sgdavg.data', 'sgdavg.experiments.verify',
+              'sgdavg.experiments.lowerbound']),
+            (['lb', '--T', '16', '--trials', '20', '--seed', '1'],
+             ['sgdavg.experiments.batched_svm', 'sgdavg.experiments.io',
+              'sgdavg.experiments.verify']),
+            (['verify', '--seed', '1', '--runs', '1', '--T', '5', '--only', 'diameter'],
+             ['sgdavg.experiments.batched_svm', 'sgdavg.experiments.io',
+              'sgdavg.experiments.lowerbound']),
+            (['trials', '--problem', 'svm', '--dataset', 'd.txt', '--T', '20', '--trials', '2',
+              '--seed', '1', '--csv', 's.csv'],
+             ['sgdavg.experiments.verify', 'sgdavg.experiments.lowerbound']),
+        ]
+        for argv, unloaded in commands:
+            script = (
+                "import sys\n"
+                "import sgdavg.cli\n"
+                f"code = sgdavg.cli.main({argv!r})\n"
+                "assert code in (0, 1), code\n"
+                f"loaded = [m for m in {unloaded!r} if m in sys.modules]\n"
+                "assert not loaded, loaded\n"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC_DIR},
+            )
+            assert proc.returncode == 0, (argv, proc.stderr)
+
+    @pytest.mark.parametrize("package", ["sgdavg", "sgdavg.experiments"])
+    def test_public_names_resolve_to_their_defining_modules(self, package):
+        # the module that defines each top-level name, read from the source
+        defined = {}
+        for path in Path(SRC_DIR, "sgdavg").rglob("*.py"):
+            module = ".".join(path.relative_to(SRC_DIR).with_suffix("").parts)
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    defined.setdefault(node.name, []).append(module)
+                elif isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            defined.setdefault(target.id, []).append(module)
+        pkg = importlib.import_module(package)
+        assert len(pkg.__all__) == len(set(pkg.__all__)) > 0
+        for name in pkg.__all__:
+            [module] = defined[name]
+            assert getattr(pkg, name) is getattr(importlib.import_module(module), name), name
+        assert set(pkg.__all__) <= set(dir(pkg))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(pkg, "no_such_name")
 
     def test_cli_import_loads_no_process_pool(self, tmp_path):
         # no command uses a process pool, and only dataset runs use scipy;

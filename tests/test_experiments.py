@@ -14,6 +14,7 @@ from sgdavg.core import (
     L2Ball,
     Unconstrained,
 )
+from sgdavg import data as data_module
 from sgdavg.data import Dataset, parse_libsvm, synthetic_separable_dataset
 from sgdavg.oracles import (
     BoundedUniformBall,
@@ -678,6 +679,45 @@ class TestScaledSvmTables:
                     for i in steps for r in (samples[b][i] for b in range(trials))
                     for p in range(ds.indptr[r], ds.indptr[r + 1])]
             assert np.array_equal(bits(coef), bits(want))
+
+    @pytest.mark.parametrize("kind", ["none", "ball", "box"])
+    def test_index_tables_take_the_dataset_dtype(self, monkeypatch, kind):
+        # 3 trials on SPARSE_TEXT's 10 rows and 12 columns: the sample
+        # indices lie below 10, the gathered flat columns and owners below
+        # 36. Each table is int32 while the bound fits and int64 past it, the
+        # gaps keep their bits either way, and predraw_bytes counts what the
+        # engine allocates: its arrays, 16 bytes per entry for the arrays the
+        # gather builds them from, and per step of a sub-block the labels
+        # and the step's size, shrink, fold flag, offset and each a_t.
+        ds = parse_libsvm(SPARSE_TEXT)
+        lam = 1.0 / ds.m
+        feasible = {"none": Unconstrained(), "ball": L2Ball(0.4, np.zeros(ds.n)),
+                    "box": Interval(-0.05, 0.05)}[kind]
+        problem = svm_problem(ds, lam, feasible=feasible)
+        config = RunConfig(T=300, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
+                           eval_every=50)
+        plans = []
+
+        class Recording(batched_svm._ScaledSvm):
+            def __init__(self, *args):
+                super().__init__(*args)
+                plans.append(self)
+
+        monkeypatch.setattr(batched_svm, "_ScaledSvm", Recording)
+        trials, gaps = 3, set()
+        for limit, sample, entry in [(2**31 - 1, np.int32, np.int32), (20, np.int32, np.int64),
+                                     (9, np.int64, np.int64)]:
+            monkeypatch.setattr(data_module, "_INT32_MAX", limit)
+            got = run_trials(problem, SvmOracleFactory(ds, lam), config,
+                             ["final", "uniform", "suffix", "nonuniform"], trials, 8)
+            plan = plans[-1]
+            assert (plan.idx.dtype, plan.flat.dtype, plan.owner.dtype) == (sample, entry, entry)
+            tables = (plan.idx, plan.owner, plan.flat, plan.vals, plan.coef, plan.applied,
+                      plan.S, plan.A_obs, plan.A_log)
+            transient = 16 * plan.owner.size + plan.sub * 8 * (trials + len(plan.averaged) + 4)
+            assert got.meta["predraw_bytes"] == sum(a.nbytes for a in tables) + transient
+            gaps.add(got.gaps.tobytes())
+        assert len(gaps) == 1
 
     @pytest.mark.parametrize("kind", ["none", "ball", "box"])
     def test_gaps_keep_their_pinned_bits(self, kind):

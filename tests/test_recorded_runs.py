@@ -201,7 +201,7 @@ class TestPredrawBudget:
 
     def test_refused_when_one_step_exceeds_budget(self, monkeypatch):
         # 1000-byte budget: one step of 2 trials in 4000-D needs 64000 bytes
-        # of noise, one step of 8000 SVM trials 64000 bytes of indices
+        # of noise, one step of 16000 SVM trials 64000 bytes of int32 indices
         T, trials, dim = 50, 2, 4000
         problem = quadratic_problem(dim, feasible=Interval(-6, 6))
         factory = QuadraticOracleFactory(GaussianNoise(1.0))
@@ -211,8 +211,8 @@ class TestPredrawBudget:
         ds = synthetic_separable_dataset(20, 3, 1)
         config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3))
         self._expect_refusal(monkeypatch, lambda: run_trials(
-            svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config, ["final"], 8000, 0),
-            8000 * 8)
+            svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config, ["final"], 16000, 0),
+            16000 * 4)
 
     def test_streamed_run_stays_within_budget(self, monkeypatch):
         # the whole-run tables of these runs would take 320 kB, 10 times the
@@ -276,18 +276,18 @@ class TestBudgetInMeta:
         problem = svm_problem(ds, 0.1)
         config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=50)
         # bytes per step of 4 trials on rows of 3 entries with one averaged
-        # scheme: the sample indices; the sub-block tables (flat column,
-        # owner, value and update coefficient per entry, its applied flag
-        # and 16 bytes for the arrays the gather builds them from; label, s
-        # and the scheme's observed and logged A per trial; the step's size,
-        # shrink, fold flag, offset and a_t); and once the carried s and
-        # logged A per trial
-        index, rows, carry = 4 * 8, 4 * (3 * 49 + 16 + 16) + 5 * 8, 4 * 2 * 8
+        # scheme: the int32 sample indices; the sub-block tables (int32 flat
+        # column and owner, value and update coefficient per entry, its
+        # applied flag and 16 bytes for the arrays the gather builds them
+        # from; label, s and the scheme's observed and logged A per trial;
+        # the step's size, shrink, fold flag, offset and a_t); and once the
+        # carried s and logged A per trial
+        index, rows, carry = 4 * 4, 4 * (3 * 41 + 16 + 16) + 5 * 8, 4 * 2 * 8
         # a whole run fits in one block of each table
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
                     250 * (index + rows) + carry)
-        # index blocks of 9 steps; the sub-block tables, whose quarter block
-        # holds 72 bytes, still hold one step
+        # index blocks of 9 steps, sized as 8-byte indices; the sub-block
+        # tables, whose quarter block holds 72 bytes, still hold one step
         monkeypatch.setattr(batched, "_BLOCK_BYTES", 9 * 4 * 8)
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
                     9 * index + rows + carry)
@@ -298,10 +298,10 @@ class TestBudgetInMeta:
         # a horizon past the 283 steps of the index block below
         config = RunConfig(T=300, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=50)
         # the bytes per step of test_svm_index_table
-        index, rows, carry = 4 * 8, 4 * (3 * 49 + 16 + 16) + 5 * 8, 4 * 2 * 8
-        # a quarter of the block bytes holds 3 steps of the sub-block
-        # tables; the index block holds 283 steps
-        monkeypatch.setattr(batched, "_BLOCK_BYTES", 4 * 3 * rows + 3)
+        index, rows, carry = 4 * 4, 4 * (3 * 41 + 16 + 16) + 5 * 8, 4 * 2 * 8
+        # a quarter of the block bytes holds 3 steps of the sub-block tables
+        # and the index block 283 steps, both sized as for 8-byte indices
+        monkeypatch.setattr(batched, "_BLOCK_BYTES", 4 * 3 * (4 * (3 * 49 + 16 + 16) + 5 * 8) + 3)
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
                     283 * index + 3 * rows + carry)
 

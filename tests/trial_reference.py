@@ -9,9 +9,8 @@ from dataclasses import replace
 import numpy as np
 
 from sgdavg.averaging import make_averager
-from sgdavg.experiments.harness import trial_failure
 from sgdavg.oracles import RngStream
-from sgdavg.sgd import checkpoint_iterations, run_sgd
+from sgdavg.sgd import checkpoint_iterations, run_sgd, trial_failure
 
 
 def per_trial_gaps(problem, oracle_factory, config, schemes, trials, base_seed,
