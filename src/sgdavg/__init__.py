@@ -41,7 +41,7 @@ def _lazy_exports(namespace: dict, exports: dict[str, str]):
 __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "core": """DEFAULT_SCHEDULE LOWER_BOUND_SCHEDULE FeasibleSet InputError Interval L2Ball
                ParseError Problem SparseVec StepSchedule Unconstrained UsageError
-               gamma_weight norm project step_size""",
+               norm project step_size""",
     "averaging": """SCHEME_NAMES Averager FinalIterate NonUniformAverage SuffixAverage
                     UniformAverage WindowNotStarted make_averager""",
     "data": "Dataset load_libsvm parse_libsvm scale_features serialize_libsvm",

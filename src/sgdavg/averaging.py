@@ -1,5 +1,10 @@
 """Iterate-reporting schemes: final iterate, uniform mean, suffix mean, and
 the online weight-proportional-to-t average.
+
+Each averaged scheme reports sum_{i<=t} a_i x_i / total(t), given both as
+its recurrence (``observe``, run by ``run_sgd`` and the quadratic engine) and
+as its weights a_t and their running total (``weights``, ``total``, read by
+the SVM engine). The final iterate is no weighted sum (``weighted`` False).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ class Averager(ABC):
     """Consumes iterates x_1, x_2, ... in order and maintains a running report."""
 
     name: str = "?"
+    weighted = True
 
     def __init__(self):
         self._t = 0
@@ -52,9 +58,18 @@ class Averager(ABC):
     def report(self) -> np.ndarray:
         """Current report; never mutates state."""
 
+    def weights(self, ts: np.ndarray) -> np.ndarray:
+        """a_t of the weighted sum behind the report, at the steps ``ts``."""
+        raise UsageError(f"{self.name}: not a weighted sum")
+
+    def total(self, t: int) -> float:
+        """The sum of a_i over i <= t, which divides the sum into the report."""
+        raise UsageError(f"{self.name}: not a weighted sum")
+
 
 class FinalIterate(Averager):
     name = "final"
+    weighted = False
 
     def __init__(self):
         super().__init__()
@@ -90,6 +105,12 @@ class UniformAverage(Averager):
             raise UsageError("uniform: no iterates observed yet")
         return self._z.copy()
 
+    def weights(self, ts):
+        return np.ones(ts.size)
+
+    def total(self, t):
+        return float(t)
+
 
 class NonUniformAverage(Averager):
     """Weight-proportional-to-t average, computed online without knowing the
@@ -113,6 +134,12 @@ class NonUniformAverage(Averager):
         if self._z is None:
             raise UsageError("nonuniform: no iterates observed yet")
         return self._z.copy()
+
+    def weights(self, ts):
+        return ts
+
+    def total(self, t):
+        return t * (t + 1) / 2.0
 
 
 def suffix_window_start(T: int, alpha: float) -> int:
@@ -158,16 +185,19 @@ class SuffixAverage(Averager):
             )
         return self._z.copy()
 
+    def weights(self, ts):
+        return np.where(ts < self._start, 0.0, 1.0)
+
+    def total(self, t):
+        return float(max(0, t - self._start + 1))
+
 
 def make_averager(name: str, T: int | None = None, suffix_alpha: float = 0.5) -> Averager:
-    if name == "final":
-        return FinalIterate()
-    if name == "uniform":
-        return UniformAverage()
-    if name == "nonuniform":
-        return NonUniformAverage()
     if name == "suffix":
         if T is None:
             raise InputError("suffix averaging requires the horizon T at construction")
         return SuffixAverage(T, alpha=suffix_alpha)
-    raise InputError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
+    kinds = {"final": FinalIterate, "uniform": UniformAverage, "nonuniform": NonUniformAverage}
+    if name not in kinds:
+        raise InputError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
+    return kinds[name]()

@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_SCHEDULE",
     "LOWER_BOUND_SCHEDULE",
     "step_size",
-    "gamma_weight",
 ]
 
 
@@ -290,12 +289,3 @@ def step_size(s: StepSchedule, mu: float, t):
             raise InputError(f"mu-scaled schedule requires mu > 0, got {mu}")
         return s.c / (mu * (t + s.shift))
     return s.c / (t + s.shift)
-
-
-def gamma_weight(t: int, T: int) -> float:
-    """Triangular weight t / (T*(T+1)/2); over t = 1..T these sum to one."""
-    if T < 1:
-        raise InputError(f"horizon must be >= 1, got {T}")
-    if not 1 <= t <= T:
-        raise InputError(f"t must lie in [1, {T}], got {t}")
-    return t / (T * (T + 1) / 2.0)

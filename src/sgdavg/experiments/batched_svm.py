@@ -4,10 +4,11 @@ runs.
 SVM problems cost O(nnz) per trial and step. Each trial's iterate is held as
 w = s*v with a scalar s, so the shrink by (1 - eta*lam) touches only s and
 the hinge step touches only the sampled row's columns of v (the scaled-weight
-trick of Pegasos). Each running sum sum_i a_i w_i behind the uniform, suffix
-and t-weighted averages is held as A*v - U with a scalar A, and U changes only
-where v does (the lazily updated average of ASGD). Dense vectors are built
-only at checkpoints and at folds, which write the pending scale into v. A
+trick of Pegasos). Each averaged scheme's sum sum_i a_i w_i, with the
+weights a_i and the total that divides it read from the scheme's averager
+(``weights``, ``total``), is held as A*v - U with a scalar A, and U changes
+only where v does (the lazily updated average of ASGD). Dense vectors are
+built only at checkpoints and at folds, which write the pending scale into v. A
 checkpoint builds and evaluates the reports scheme by scheme, a chunk of
 trials at a time, whose dense reports and margins take about 1 MB; no
 report is kept past its checkpoint. An L2 ball about the origin rescales s
@@ -54,7 +55,7 @@ from functools import partial
 
 import numpy as np
 
-from ..averaging import suffix_window_start
+from ..averaging import make_averager
 from ..core import L2Ball, Problem, Unconstrained, _BALL_SLACK, step_size
 from ..data import _index_dtype
 from ..oracles import SvmOracleFactory
@@ -146,10 +147,10 @@ class _ScaledSvm:
         self.lam = factory.lam
         self.mu, self.schedule = problem.mu, config.schedule
         self.base_seed = base_seed
-        self.names = list(scheme_names)
-        self.averaged = [nm for nm in self.names if nm != "final"]
-        if "suffix" in self.names:
-            self.suffix_start = suffix_window_start(config.T, suffix_alpha)
+        self.schemes = [make_averager(nm, T=config.T, suffix_alpha=suffix_alpha)
+                        for nm in scheme_names]
+        # the schemes held as sums A[k]*v - U[k], k indexing this list
+        self.averaged = [av for av in self.schemes if av.weighted]
         feasible = problem.feasible
         centered = isinstance(feasible, L2Ball) and not feasible.center.any()
         self.radius = feasible.radius if centered else None
@@ -203,22 +204,6 @@ class _ScaledSvm:
         self.trial_ids = np.arange(trials)
         self._enter(1)
 
-    def _weights(self, nm, ts: np.ndarray) -> np.ndarray:
-        """a_t of the sum behind scheme ``nm`` at the steps ``ts``."""
-        if nm == "nonuniform":
-            return ts
-        if nm == "suffix":
-            return np.where(ts < self.suffix_start, 0.0, 1.0)
-        return np.ones(ts.size)
-
-    def _total(self, nm, t) -> float:
-        """The sum of a_i over i <= t, which divides the sum into the average."""
-        if nm == "uniform":
-            return float(t)
-        if nm == "nonuniform":
-            return t * (t + 1) / 2.0
-        return float(max(0, t - self.suffix_start + 1))
-
     def _enter(self, t):
         """Make step t the current one, gathering its sub-block and filling
         its tables first at the sub-block's first step; under the ball, fill
@@ -270,9 +255,7 @@ class _ScaledSvm:
         ts = np.arange(t0 + 1, t0 + steps + 1)
         eta = step_size(self.schedule, self.mu, ts)
         shrink = 1.0 - eta * self.lam
-        self.W = np.empty((len(self.averaged), steps))
-        for k, nm in enumerate(self.averaged):
-            self.W[k] = self._weights(nm, ts)
+        self.W = np.array([av.weights(ts) for av in self.averaged], float).reshape(-1, steps)
         self.eta, self.shrink = eta.tolist(), shrink.tolist()
         if self.radius is None:
             self._fill(eta, shrink)
@@ -352,14 +335,12 @@ class _ScaledSvm:
         self._flush()
         s, A = self.S[self.j], self.A_obs[:, self.j]
         out = {}
-        for nm in self.names:
-            if nm == "final":
-                out[nm] = lambda rows: s[rows, None] * self.v[rows]
-                continue
-            total = self._total(nm, t)
-            if total:
-                k = self.averaged.index(nm)
-                out[nm] = partial(self._average, A[k], self.U[k], total)
+        for av in self.schemes:
+            if not av.weighted:
+                out[av.name] = lambda rows: s[rows, None] * self.v[rows]
+            elif total := av.total(t):
+                k = self.averaged.index(av)
+                out[av.name] = partial(self._average, A[k], self.U[k], total)
         return out
 
     def _average(self, A, U, total, rows):

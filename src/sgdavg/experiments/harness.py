@@ -38,8 +38,8 @@ class TrialMatrix:
             raise InputError("gap array shape disagrees with checkpoint/scheme lists")
         if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
             raise InputError("checkpoint iterations must be strictly increasing")
-        defined = ~np.isnan(self.gaps)
-        if not np.isfinite(self.gaps[defined]).all():
+        # NaN marks undefined entries, so a defined one is non-finite only as +-inf
+        if np.isinf(self.gaps).any():
             raise InputError("defined gap entries must be finite")
 
     @property
@@ -60,13 +60,6 @@ class TrialMatrix:
         if np.isnan(col).any():
             raise InputError(f"scheme {scheme!r} is undefined at the final checkpoint")
         return col.copy()
-
-    def gaps_at(self, checkpoint: int, scheme: str) -> np.ndarray:
-        try:
-            ci = self.checkpoints.index(checkpoint)
-        except ValueError:
-            raise InputError(f"no checkpoint at iteration {checkpoint}") from None
-        return self.gaps[:, ci, self.scheme_index(scheme)].copy()
 
 
 def run_trials(

@@ -255,8 +255,13 @@ def render_svg(
                     b'<polyline points="' + template % tuple(values) + b'" fill="none" '
                     b'stroke="#1f77b4" stroke-width="1" stroke-opacity="0.08"/>'
                 )
+            # where every trial defines a checkpoint, the mean over a contiguous
+            # row of the transpose sums the masked copy's values in their order
             has_mean = defined.any(axis=0)
-            means = [py(float(col[defined[:, ci], ci].mean())) for ci in np.flatnonzero(has_mean)]
+            mean = np.ascontiguousarray(col.T).mean(axis=1)
+            for ci in np.flatnonzero(has_mean & ~defined.all(axis=0)):
+                mean[ci] = col[defined[:, ci], ci].mean()
+            means = np.broadcast_to(py(mean[has_mean]), (np.count_nonzero(has_mean),))
             if len(means) >= 2:
                 mean_pts = b" ".join(
                     p % v for p, v in zip(compress(points, has_mean), format_floats(means, "%.2f"))

@@ -9,7 +9,7 @@ import pytest
 
 from sgdavg.averaging import NonUniformAverage
 from sgdavg.cli import main
-from sgdavg.core import DEFAULT_SCHEDULE, Interval, gamma_weight
+from sgdavg.core import DEFAULT_SCHEDULE, Interval
 from sgdavg.data import synthetic_separable_dataset
 from sgdavg.experiments import (
     lb_exact_distribution_rational,
@@ -51,12 +51,14 @@ def test_criterion_1_online_averaging_equivalence():
         av.observe(gen.uniform(-1.0, 1.0, (n_seq, n)), t)
     online = av.report()
 
+    # the direct sum with the averager's own weights: gamma_t = t / (T(T+1)/2)
+    gamma = av.weights(np.arange(1, T + 1)) / av.total(T)
     gen = RngStream(seed).generator()
     direct = np.zeros((n_seq, n))
     max_norm = np.zeros(n_seq)
     for t in range(1, T + 1):
         x = gen.uniform(-1.0, 1.0, (n_seq, n))
-        direct += gamma_weight(t, T) * x
+        direct += gamma[t - 1] * x
         max_norm = np.maximum(max_norm, np.sqrt(np.einsum("ij,ij->i", x, x)))
 
     err = np.sqrt(np.einsum("ij,ij->i", online - direct, online - direct))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from sgdavg.averaging import (
     WindowNotStarted,
     make_averager,
 )
-from sgdavg.core import InputError, UsageError, gamma_weight
+from sgdavg.core import InputError, UsageError
 
 
 def feed(av, xs):
@@ -43,20 +44,22 @@ class TestNonUniform:
         av = NonUniformAverage()
         for t in range(1, T + 1):
             av.observe(xs[t - 1], t)
-        direct = sum(gamma_weight(t, T) * xs[t - 1] for t in range(1, T + 1))
+        gamma = av.weights(np.arange(1, T + 1)) / av.total(T)
+        direct = sum(gamma[t - 1] * xs[t - 1] for t in range(1, T + 1))
         scale = float(np.abs(xs).max())
         assert np.max(np.abs(av.report() - direct)) <= 1e-10 * scale
 
     def test_matches_direct_weighted_sum_high_dimension(self):
         T, n = 2000, 1000
         av = NonUniformAverage()
+        gamma = av.weights(np.arange(1, T + 1)) / av.total(T)
         direct = np.zeros(n)
         scale = 0.0
         gen = np.random.default_rng(8)
         for t in range(1, T + 1):
             x = gen.standard_normal(n)
             av.observe(x, t)
-            direct += gamma_weight(t, T) * x
+            direct += gamma[t - 1] * x
             scale = max(scale, float(np.linalg.norm(x)))
         assert float(np.linalg.norm(av.report() - direct)) <= 1e-10 * scale
 
@@ -151,6 +154,50 @@ class TestProtocol:
         r1 = av.report()
         r1 += 100.0
         assert av.report()[0] == pytest.approx(1.5)
+
+
+WEIGHTED = [("uniform", 0.5), ("nonuniform", 0.5), ("suffix", 0.5), ("suffix", 1.0)]
+
+
+class TestWeights:
+    """Each averaged scheme's weights a_t and total(t), the form the SVM
+    engine reads, against the exact sums and against its recurrence."""
+
+    @pytest.mark.parametrize("T", [1, 7, 1000, 10**4])
+    @pytest.mark.parametrize("name, alpha", WEIGHTED)
+    def test_total_is_the_exact_sum_of_weights(self, name, alpha, T):
+        av = make_averager(name, T=T, suffix_alpha=alpha)
+        a = av.weights(np.arange(1, T + 1))
+        assert a.shape == (T,)
+        # every weight is an integer, so the running sums are exact as ints
+        exact = list(itertools.accumulate(int(w) for w in a))
+        assert all(int(w) == w >= 0 for w in a.tolist())
+        assert [av.total(t) for t in range(1, T + 1)] == exact
+        assert av.total(0) == 0
+
+    @pytest.mark.parametrize("T", [1, 7, 1000, 10**4])
+    @pytest.mark.parametrize("name, alpha", WEIGHTED)
+    def test_weighted_sum_matches_recurrence(self, name, alpha, T):
+        for seed in range(2):
+            xs = np.random.default_rng([T, seed]).standard_normal(T) * 10.0 ** (3 * seed)
+            av = feed(make_averager(name, T=T, suffix_alpha=alpha), xs)
+            a = av.weights(np.arange(1, T + 1))
+            direct = math.fsum((a * xs).tolist()) / av.total(T)
+            assert abs(av.report()[0] - direct) <= 1e-12 * float(np.abs(xs).max())
+
+    def test_suffix_weights_mark_the_window(self):
+        av = SuffixAverage(T=5, alpha=0.5)
+        assert av.weights(np.arange(1, 6)).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+        assert [av.total(t) for t in range(6)] == [0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
+
+    def test_final_iterate_is_not_a_weighted_sum(self):
+        av = FinalIterate()
+        assert not av.weighted
+        assert all(make_averager(nm, T=3).weighted for nm in SCHEME_NAMES if nm != "final")
+        with pytest.raises(UsageError):
+            av.weights(np.arange(1, 4))
+        with pytest.raises(UsageError):
+            av.total(3)
 
 
 @settings(max_examples=40, deadline=None)

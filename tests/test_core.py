@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdavg.averaging import NonUniformAverage
 from sgdavg.core import (
     DEFAULT_SCHEDULE,
     LOWER_BOUND_SCHEDULE,
@@ -15,7 +16,6 @@ from sgdavg.core import (
     SparseVec,
     StepSchedule,
     Unconstrained,
-    gamma_weight,
     norm,
     project,
     step_size,
@@ -125,40 +125,34 @@ class TestProjection:
             project(L2Ball(1.0, np.zeros(2)), np.zeros(3))
 
 
+def gamma(ts, T):
+    """The triangular weights gamma_t = t / (T(T+1)/2) at the steps ``ts``, as
+    the t-weighted average's weights over their total."""
+    av = NonUniformAverage()
+    return av.weights(np.asarray(ts)) / av.total(T)
+
+
 class TestGammaWeight:
     def test_single_weight(self):
-        assert gamma_weight(1, 1) == 1.0
+        assert gamma([1], 1)[0] == 1.0
 
     def test_direct_substitution(self):
-        assert gamma_weight(3, 3) == 0.5
+        assert gamma([3], 3)[0] == 0.5
 
     def test_sums_to_one_T100(self):
-        assert math.fsum(gamma_weight(t, 100) for t in range(1, 101)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert math.fsum(gamma(range(1, 101), 100)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("T", [1, 2, 10, 1000])
     def test_sums_to_one_small(self, T):
-        assert math.fsum(gamma_weight(t, T) for t in range(1, T + 1)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert math.fsum(gamma(range(1, T + 1), T)) == pytest.approx(1.0, abs=1e-12)
 
     def test_sums_to_one_large(self):
         T = 10**6
-        ts = np.arange(1, T + 1, dtype=np.float64)
-        weights = ts / (T * (T + 1) / 2.0)
+        weights = gamma(np.arange(1, T + 1), T)
         # spot-check the vectorized form against the scalar operation
         for t in (1, 17, T // 2, T):
-            assert weights[t - 1] == gamma_weight(t, T)
+            assert weights[t - 1] == t / (T * (T + 1) / 2.0)
         assert float(weights.sum()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(InputError):
-            gamma_weight(0, 5)
-        with pytest.raises(InputError):
-            gamma_weight(6, 5)
-        with pytest.raises(InputError):
-            gamma_weight(1, 0)
 
 
 class TestStepSchedule:
