@@ -5,14 +5,17 @@ simulation.
 All trials advance together with one vectorized update per iteration over a
 stacked (trials, dim) state. Per-trial randomness is drawn in blocks of
 steps: each trial keeps one persistent ``Generator`` (its RngStream), and at
-the start of a block every generator draws that block's noise (or sample
-indices, or lower-bound signs) into a shared (block, trials, ...) buffer
-through the law's own ``draw``, the same one through which ``Oracle.query``
-draws a single step for ``run_sgd``. A law's draw consumes its generator
-step by step, so the block length never changes a result; the tests pin
-this for every law by splitting the steps into blocks of one to three. A
-block holds at most ``_BLOCK_BYTES`` (and never less than one step), so
-memory is O(trials * block * dim) whatever the horizon.
+the start of a block the law's ``fill`` draws that block's noise (or
+lower-bound signs) into a trial-major (trials, block, dim) buffer, the same
+fill through which ``Oracle.query`` draws a single step for ``run_sgd``.
+Row i holds trial i's draws, which its generator writes in place, and the
+law's elementwise map (the one-dimensional ball's -b + 2b*u, the Gaussian's
+scale, the lower bound's signed window scales) is applied once to the whole
+block; step k is column k. A law's fill consumes each generator step by
+step, so the block length never changes a result; the tests pin this for
+every law by splitting the steps into blocks of one to three. A block holds
+at most ``_BLOCK_BYTES`` (4 MB, and never less than one step), so memory is
+O(trials * block * dim) whatever the horizon.
 
 Quadratic and lower-bound problems form ghat with the law's own ``ghat``
 on the stacked iterates, and apply the same averagers (``make_averager``'s,
@@ -21,12 +24,15 @@ of the feasible set) as ``run_sgd``, so their results match ``run_sgd``
 trial by trial bitwise. When the config sets ``record_iterates``, they also
 record every trial's trajectory: x_t, zhat_t and ghat_t as (T, trials, dim)
 arrays in one ``Trajectory``, bitwise equal to what ``run_sgd`` records
-trial by trial; the noise is then drawn block by block straight into the
-recorded zhat. The verifier fleet and the lower-bound simulation run this
-way.
+trial by trial; the noise is then filled block by block straight into the
+recorded zhat, seen trial-major, with no draw buffer of its own. The
+verifier fleet and the lower-bound simulation run this way.
 
-SVM problems run in ``batched_svm``, which only SVM runs import. It sizes
-its tables from ``_BLOCK_BYTES`` and the budget here, read at call time.
+SVM problems run in ``batched_svm``, which only SVM runs import. It fills
+its own index block through the same trial-major layout but keeps its
+tables at their own sizes (an 8 MB index block, 2 MB sub-blocks, 1 MB
+checkpoint chunks): ``Generator.integers`` has no ``out=``, so a smaller
+index block would only add calls. It reads the budget here at call time.
 """
 
 from __future__ import annotations
@@ -46,18 +52,18 @@ from ..sgd import (RunAborted, RunConfig, RunRecord, Trajectory, checkpoint_iter
 __all__ = ["LockstepRun", "run_all"]
 
 # Bytes of one block's draw buffer. At 1000 one-dimensional trials a block is
-# 1000 steps, so each trial's generator is called once per 1000 steps.
-_BLOCK_BYTES = 8_000_000
+# 500 steps, so each trial's generator fills 500 steps in place per call.
+_BLOCK_BYTES = 4_000_000
 
 _NON_FINITE = "non-finite iterate (NaN/Inf)"
 
 
-def _block_steps(step_bytes: int, T: int, held_step_bytes: int = 0) -> int:
+def _block_steps(table_bytes: int, step_bytes: int, T: int, held_step_bytes: int = 0) -> int:
     """Steps per block of a table of ``step_bytes`` per step: as many as fit
-    in _BLOCK_BYTES and, at ``held_step_bytes`` per step for all the tables
-    held with it (by default just this one), in the budget; at least one and
-    at most T."""
-    return max(1, min(T, _BLOCK_BYTES // step_bytes,
+    in ``table_bytes`` and, at ``held_step_bytes`` per step for all the
+    tables held with it (by default just this one), in the budget; at least
+    one and at most T."""
+    return max(1, min(T, table_bytes // step_bytes,
                       _BUDGET_BYTES // (held_step_bytes or step_bytes)))
 
 
@@ -67,14 +73,6 @@ def _generators(trials: int, base_seed: int, block: int, T: int):
     it (thousands of live generators take megabytes)."""
     gens = (RngStream(base_seed, i).generator() for i in range(trials))
     return gens if block >= T else list(gens)
-
-
-def _draw_block(law, gens, out: np.ndarray, t0: int, dim: int) -> None:
-    """Fill ``out``, whose axis 1 runs over the trials, with the draws of
-    steps t0+1 .. t0+len(out) of every trial, each from its own generator
-    through the law's draw."""
-    for i, gen in enumerate(gens):
-        out[:, i] = law.draw(gen, t0, out.shape[0], dim)
 
 
 def _reserve(nbytes: int, what: str) -> int:
@@ -152,15 +150,15 @@ def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, su
     record = config.record_iterates
     noiseless = isinstance(factory.noise, NoNoise)
     step_bytes = trials * dim * 8
-    block = T if noiseless else _block_steps(step_bytes, T)
+    block = T if noiseless else _block_steps(_BLOCK_BYTES, step_bytes, T)
     if record:
-        # the recorded iterates, ghat and zhat; each block's noise is drawn into zhat
+        # the recorded iterates, ghat and zhat; each block's noise is filled into zhat
         reserved = _reserve(3 * T * step_bytes, "recorded trajectories")
         Xs, Gs = np.empty((T, trials, dim)), np.empty((T, trials, dim))
         Zs = np.zeros((T, trials, dim))
     else:
         reserved = 0 if noiseless else _reserve(block * step_bytes, "one block of noise draws")
-        buf = None if noiseless else np.empty((block, trials, dim))
+        buf = None if noiseless else factory.draw_buffer(trials, block, dim)
     gens = None if noiseless else _generators(trials, base_seed, block, T)
     X = np.tile(np.asarray(config.x1, dtype=np.float64), (trials, 1))
     avs = [make_averager(nm, T=T, suffix_alpha=suffix_alpha) for nm in scheme_names]
@@ -169,16 +167,16 @@ def _run_quadratic(problem, factory, config, scheme_names, trials, base_seed, su
     feasible = problem.feasible
 
     cp_values: list[tuple[int, dict[str, np.ndarray]]] = []
-    Z = None
+    Z = None  # the block's draws, trial-major: step k is Z[:, k]
     for t in range(1, T + 1):
         k = (t - 1) % block
         if k == 0 and not noiseless:
             t0, steps = t - 1, min(block, T - t + 1)
-            Z = Zs[t0:t0 + steps] if record else buf[:steps]
-            _draw_block(factory, gens, Z, t0, dim)
+            Z = Zs[t0:t0 + steps].transpose(1, 0, 2) if record else buf[:, :steps]
+            factory.fill(gens, Z, t0)
         for av in avs:
             av.observe(X, t)
-        Ghat = factory.ghat(X, t, 0.0 if Z is None else Z[k])
+        Ghat = factory.ghat(X, t, 0.0 if Z is None else Z[:, k])
         if record:
             Xs[t - 1] = X
             Gs[t - 1] = Ghat

@@ -40,13 +40,17 @@ the end of the sub-block. np.add.at adds an entry's terms one by one in
 entry order, which is step order, so U holds exactly the sums that per-step
 updates give. The sample indices (below m) and the gathered flat columns
 and owners (below trials*n) take ``Dataset``'s index dtype rule: int32
-while it holds their bound, else int64. The index block is sized from
-``batched._BLOCK_BYTES`` (read at call time, as the budget is), and a
-sub-block's tables, with the arrays its gather builds them from, take a
-quarter of it (2 MB), all as if every sampled row were the longest and
-every index took 8 bytes, the lengths at which the engine was timed; int32
-tables then take fewer bytes. The two count against the budget together,
-and ``predraw_bytes`` reports the bytes they are allocated.
+while it holds their bound, else int64. The index block is trial-major, as
+the lockstep engine's noise blocks are: the law's ``fill`` draws row i from
+trial i's generator, and a sub-block reads its steps as columns. It is
+sized from ``_INDEX_BLOCK_BYTES`` (8 MB, read at call time, as the budget
+is): ``Generator.integers`` has no ``out=``, so each row is drawn and then
+copied, and a smaller block would only add calls. A sub-block's tables,
+with the arrays its gather builds them from, take a quarter of it (2 MB),
+all as if every sampled row were the longest and every index took 8 bytes,
+the lengths at which the engine was timed; int32 tables then take fewer
+bytes. The two count against the budget together, and ``predraw_bytes``
+reports the bytes they are allocated.
 """
 
 from __future__ import annotations
@@ -60,9 +64,12 @@ from ..core import L2Ball, Problem, Unconstrained, _BALL_SLACK, step_size
 from ..data import _index_dtype
 from ..oracles import SvmOracleFactory
 from ..sgd import checkpoint_iterations
-from . import batched
-from .batched import (_NON_FINITE, LockstepRun, _block_steps, _draw_block, _failure, _finite,
-                      _generators, _reserve)
+from .batched import (_NON_FINITE, LockstepRun, _block_steps, _failure, _finite, _generators,
+                      _reserve)
+
+# Bytes of the index block, sized as 8-byte indices. A sub-block's tables
+# take a quarter of it and a checkpoint chunk an eighth.
+_INDEX_BLOCK_BYTES = 8_000_000
 
 # An SVM trial folds its scale into v before a step takes |s| below this, or
 # above 1 (a step size with eta*lam > 2). The rounding error of A*v - U grows
@@ -78,12 +85,12 @@ def _svm_blocks(index: int, rows: int, T: int) -> tuple[int, int]:
     """Steps per block of the SVM engine's two tables, given the bytes per
     step of each: the sample indices and a sub-block of the index block's
     steps (its gathered rows, which are also the log of deferred updates,
-    and the step tables). A sub-block takes a quarter of _BLOCK_BYTES (2 MB
-    sub-blocks ran faster than 8 MB and than 1 MB ones), and the two tables
-    fit the budget together."""
+    and the step tables). A sub-block takes a quarter of _INDEX_BLOCK_BYTES
+    (2 MB sub-blocks ran faster than 8 MB and than 1 MB ones), and the two
+    tables fit the budget together."""
     held = index + rows
-    block = _block_steps(index, T, held)
-    return block, _block_steps(4 * rows, block, held)
+    block = _block_steps(_INDEX_BLOCK_BYTES, index, T, held)
+    return block, _block_steps(_INDEX_BLOCK_BYTES // 4, rows, block, held)
 
 
 def _sub_block_bytes(trials: int, longest: int, k: int, width: int) -> int:
@@ -100,8 +107,8 @@ def _sub_block_bytes(trials: int, longest: int, k: int, width: int) -> int:
 def _trials_per_chunk(trial_bytes: int) -> int:
     """Trials per chunk of a checkpoint evaluation that holds ``trial_bytes``
     per trial (an SVM's dense report and margins, n + m floats): as many as
-    fit in an eighth of _BLOCK_BYTES (1 MB), and at least one."""
-    return max(1, batched._BLOCK_BYTES // 8 // trial_bytes)
+    fit in an eighth of _INDEX_BLOCK_BYTES (1 MB), and at least one."""
+    return max(1, _INDEX_BLOCK_BYTES // 8 // trial_bytes)
 
 
 def _evaluate_chunked(problem: Problem, reports: dict, t: int, base_seed: int, trials: int,
@@ -175,8 +182,8 @@ class _ScaledSvm:
         self.reserved = _reserve(
             self.block * index + self.sub * _sub_block_bytes(trials, longest, k, entry.itemsize)
             + trials * (k + 1) * 8, "one block of sample indices and a sub-block's tables")
-        # (block, trials): step t reads one contiguous row
-        self.idx = np.empty((self.block, trials), dtype=sample)
+        # (trials, block): trial i's generator fills row i, step t is a column
+        self.idx = np.empty((trials, self.block), dtype=sample)
         self.gens = _generators(trials, base_seed, self.block, config.T)
         # the gathered entries of one sub-block: those of step j lie in
         # offsets[j]:offsets[j+1], trial by trial; see _gather
@@ -224,9 +231,10 @@ class _ScaledSvm:
         self._flush()
         k0 = t0 % self.block
         if k0 == 0:
-            _draw_block(self.law, self.gens, self.idx[:min(self.block, self.T - t0)], t0, self.n)
+            self.law.fill(self.gens, self.idx[:, :min(self.block, self.T - t0)], t0)
         steps = min(self.sub, self.block - k0, self.T - t0)
-        sel = self.idx[k0:k0 + steps]
+        # (steps, trials): the gathered entries run step- and trial-major
+        sel = np.ascontiguousarray(self.idx[:, k0:k0 + steps].T)
         lens = self.lens[sel].ravel()
         ends = lens.cumsum()
         used = int(ends[-1])

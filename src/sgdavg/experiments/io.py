@@ -9,9 +9,9 @@ The numbers are the bytes of Python's ``'%.17g' % v`` (CSV values) and
 ``'%.2f' % v`` (SVG coordinates), produced a block of values at a time by
 ``numfmt.format_floats`` and filled into per-cell templates.
 
-Both writers emit their lines in chunks of about ``_CHUNK_BYTES``, so a file
-is never held in memory whole, into a temporary file that replaces the
-target only when complete.
+Both writers write each line straight to a temporary file, which replaces
+the target only when complete; no file is held in memory whole, and no
+pending lines are kept beside the file's own write buffer.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = ["CSV_HEADER", "export_csv", "import_csv", "render_svg"]
 
 CSV_HEADER = "trial,checkpoint_iter,scheme,objective"
 
-_CHUNK_BYTES = 1 << 20
 _BLOCK_VALUES = 4096  # cells per call of the formatting kernel
 
 
@@ -59,34 +58,20 @@ def _formatted_rows(values: np.ndarray, defined: np.ndarray, fmt: str) -> Iterat
 
 @contextmanager
 def _line_writer(path: Union[str, Path]) -> Iterator[Callable[[bytes], None]]:
-    """An ``add(line)`` callable writing LF-terminated lines of bytes in
-    chunks of about _CHUNK_BYTES to a temporary file beside ``path``, which
-    replaces ``path`` once every line is written: a write that stops
-    partway leaves the old file whole."""
+    """An ``add(line)`` callable writing each line of bytes, LF-terminated,
+    to a temporary file beside ``path``, which replaces ``path`` once every
+    line is written: a write that stops partway leaves the old file whole."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    pending: list[bytes] = []
-    size = 0
     try:
         with open(tmp, "wb") as fh:
-
-            def flush() -> None:
-                nonlocal size
-                if pending:
-                    pending.append(b"")
-                    fh.write(b"\n".join(pending))
-                    pending.clear()
-                    size = 0
+            write = fh.write
 
             def add(line: bytes) -> None:
-                nonlocal size
-                pending.append(line)
-                size += len(line)
-                if size >= _CHUNK_BYTES:
-                    flush()
+                write(line)
+                write(b"\n")
 
             yield add
-            flush()
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

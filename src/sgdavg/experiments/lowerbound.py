@@ -70,11 +70,15 @@ def lb_run_config(T: int, record: bool = True) -> RunConfig:
 
 def _identity_error(X: np.ndarray, Z: np.ndarray) -> float:
     """max_t |x_t - (1/t) * sum_{i<t} zhat_i| over (T, ...) arrays of
-    iterates and noise, for every trial and coordinate at once."""
+    iterates and noise, for every trial and coordinate at once, in one
+    array of their shape."""
     T = X.shape[0]
-    partial = np.concatenate((np.zeros_like(Z[:1]), np.cumsum(Z[:-1], axis=0)))
-    predicted = partial / np.arange(1, T + 1).reshape((T,) + (1,) * (Z.ndim - 1))
-    return float(np.max(np.abs(X - predicted)))
+    err = np.empty_like(Z)
+    err[0] = 0.0
+    np.cumsum(Z[:-1], axis=0, out=err[1:])
+    err /= np.arange(1, T + 1).reshape((T,) + (1,) * (Z.ndim - 1))
+    np.subtract(X, err, out=err)
+    return float(np.abs(err, out=err).max())
 
 
 def iterate_identity_error(record: RunRecord) -> float:

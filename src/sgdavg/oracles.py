@@ -85,36 +85,60 @@ _MGF_SUB_ELEMENTS = 1 << 17
 class NoiseModel:
     """Mean-zero noise law for the gradient oracle."""
 
-    def sample_batch(self, count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """(count, n) draws. Consumes the stream row by row, so splitting a
-        batch leaves every draw unchanged."""
+    def fill(self, gens, out: np.ndarray) -> None:
+        """Fill the (rows, count, n) array ``out``: row i with ``count``
+        draws of the i-th generator of ``gens``. A row's generator is
+        consumed draw by draw, so splitting the draws into blocks leaves
+        every draw unchanged."""
         raise NotImplementedError
+
+
+def _fill_rows(method, gens, rows: np.ndarray) -> None:
+    """rows[i] = method(gens[i]) for the Generator ``method`` (``random`` or
+    ``standard_normal``), which writes a C-contiguous row in place; any
+    other row goes through one row-sized array."""
+    for row, gen in zip(rows, gens):
+        if row.flags.c_contiguous:
+            method(gen, out=row)
+        else:
+            row[...] = method(gen, row.shape)
 
 
 @dataclass(frozen=True)
 class NoNoise(NoiseModel):
-    def sample_batch(self, count, n, rng):
-        return np.zeros((count, n))
+    def fill(self, gens, out):
+        out[...] = 0.0
 
 
 @dataclass(frozen=True)
 class BoundedUniformBall(NoiseModel):
     """Uniform density on the ball of the given radius. In one dimension
-    this is uniform on [-bound, bound]. Above one dimension a draw takes
-    n + 2 standard normals: the first n give the direction, and the last
-    two, a and b, the radius bound * exp(-(a^2 + b^2) / (2n)). That is
+    this is uniform on [-bound, bound], drawn as ``Generator.uniform``
+    draws it, -bound + 2*bound*u. Above one dimension a draw takes n + 2
+    standard normals: the first n give the direction, and the last two, a
+    and b, the radius bound * exp(-(a^2 + b^2) / (2n)). That is
     bound * U^(1/n), the radius law of the uniform ball, because
     U = exp(-(a^2 + b^2) / 2) is uniform on (0, 1)."""
 
     bound: float = 1.0
 
     def __post_init__(self):
-        if not self.bound > 0:
-            raise InputError(f"noise bound must be positive, got {self.bound}")
+        # the one-dimensional draw scales by 2*bound, which must be finite too
+        if not (self.bound > 0 and math.isfinite(2.0 * self.bound)):
+            raise InputError(f"noise bound must be positive with 2*bound finite, "
+                             f"got {self.bound}")
 
-    def sample_batch(self, count, n, rng):
+    def fill(self, gens, out):
+        n = out.shape[2]
         if n == 1:
-            return rng.uniform(-self.bound, self.bound, size=(count, 1))
+            _fill_rows(np.random.Generator.random, gens, out)
+            out *= 2.0 * self.bound
+            out += -self.bound
+            return
+        for row, gen in zip(out, gens):
+            row[...] = self._ball(row.shape[0], n, gen)
+
+    def _ball(self, count, n, rng):
         g = rng.standard_normal((count, n + 2))
         d = g[:, :n].copy()
         r = np.square(g[:, n])
@@ -138,13 +162,12 @@ class GaussianNoise(NoiseModel):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise InputError(f"noise scale must be positive, got {self.scale}")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise InputError(f"noise scale must be positive and finite, got {self.scale}")
 
-    def sample_batch(self, count, n, rng):
-        z = rng.standard_normal((count, n))
-        z *= self.scale / math.sqrt(n)  # in place: one (count, n) array
-        return z
+    def fill(self, gens, out):
+        _fill_rows(np.random.Generator.standard_normal, gens, out)
+        out *= self.scale / math.sqrt(out.shape[2])
 
 
 def full_svm_objective(w: np.ndarray, dataset: Dataset, lam: float) -> float:
@@ -191,14 +214,16 @@ def _mgf_pool_size(batches: int) -> int:
 def _mgf_batch_sums(noise: NoiseModel, n: int, count: int, inv_k2: float,
                     sub: int, rng: np.random.Generator) -> tuple[float, float]:
     """Sums of e and e^2, e = exp(||z||^2 / kappa^2), over ``count`` draws of
-    one batch, drawn in sub-batches of ``sub`` rows into one (count,) buffer."""
+    one batch, drawn in sub-batches of ``sub`` rows, each filled into the
+    same buffer, and summed into one (count,) array."""
     e = np.empty(count)
+    buf = np.empty((1, min(sub, count), n))
     for lo in range(0, count, sub):
         hi = min(count, lo + sub)
-        z = noise.sample_batch(hi - lo, n, rng)
+        z = buf[:, :hi - lo]
+        noise.fill((rng,), z)
         z *= z
-        z.sum(axis=1, out=e[lo:hi])
-        del z  # freed before the next sub-batch is drawn
+        z[0].sum(axis=1, out=e[lo:hi])
     e *= inv_k2
     np.exp(e, out=e)
     total = float(e.sum())
@@ -268,7 +293,7 @@ def gaussian_mgf_exact(scale: float, kappa: float, n: int) -> float:
 class Oracle:
     """One trial's oracle: a law (an oracle factory) bound to the trial's
     RngStream. query(x, t) draws step t's randomness with the law's
-    ``draw``, the same draw that fills the lockstep engine's blocks, and
+    ``fill``, the same fill that fills the lockstep engine's blocks, and
     replies with the law's ``ghat``."""
 
     def __init__(self, law, stream: RngStream):
@@ -279,7 +304,9 @@ class Oracle:
 
     def query(self, x: np.ndarray, t: int) -> GradientSample:
         law = self.law
-        draw = law.draw(self.rng, t - 1, 1, x.shape[0])[0]
+        out = law.draw_buffer(1, 1, x.shape[0])
+        law.fill((self.rng,), out, t - 1)
+        draw = out[0, 0]
         ghat = law.ghat(x, t, draw)
         if law.draws_zhat:
             # g stored as ghat + zhat, keeping the decomposition exactly consistent
@@ -288,16 +315,21 @@ class Oracle:
 
 
 class _Law:
-    """An oracle's law: ``draw(gen, t0, steps, dim)`` returns the randomness
-    of steps t0+1 .. t0+steps from one trial's generator, consuming it step
-    by step, so that any split of the steps into blocks draws the same
-    values; ``ghat(x, t, draw)`` forms the reply at x from step t's draw.
-    Called with a trial's RngStream, a law gives that trial's Oracle."""
+    """An oracle's law. ``fill(gens, out, t0)`` fills the trial-major block
+    ``out`` of ``draw_buffer(trials, steps, dim)``'s shape: row i with the
+    randomness of steps t0+1 .. t0+steps drawn from the i-th generator of
+    ``gens``, which it consumes step by step, so that any split of the steps
+    into blocks draws the same values. ``ghat(x, t, draw)`` forms the reply
+    at x from step t's draw, ``out[:, t - 1 - t0]``. Called with a trial's
+    RngStream, a law gives that trial's Oracle."""
 
     draws_zhat = False  # whether a draw is the noise zhat itself
 
     def __call__(self, stream: RngStream) -> Oracle:
         return Oracle(self, stream)
+
+    def draw_buffer(self, trials: int, steps: int, dim: int) -> np.ndarray:
+        return np.empty((trials, steps, dim))
 
 
 class _NoisyGradient(_Law):
@@ -319,8 +351,8 @@ class QuadraticOracleFactory(_NoisyGradient):
     noise: NoiseModel = field(default_factory=NoNoise)
     mu: float = 1.0
 
-    def draw(self, gen, t0, steps, dim) -> np.ndarray:
-        return self.noise.sample_batch(steps, dim, gen)
+    def fill(self, gens, out, t0) -> None:
+        self.noise.fill(gens, out)
 
 
 @dataclass(frozen=True)
@@ -328,7 +360,8 @@ class LowerBoundOracleFactory(_NoisyGradient):
     """Adversarial one-dimensional oracle for f(x) = x^2/2 at horizon T.
 
     Noise is zero for t <= T/2 and t > 3T/4; in between it is
-    ((T+1)/(T-t)) * X_t with X_t a uniform sign, so |zhat| <= 6 always.
+    ((T+1)/(T-t)) * X_t with X_t a uniform sign, +1 when the step's uniform
+    draw is below 1/2, so |zhat| <= 6 always.
     """
 
     T: int
@@ -337,18 +370,22 @@ class LowerBoundOracleFactory(_NoisyGradient):
         if self.T % 4 != 0:
             raise InputError(f"the lower-bound oracle's horizon {self.T} is not divisible by 4")
 
-    def draw(self, gen, t0, steps, dim) -> np.ndarray:
-        T = self.T
-        if dim != 1:
+    def fill(self, gens, out, t0) -> None:
+        T, steps = self.T, out.shape[1]
+        if out.shape[2] != 1:
             raise InputError("this oracle is one-dimensional")
         if not 0 <= t0 <= T - steps:
             raise InputError(f"t must lie in [1, {T}], got steps {t0 + 1} to {t0 + steps}")
-        z = np.zeros((steps, 1))
+        out[...] = 0.0
         lo, hi = max(t0, T // 2), min(t0 + steps, (3 * T) // 4)  # 0-based steps [lo, hi)
         if lo < hi:
-            sign = np.where(gen.random(hi - lo) < 0.5, 1.0, -1.0)
-            z[lo - t0:hi - t0, 0] = self._scales[lo - T // 2:hi - T // 2] * sign
-        return z
+            u = out[:, lo - t0:hi - t0, 0]
+            _fill_rows(np.random.Generator.random, gens, u)
+            # in place: u - 1/2 is negative exactly where u < 1/2, so the
+            # signed scale is -copysign(scale, u - 1/2)
+            u -= 0.5
+            np.copysign(self._scales[lo - T // 2:hi - T // 2], u, out=u)
+            np.negative(u, out=u)
 
     @cached_property
     def _scales(self) -> np.ndarray:
@@ -374,8 +411,15 @@ class SvmOracleFactory(_Law):
         if not self.lam > 0:
             raise InputError(f"regularization parameter must be positive, got {self.lam}")
 
-    def draw(self, gen, t0, steps, dim) -> np.ndarray:
-        return gen.integers(self.dataset.m, size=steps)
+    def draw_buffer(self, trials, steps, dim) -> np.ndarray:
+        """(trials, steps) sample indices; the SVM engine keeps its own, in
+        ``Dataset``'s index dtype."""
+        return np.empty((trials, steps), dtype=np.intp)
+
+    def fill(self, gens, out, t0) -> None:
+        # Generator.integers has no out=: each row is drawn, then copied
+        for row, gen in zip(out, gens):
+            row[:] = gen.integers(self.dataset.m, size=row.shape[0])
 
     def ghat(self, w: np.ndarray, t: int, i) -> np.ndarray:
         d = self.dataset

@@ -197,7 +197,8 @@ def run_sgd(
                 vals[av.name] = value
             checkpoints.append((t, vals))
         y = x - step_size(sched, problem.mu, t) * sample.ghat
-        if not math.isfinite(float(y.sum())):
+        # the sum is a quick screen; finite entries can still overflow it
+        if not math.isfinite(float(y.sum())) and not np.isfinite(y).all():
             raise RunAborted(t, "non-finite iterate (NaN/Inf)")
         x = proj(y)
 

@@ -158,6 +158,19 @@ class TestTrials:
         assert code == 2
         assert f"suffix fraction must lie in (0, 1], got {float(alpha)}" in err
 
+    @pytest.mark.parametrize("noise, value", [("ball", "1e308"), ("ball", "inf"),
+                                              ("gaussian", "inf"), ("gaussian", "nan")])
+    def test_non_finite_noise_parameter_exits_two(self, capsys, noise, value):
+        # a ball bound whose double overflows would fail at the first draw
+        flag = "--noise-bound" if noise == "ball" else "--noise-scale"
+        code, out, err = run_cli(["trials", "--problem", "quadratic", "--noise", noise,
+                                  flag, value, "--T", "10", "--trials", "2", "--seed", "1"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        what = "noise bound" if noise == "ball" else "noise scale"
+        assert err.startswith(f"error: {what} must be positive") and err.count("\n") == 1
+
     def test_tail_fit_of_raw_svm_objectives_exits_two(self, capsys, tmp_path):
         # no SVM optimum is known, so the entries are objective values that do
         # not go to 0: fitting them against log(1/delta)/T is refused

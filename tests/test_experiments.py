@@ -1380,21 +1380,8 @@ class TestEmittersMatchPerCellReference:
             new = (tmp_path / "new.svg").read_bytes()
             assert new == (tmp_path / "ref.svg").read_bytes(), schemes
 
-    @pytest.mark.parametrize("make", [_suffix_not_open_matrix, _ragged_nan_matrix])
-    @pytest.mark.parametrize("chunk", [1, 100])
-    def test_chunked_writes_match_whole_file(self, tmp_path, monkeypatch, make, chunk):
-        m = make()
-        monkeypatch.setattr(io_module, "_CHUNK_BYTES", chunk)
-        export_csv(m, tmp_path / "new.csv", comments=["config: x=1"])
-        render_svg(m, tmp_path / "new.svg")
-        reference_export_csv(m, tmp_path / "ref.csv", comments=["config: x=1"])
-        reference_render_svg(m, tmp_path / "ref.svg")
-        for name in ("csv", "svg"):
-            assert (tmp_path / f"new.{name}").read_bytes() == (tmp_path / f"ref.{name}").read_bytes()
-
-    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
-        # lines already flushed when the write stops must not reach the target
-        monkeypatch.setattr(io_module, "_CHUNK_BYTES", 1)
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path):
+        # lines already written when the write stops must not reach the target
         path = tmp_path / "out.csv"
         path.write_bytes(b"old contents\n")
 
@@ -1415,7 +1402,6 @@ class TestEmittersMatchPerCellReference:
         # kernel blocks of 1 and 7 cells end inside the trial rows (10 to 16 cells)
         m = make()
         monkeypatch.setattr(io_module, "_BLOCK_VALUES", block)
-        monkeypatch.setattr(io_module, "_CHUNK_BYTES", 100)
         export_csv(m, tmp_path / "new.csv")
         render_svg(m, tmp_path / "new.svg")
         reference_export_csv(m, tmp_path / "ref.csv")

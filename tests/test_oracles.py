@@ -27,6 +27,13 @@ from sgdavg.oracles import (
     svm_problem,
 )
 
+def sample(noise, count, n, rng):
+    """(count, n) draws of one generator: the noise's fill of a single row."""
+    out = np.empty((1, count, n))
+    noise.fill((rng,), out)
+    return out[0]
+
+
 def one_point_dataset():
     # the point e_1 in three dimensions, labelled +1
     return Dataset([0, 1], [0], [1.0], [+1], 3)
@@ -66,22 +73,22 @@ class TestRngStream:
         # split in parts holds the whole batch's draws
         noise = BoundedUniformBall(1.5)
         gens = [RngStream(7, 6).generator() for _ in range(3)]
-        whole = noise.sample_batch(50, 3, gens[0])
+        whole = sample(noise, 50, 3, gens[0])
         assert np.array_equal(
-            np.concatenate([noise.sample_batch(1, 3, gens[1]) for _ in range(50)]), whole)
-        parts = [noise.sample_batch(k, 3, gens[2]) for k in (1, 17, 32)]
+            np.concatenate([sample(noise, 1, 3, gens[1]) for _ in range(50)]), whole)
+        parts = [sample(noise, k, 3, gens[2]) for k in (1, 17, 32)]
         assert np.array_equal(np.concatenate(parts), whole)
 
 
 class TestNoiseModels:
     def test_no_noise(self):
-        assert np.array_equal(NoNoise().sample_batch(1, 4, RngStream(0).generator()),
+        assert np.array_equal(sample(NoNoise(), 1, 4, RngStream(0).generator()),
                               np.zeros((1, 4)))
 
     def test_ball_stays_inside(self):
         rng = RngStream(1).generator()
         noise = BoundedUniformBall(1.0)
-        draws = noise.sample_batch(10**5, 3, rng)
+        draws = sample(noise, 10**5, 3, rng)
         norms = np.linalg.norm(draws, axis=1)
         assert norms.max() <= 1.0 + 1e-12
         # mean within 4 standard errors of zero, per coordinate
@@ -94,7 +101,7 @@ class TestNoiseModels:
         # the Kolmogorov distance of N draws lies within the DKW band
         # sqrt(log(2/a)/(2N)) with probability at least 1 - a
         draws, a = 20000, 1e-3
-        z = BoundedUniformBall(2.0).sample_batch(draws, n, RngStream(4, n).generator())
+        z = sample(BoundedUniformBall(2.0), draws, n, RngStream(4, n).generator())
         u = np.sort((np.linalg.norm(z, axis=1) / 2.0) ** n)
         ranks = np.arange(1, draws + 1)
         distance = max(np.max(ranks / draws - u), np.max(u - (ranks - 1) / draws))
@@ -102,7 +109,7 @@ class TestNoiseModels:
 
     def test_ball_one_dim_is_uniform_interval(self):
         rng = RngStream(2).generator()
-        draws = BoundedUniformBall(2.0).sample_batch(20000, 1, rng).ravel()
+        draws = sample(BoundedUniformBall(2.0), 20000, 1, rng).ravel()
         assert draws.max() <= 2.0 and draws.min() >= -2.0
         # uniform on [-2, 2] has variance 4/3
         assert draws.var() == pytest.approx(4.0 / 3.0, rel=0.05)
@@ -110,7 +117,7 @@ class TestNoiseModels:
     def test_gaussian_norm_scale(self):
         rng = RngStream(3).generator()
         for n in (1, 10):
-            draws = GaussianNoise(1.5).sample_batch(20000, n, rng)
+            draws = sample(GaussianNoise(1.5), 20000, n, rng)
             assert (draws**2).sum(axis=1).mean() == pytest.approx(2.25, rel=0.05)
 
     def test_validation(self):
@@ -118,6 +125,18 @@ class TestNoiseModels:
             BoundedUniformBall(0.0)
         with pytest.raises(InputError):
             GaussianNoise(-1.0)
+
+    @pytest.mark.parametrize("bound", [math.inf, math.nan, 1e308, 0.9 * np.finfo(float).max])
+    def test_ball_bound_whose_double_overflows_is_refused(self, bound):
+        # the one-dimensional draw is -bound + 2*bound*u
+        with pytest.raises(InputError, match="noise bound"):
+            BoundedUniformBall(bound)
+        BoundedUniformBall(np.finfo(float).max / 2)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_gaussian_scale_is_refused(self, scale):
+        with pytest.raises(InputError, match="noise scale"):
+            GaussianNoise(scale)
 
 
 class TestSvmOracle:
@@ -373,9 +392,31 @@ def draw_in_blocks(law, stream, T, dim, sizes):
     gen, parts, t0, k = stream.generator(), [], 0, 0
     while t0 < T:
         steps = min(sizes[k % len(sizes)], T - t0)
-        parts.append(law.draw(gen, t0, steps, dim))
+        out = law.draw_buffer(1, steps, dim)
+        law.fill((gen,), out, t0)
+        parts.append(out[0])
         t0, k = t0 + steps, k + 1
     return np.concatenate(parts)
+
+
+def fill_trial_major(law, seed, trials, T, dim, sizes, strided=False):
+    """Steps 1..T of ``trials`` trials (trial i on RngStream(seed, i)), one
+    (trials, steps, ...) block per consecutive size (cycled), as the
+    lockstep engine fills them; with ``strided``, each block is a
+    trial-major view of a step-major array, as a recorded run's zhat is."""
+    gens = [RngStream(seed, i).generator() for i in range(trials)]
+    whole = law.draw_buffer(trials, T, dim)
+    t0, k = 0, 0
+    while t0 < T:
+        steps = min(sizes[k % len(sizes)], T - t0)
+        if strided:
+            step_major = np.full(whole[:, :steps].swapaxes(0, 1).shape, -7, dtype=whole.dtype)
+            law.fill(gens, step_major.swapaxes(0, 1), t0)
+            whole[:, t0:t0 + steps] = step_major.swapaxes(0, 1)
+        else:
+            law.fill(gens, whole[:, t0:t0 + steps], t0)
+        t0, k = t0 + steps, k + 1
+    return whole
 
 
 LAWS = [
@@ -418,12 +459,44 @@ class TestLawDraws:
             zs = np.stack([oracle.query(x, t).zhat for t in range(1, T + 1)])
             assert np.array_equal(zs, whole)
 
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from(range(len(LAWS))), trials=st.integers(1, 4),
+           sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+           strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_trial_major_blocks_equal_one_shot_draws(self, case, trials, sizes, strided, seed):
+        # row i of every block holds trial i's draws, whether the block is
+        # contiguous (the engine's buffer) or a view of a step-major array
+        # (a recorded run's zhat)
+        law, T, dim = LAWS[case]
+        got = fill_trial_major(law, seed, trials, T, dim, sizes, strided)
+        for i in range(trials):
+            assert np.array_equal(got[i], draw_in_blocks(law, RngStream(seed, i), T, dim, [T]))
+
+    @pytest.mark.parametrize("bound", [1.0, 0.3, 2.5, 1e-300])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_one_dim_ball_is_generator_uniform(self, bound, strided):
+        # -b + 2b*u over the whole block has the bits of Generator.uniform(-b, b)
+        law = QuadraticOracleFactory(BoundedUniformBall(bound))
+        got = fill_trial_major(law, 17, 3, 500, 1, [200], strided)
+        for i in range(3):
+            want = RngStream(17, i).generator().uniform(-bound, bound, size=(500, 1))
+            assert np.array_equal(got[i].view(np.int64), want.view(np.int64))
+
     def test_lower_bound_draws_only_in_its_window(self):
         # steps 1..T/2 and 3T/4+1..T draw nothing from the stream
         law = LowerBoundOracleFactory(12)
         gen = RngStream(5).generator()
-        assert not law.draw(gen, 0, 6, 1).any() and not law.draw(gen, 9, 3, 1).any()
-        assert np.array_equal(law.draw(gen, 6, 3, 1), law.draw(RngStream(5).generator(), 6, 3, 1))
+
+        def fill(gen, t0, steps):
+            out = np.full((1, steps, 1), np.nan)
+            law.fill((gen,), out, t0)
+            return out[0, :, 0]
+
+        assert not fill(gen, 0, 6).any() and not fill(gen, 9, 3).any()
+        window = fill(gen, 6, 3)
+        assert np.array_equal(window, fill(RngStream(5).generator(), 6, 3))
+        u = RngStream(5).generator().random(3)
+        assert np.array_equal(window, np.where(u < 0.5, 1.0, -1.0) * 13.0 / np.array([5, 4, 3]))
 
     def test_oracle_refuses_a_numpy_generator(self):
         for law in (QuadraticOracleFactory(), LowerBoundOracleFactory(8), LAWS[-1][0]):
@@ -525,7 +598,7 @@ def reference_mgf_check(noise, kappa, n, samples, stream):
     for b, lo in enumerate(range(0, samples, 1 << 15)):
         ss = np.random.SeedSequence(entropy=stream.seed, spawn_key=(stream.index, b))
         rng = np.random.Generator(np.random.PCG64(ss))
-        z = noise.sample_batch(min(1 << 15, samples - lo), n, rng)
+        z = sample(noise, min(1 << 15, samples - lo), n, rng)
         e = np.exp((z * z).sum(axis=1) * inv_k2)
         sums.append(float(e.sum()))
         sums_sq.append(float((e * e).sum()))

@@ -15,6 +15,7 @@ from sgdavg.core import DEFAULT_SCHEDULE, LOWER_BOUND_SCHEDULE, InputError, Inte
 from sgdavg.data import synthetic_separable_dataset
 from sgdavg.experiments import (
     batched,
+    batched_svm,
     export_csv,
     import_csv,
     fleet_trajectories,
@@ -288,7 +289,7 @@ class TestBudgetInMeta:
                     250 * (index + rows) + carry)
         # index blocks of 9 steps, sized as 8-byte indices; the sub-block
         # tables, whose quarter block holds 72 bytes, still hold one step
-        monkeypatch.setattr(batched, "_BLOCK_BYTES", 9 * 4 * 8)
+        monkeypatch.setattr(batched_svm, "_INDEX_BLOCK_BYTES", 9 * 4 * 8)
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
                     9 * index + rows + carry)
 
@@ -301,9 +302,30 @@ class TestBudgetInMeta:
         index, rows, carry = 4 * 4, 4 * (3 * 41 + 16 + 16) + 5 * 8, 4 * 2 * 8
         # a quarter of the block bytes holds 3 steps of the sub-block tables
         # and the index block 283 steps, both sized as for 8-byte indices
-        monkeypatch.setattr(batched, "_BLOCK_BYTES", 4 * 3 * (4 * (3 * 49 + 16 + 16) + 5 * 8) + 3)
+        monkeypatch.setattr(batched_svm, "_INDEX_BLOCK_BYTES",
+                            4 * 3 * (4 * (3 * 49 + 16 + 16) + 5 * 8) + 3)
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
                     283 * index + 3 * rows + carry)
+
+    def test_tail_study_noise_block_is_4_mb(self):
+        # 1000 one-dimensional trials: a 4 MB block holds 500 steps
+        problem = quadratic_problem(1, feasible=Interval(-6, 6))
+        config = RunConfig(T=10_000, schedule=DEFAULT_SCHEDULE, x1=np.ones(1), eval_every=100)
+        run = batched.run_all(problem, QuadraticOracleFactory(BoundedUniformBall(1.0)),
+                              config, ["final"], 1000, 1, 0.5)
+        assert run.predraw_bytes == 4_000_000
+
+    def test_svm_index_block_stays_8_mb(self):
+        # 1000 trials: the index block, sized as 8-byte indices, holds 1000
+        # steps of int32 indices, and the 2 MB sub-block 11 steps of the
+        # tables of test_svm_index_table
+        ds = synthetic_separable_dataset(40, 3, 1)
+        config = RunConfig(T=1500, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=1500)
+        got = run_trials(svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config,
+                         ["final", "uniform"], 1000, 5)
+        rows, carry = 1000 * (3 * 41 + 16 + 16) + 5 * 8, 1000 * 2 * 8
+        assert 2_000_000 // (1000 * (3 * 49 + 16 + 16) + 5 * 8) == 11
+        assert got.meta["predraw_bytes"] == 1000 * 1000 * 4 + 11 * rows + carry
 
     def test_noiseless_run_draws_nothing(self, tmp_path):
         config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.ones(2), eval_every=50)
@@ -386,26 +408,23 @@ class TestStreamedDraws:
         calls = []
 
         class Recording(SvmOracleFactory):
-            def draw(self, gen, t0, steps, dim):
-                drawn = super().draw(gen, t0, steps, dim)
-                calls.append((t0, drawn))
-                return drawn
+            def fill(self, gens, out, t0):
+                super().fill(gens, out, t0)
+                calls.append((t0, out.copy()))
 
         config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(batched, "_BLOCK_BYTES", block * trials * 8)
+            mp.setattr(batched_svm, "_INDEX_BLOCK_BYTES", block * trials * 8)
             got = run_trials(svm_problem(ds, 0.1), Recording(ds, 0.1), config,
                              list(SCHEME_NAMES), trials, seed)
-        # each block is drawn trial by trial: (block steps, trials) per block
+        # one trial-major fill per block: row i holds trial i's block steps
         starts = list(range(0, T, block))
-        assert [t0 for t0, _ in calls] == [t0 for t0 in starts for _ in range(trials)]
-        blocks = [np.stack([d for _, d in calls[j * trials:(j + 1) * trials]], axis=1)
-                  for j in range(len(starts))]
-        assert [len(b) for b in blocks] == [min(block, T - t0) for t0 in starts]
-        drawn = np.concatenate(blocks)
+        assert [t0 for t0, _ in calls] == starts
+        assert [d.shape for _, d in calls] == [(trials, min(block, T - t0)) for t0 in starts]
+        drawn = np.concatenate([d for _, d in calls], axis=1)
         for i in range(trials):
             want = RngStream(seed, i).generator().integers(ds.m, size=T)
-            assert np.array_equal(drawn[:, i], want)
+            assert np.array_equal(drawn[i], want)
         whole = run_trials(svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config,
                            list(SCHEME_NAMES), trials, seed)
         assert np.array_equal(got.gaps, whole.gaps, equal_nan=True)

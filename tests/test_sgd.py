@@ -199,6 +199,26 @@ class TestErrors:
         assert err.value.iteration == 3
         assert "iteration 3" in str(err.value)
 
+    def test_overflowing_sum_of_finite_entries_does_not_abort(self):
+        # 0.9 * 1.5e308 in both entries: every entry is finite but their sum
+        # is not. Both engines run on and fail at the checkpoint of t = 3,
+        # where the objective overflows.
+        from sgdavg.core import StepSchedule
+        from sgdavg.experiments import TrialFailure, run_trials
+        from sgdavg.oracles import QuadraticOracleFactory
+
+        problem = quadratic_problem(2)
+        config = RunConfig(T=3, schedule=StepSchedule(c=0.2, shift=1, mu_scaled=True),
+                           x1=np.array([1.5e308, 1.5e308]), eval_every=3)
+        reason = "iteration 3: non-finite final objective at checkpoint"
+        with np.errstate(over="ignore"):
+            with pytest.raises(RunAborted, match=reason) as err:
+                run_sgd(problem, QuadraticOracle(NoNoise(), RngStream(0)), config,
+                        [make_averager("final")])
+            assert err.value.iteration == 3
+            with pytest.raises(TrialFailure, match=reason):
+                run_trials(problem, QuadraticOracleFactory(), config, ["final"], 1, 0)
+
     def test_oracle_failure_aborts_with_iteration(self):
         class FailingOracle:
             def query(self, x, t):
