@@ -9,9 +9,9 @@ error. All randomness flows from --seed (or SGDAVG_SEED); flags beat
 environment variables beat built-in defaults.
 
 Each handler imports the modules only its command runs: the data layer (and
-with it scipy) for dataset problems, the harness, CSV/SVG writers and tail
-fit for ``trials``, the lower-bound law for ``lb``, the verifiers for
-``verify``.
+with it scipy's compiled sparse kernels) for dataset problems, the harness,
+CSV/SVG writers and tail fit for ``trials``, the lower-bound law for ``lb``,
+the verifiers for ``verify``.
 """
 
 from __future__ import annotations

@@ -17,17 +17,18 @@ the dense matrix and its standardized copy exceed the byte budget.
 
 from __future__ import annotations
 
+import importlib.util
 import io
+import os
+from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, TextIO, Union
+from typing import Iterable, Optional, TextIO, Union
 from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
 from .core import InputError, ParseError, SparseVec, _reserve
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "ParseError",
@@ -48,9 +49,11 @@ class Dataset:
 
     ``indptr`` and ``indices`` are int32 while m, n and the number of stored
     entries are all below 2**31, and int64 otherwise: the index dtype scipy
-    picks, so ``matrix()`` wraps these arrays without copying them, and a
-    stored entry takes 12 bytes (16 with int64 indices). Arrays that do not
-    have that dtype are converted after validation, so no value can wrap.
+    picks. The products (``dot_all``, ``dot_rows``, ``dot_t``, ``toarray``)
+    run scipy's compiled CSR kernels on these arrays as they are, which needs
+    ``indptr`` and ``indices`` of one dtype; a stored entry takes 12 bytes
+    (16 with int64 indices). Arrays that do not have that dtype are
+    converted after validation, so no value can wrap.
 
     The arrays are validated once here and are read-only views afterwards;
     share freely across threads.
@@ -91,7 +94,6 @@ class Dataset:
         self.indptr, self.indices = _frozen(indptr, dtype), _frozen(indices, dtype)
         self.data, self.labels = data, labels
         self.n = n
-        self._matrix: Optional[sp.csr_matrix] = None
 
     @classmethod
     def from_dense(cls, X, labels) -> "Dataset":
@@ -120,22 +122,85 @@ class Dataset:
             for a, b, y in zip(ptr, ptr[1:], self.labels.tolist())
         )
 
-    def matrix(self) -> sp.csr_matrix:
-        """The m-by-n feature matrix as a scipy CSR matrix (cached), built on
-        the dataset's own arrays: scipy picks the same index dtype, so
-        nothing is copied. scipy is imported here, so runs that never build
-        the matrix do not load it."""
-        if self._matrix is None:
-            import scipy.sparse as sp
-
-            self._matrix = sp.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=(self.m, self.n)
-            )
-        return self._matrix
+    # The products below call the kernels as scipy's csr_matrix does: on a
+    # zeroed output, csr_matvec for one vector and csr_matvecs for more, so
+    # every value has the bits of the scipy product.
 
     def dot_all(self, w: np.ndarray) -> np.ndarray:
-        """X @ w for every point at once."""
-        return self.matrix().dot(w)
+        """X @ w for every point at once: (m,) for a vector w of length n."""
+        out = np.zeros(self.m)
+        _sparsetools().csr_matvec(self.m, self.n, self.indptr, self.indices, self.data,
+                                  _operand(w, (self.n,)), out)
+        return out
+
+    def dot_rows(self, W: np.ndarray) -> np.ndarray:
+        """X @ w for each row w of a (B, n) array, as a (B, m) array in C
+        order: row b holds every point's product with W[b]."""
+        W = _operand(W, (None, self.n))
+        if W.shape[0] == 1:
+            return self.dot_all(W[0])[None, :]
+        out = np.zeros((self.m, W.shape[0]))
+        _sparsetools().csr_matvecs(self.m, self.n, W.shape[0], self.indptr, self.indices,
+                                   self.data, np.ascontiguousarray(W.T).ravel(), out.ravel())
+        return np.ascontiguousarray(out.T)
+
+    def dot_t(self, v: np.ndarray) -> np.ndarray:
+        """X.T @ v: (n,) for a vector v of length m, each column's products
+        added in row order."""
+        out = np.zeros(self.n)
+        _sparsetools().csc_matvec(self.n, self.m, self.indptr, self.indices, self.data,
+                                  _operand(v, (self.m,)), out)
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """The dense (m, n) features; a stored -0.0 reads +0.0, as in scipy."""
+        out = np.zeros((self.m, self.n))
+        _sparsetools().csr_todense(self.m, self.n, self.indptr, self.indices, self.data, out)
+        return out
+
+
+def _operand(a, shape: tuple) -> np.ndarray:
+    """``a`` as a float64 array, refused unless its shape matches ``shape``
+    (None matches any length): the kernels read an operand by the sizes
+    they are given, without checking it."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != len(shape) or any(k not in (None, got) for k, got in zip(shape, a.shape)):
+        raise InputError(f"expected an operand of shape {shape}, got {a.shape}")
+    return a
+
+
+@cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, ``scipy.sparse._sparsetools`` (the
+    code behind ``csr_matrix.dot`` and ``toarray``), loaded once from the
+    installed scipy's file. This skips the ``scipy.sparse`` package, whose
+    import takes about 0.1 s and 22 MB and loads some 325 modules.
+
+    The kernels are called by their positional interface, which is private
+    to scipy: ``TestKernels`` in ``tests/test_data.py`` checks it, bit for
+    bit against the public products, on scipy 1.17. Run those tests before
+    relying on another scipy release."""
+    name = "scipy.sparse._sparsetools"
+    loader = ExtensionFileLoader(name, _sparsetools_file())
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module
+
+
+def _sparsetools_file() -> str:
+    """The path of the installed ``scipy/sparse/_sparsetools`` extension;
+    finding scipy's spec imports nothing. ImportError, naming the paths
+    tried, when scipy or the file is missing."""
+    spec = importlib.util.find_spec("scipy")
+    roots = (spec.submodule_search_locations or []) if spec is not None else []
+    if not roots:
+        raise ImportError("scipy is not installed; the SVM products need its sparse kernels")
+    tried = [os.path.join(root, "sparse", "_sparsetools" + suffix)
+             for root in roots for suffix in EXTENSION_SUFFIXES]
+    for path in tried:
+        if os.path.isfile(path):
+            return path
+    raise ImportError(f"scipy's sparse kernels are not at any of {tried}")
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -163,7 +228,9 @@ _INT32_MAX = 2**31 - 1
 
 def _index_dtype(*bounds: int) -> np.dtype:
     """The index dtype scipy picks for a CSR matrix whose shape and number of
-    entries are ``bounds``: int32 when they all fit in it, else int64."""
+    entries are ``bounds``: int32 when they all fit in it, else int64.
+    ``Dataset`` gives ``indptr`` and ``indices`` this one dtype, as scipy's
+    kernels need."""
     return np.dtype(np.int32 if max(bounds) <= _INT32_MAX else np.int64)
 
 
@@ -413,7 +480,7 @@ def scale_features(
     # the dense features and the standardized copy are held together
     _reserve(2 * dataset.m * dataset.n * 8,
              f"a dense {dataset.m} x {dataset.n} copy of the features and its standardized copy")
-    dense = dataset.matrix().toarray()
+    dense = dataset.toarray()
     mean = dense.mean(axis=0)
     std = np.sqrt(dense.var(axis=0))
     degenerate = std <= 1e-15 * np.maximum(1.0, np.abs(mean))

@@ -38,19 +38,21 @@ which of its entries it applied to v, and U[k][cols] += A[k]*coef is applied
 for the marked entries by np.add.at before each checkpoint and fold and at
 the end of the sub-block. np.add.at adds an entry's terms one by one in
 entry order, which is step order, so U holds exactly the sums that per-step
-updates give. The sample indices (below m) and the gathered flat columns
-and owners (below trials*n) take ``Dataset``'s index dtype rule: int32
-while it holds their bound, else int64. The index block is trial-major, as
-the lockstep engine's noise blocks are: the law's ``fill`` draws row i from
-trial i's generator, and a sub-block reads its steps as columns. It is
-sized from ``_INDEX_BLOCK_BYTES`` (8 MB, read at call time, as the budget
-is): ``Generator.integers`` has no ``out=``, so each row is drawn and then
-copied, and a smaller block would only add calls. A sub-block's tables,
-with the arrays its gather builds them from, take a quarter of it (2 MB),
-all as if every sampled row were the longest and every index took 8 bytes,
-the lengths at which the engine was timed; int32 tables then take fewer
-bytes. The two count against the budget together, and ``predraw_bytes``
-reports the bytes they are allocated.
+updates give. The sample indices (below m) take ``Dataset``'s index dtype
+rule: int32 while it holds their bound, else int64. The flat columns and
+owners are gathered as intp, numpy's own index type, which a step's
+indexing, ``np.bincount`` and ``np.add.at`` take without a conversion. The
+index block is trial-major, as the lockstep engine's noise blocks are: the
+law's ``fill`` draws row i from trial i's generator, and a sub-block reads
+its steps as columns. It is sized from ``_INDEX_BLOCK_BYTES`` (8 MB, read
+at call time, as the budget is): ``Generator.integers`` has no ``out=``, so
+each row is drawn and then copied, and a smaller block would only add
+calls. A sub-block's tables, with the arrays its gather builds them from,
+take a quarter of it (2 MB), all as if every sampled row were the longest
+and every index took 8 bytes, the lengths at which the engine was timed;
+int32 sample indices then take fewer bytes. The two count against the
+budget together, and ``predraw_bytes`` reports the bytes they are
+allocated.
 """
 
 from __future__ import annotations
@@ -164,11 +166,9 @@ class _ScaledSvm:
         bounded = not (centered or isinstance(feasible, Unconstrained))
         self.project = feasible.project_rows if bounded else None
 
-        # the sample indices (below m) and the gathered flat columns and
-        # owners (below trials*n) take Dataset's index dtype: int32 while it
-        # holds them
+        # the sample indices (below m) take Dataset's index dtype: int32
+        # while it holds them
         sample = _index_dtype(d.m)
-        entry = _index_dtype(trials * d.n)
         k = len(self.averaged)
         longest = int(self.lens.max())
         # the block lengths are those of 8-byte indices, at which they were
@@ -180,7 +180,8 @@ class _ScaledSvm:
         # the index block alone names its own bytes when it exceeds the budget
         _reserve(self.block * index, "one block of sample indices")
         self.reserved = _reserve(
-            self.block * index + self.sub * _sub_block_bytes(trials, longest, k, entry.itemsize)
+            self.block * index
+            + self.sub * _sub_block_bytes(trials, longest, k, np.dtype(np.intp).itemsize)
             + trials * (k + 1) * 8, "one block of sample indices and a sub-block's tables")
         # (trials, block): trial i's generator fills row i, step t is a column
         self.idx = np.empty((trials, self.block), dtype=sample)
@@ -188,8 +189,8 @@ class _ScaledSvm:
         # the gathered entries of one sub-block: those of step j lie in
         # offsets[j]:offsets[j+1], trial by trial; see _gather
         entries = self.sub * trials * longest
-        self.owner = np.empty(entries, dtype=entry)
-        self.flat = np.empty(entries, dtype=entry)
+        self.owner = np.empty(entries, dtype=np.intp)
+        self.flat = np.empty(entries, dtype=np.intp)
         self.vals = np.empty(entries)
         self.coef = np.empty(entries)
         # the log of deferred updates U[k][flat] += A_log[k]*coef: the entries
@@ -396,11 +397,7 @@ class _ScaledSvm:
         """Step t of every trial, then enter step t+1."""
         j = self.j
         a, b = self.offsets[j], self.offsets[j + 1]
-        # the step's owners and columns as intp, once: numpy converts int32
-        # index arrays at every use, about 1 us each at 200 entries
-        owner = self.owner[a:b].astype(np.intp, copy=False)
-        flat = self.flat[a:b].astype(np.intp, copy=False)
-        vals = self.vals[a:b]
+        owner, flat, vals = self.owner[a:b], self.flat[a:b], self.vals[a:b]
         vflat = self.v_flat
         old = vflat[flat]
         margins = self.S[j] * np.bincount(owner, weights=old * vals,

@@ -183,7 +183,7 @@ def _svm_objective_rows(W: np.ndarray, dataset: Dataset, lam: float) -> np.ndarr
     W = np.asarray(W, dtype=np.float64)
     # (B, m) in C order: each row's hinge mean is then summed exactly as a
     # lone row's is, whatever B
-    hinge = np.ascontiguousarray(dataset.matrix().dot(W.T).T)
+    hinge = dataset.dot_rows(W)
     hinge *= dataset.labels
     np.subtract(1.0, hinge, out=hinge)
     np.maximum(0.0, hinge, out=hinge)
@@ -382,10 +382,13 @@ class LowerBoundOracleFactory(_NoisyGradient):
             u = out[:, lo - t0:hi - t0, 0]
             _fill_rows(np.random.Generator.random, gens, u)
             # in place: u - 1/2 is negative exactly where u < 1/2, so the
-            # signed scale is -copysign(scale, u - 1/2)
+            # signed scale is -copysign(scale, u - 1/2). The sign is flipped
+            # by multiplying: numpy 2.4's in-place np.negative misreads an
+            # operand whose elements lie 64 bytes apart (a one-step window
+            # in rows of 8 steps)
             u -= 0.5
             np.copysign(self._scales[lo - T // 2:hi - T // 2], u, out=u)
-            np.negative(u, out=u)
+            u *= -1.0
 
     @cached_property
     def _scales(self) -> np.ndarray:
@@ -525,7 +528,7 @@ class SvmSubgradient:
         margins = d.labels * d.dot_all(w)
         active = (margins < 1.0).astype(np.float64)
         weights = -(d.labels * active) / d.m
-        return self.lam * w + d.matrix().T.dot(weights)
+        return self.lam * w + d.dot_t(weights)
 
 
 def svm_problem(

@@ -370,8 +370,12 @@ class TestConsoleScript:
         assert "1/8" in proc.stdout
 
     def test_scipy_loaded_only_by_dataset_runs(self, tmp_path):
-        # scipy.sparse is imported by Dataset.matrix(), so the CLI and a
-        # quadratic trials run start without it
+        # the CLI and a quadratic trials run start without scipy; an SVM
+        # trials run (standardized, checkpointed) loads only scipy's compiled
+        # sparse kernels, from their file, and not the scipy.sparse package
+        # with the numpy modules its import brings
+        (tmp_path / "set.txt").write_text(
+            "+1 1:0.5 2:1 3:-0.25\n-1 1:2 3:0.75\n+1 2:-1 3:0.5\n-1 1:-0.5 2:0.25\n")
         script = (
             "import sys\n"
             "import sgdavg.cli\n"
@@ -381,9 +385,16 @@ class TestConsoleScript:
             "                        '--seed', '1', '--csv', 'q.csv'])\n"
             "assert code == 0\n"
             "assert 'scipy' not in sys.modules, 'after a quadratic trials run'\n"
-            "from sgdavg.data import synthetic_separable_dataset\n"
-            "synthetic_separable_dataset(5, 3, 1).matrix()\n"
-            "assert 'scipy' in sys.modules, 'after matrix()'\n"
+            "code = sgdavg.cli.main(['trials', '--problem', 'svm', '--dataset', 'set.txt',\n"
+            "                        '--scaling', 'standardize', '--T', '40', '--trials', '3',\n"
+            "                        '--eval-every', '10', '--seed', '1', '--csv', 's.csv'])\n"
+            "assert code == 0\n"
+            "loaded = [m for m in ('scipy.sparse', 'numpy.f2py', 'numpy.testing')\n"
+            "          if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "from sgdavg import data\n"
+            "assert data._sparsetools.cache_info().currsize == 1, 'kernels not loaded'\n"
+            "assert data._sparsetools().__file__ == data._sparsetools_file()\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
@@ -467,8 +478,8 @@ class TestConsoleScript:
             getattr(pkg, "no_such_name")
 
     def test_cli_import_loads_no_process_pool(self, tmp_path):
-        # no command uses a process pool, and only dataset runs use scipy;
-        # importing the CLI loads neither
+        # no command uses a process pool, and only dataset runs use scipy's
+        # kernels; importing the CLI loads neither
         script = (
             "import sys\n"
             "import sgdavg.cli\n"

@@ -1,10 +1,15 @@
+import importlib.machinery
+import importlib.util
 import io
+import os
+import re
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +25,11 @@ from sgdavg.data import (
     serialize_libsvm,
     synthetic_separable_dataset,
 )
+
+
+def scipy_matrix(ds):
+    """The dataset's features as a scipy CSR matrix, the reference for its products."""
+    return sp.csr_matrix((ds.data, ds.indices, ds.indptr), shape=(ds.m, ds.n))
 
 
 def assert_same_csr(a, b):
@@ -480,7 +490,7 @@ class TestScaling:
         rng = np.random.default_rng(1)
         X = np.array([rng.standard_normal(3) * 4 + 7 for _ in range(20)])
         out, warnings = scale_features(Dataset.from_dense(X, [1, -1] * 10), "standardize")
-        mat = np.asarray(out.matrix().todense())
+        mat = np.asarray(scipy_matrix(out).todense())
         assert np.all(np.abs(mat.mean(axis=0)) <= 1e-9)
         assert np.all(np.abs(mat.var(axis=0) - 1.0) <= 1e-9)
         assert warnings == []
@@ -488,7 +498,7 @@ class TestScaling:
     def test_standardize_degenerate_column_warns(self):
         X = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
         out, warnings = scale_features(Dataset.from_dense(X, [1, -1, 1]), "standardize")
-        mat = np.asarray(out.matrix().todense())
+        mat = np.asarray(scipy_matrix(out).todense())
         assert np.all(mat[:, 0] == 0.0)
         assert len(warnings) == 1 and "column 0" in warnings[0]
 
@@ -582,7 +592,7 @@ class TestDataset:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=0)))
         w = rng.standard_normal(5)
         w /= np.linalg.norm(w)
-        margins = ds.labels * (np.asarray(ds.matrix().todense()) @ w)
+        margins = ds.labels * (np.asarray(scipy_matrix(ds).todense()) @ w)
         assert margins.min() >= 0.5 - 1e-12
 
     def test_csr_arrays_validated(self):
@@ -611,10 +621,11 @@ class TestDataset:
                 Dataset(*args)
 
     def test_matrix_shares_the_arrays(self):
-        # scipy picks the dataset's own index dtype, so it copies nothing
+        # scipy picks the dataset's own index dtype, so a scipy matrix built
+        # on the dataset's arrays copies nothing
         for ds in (parse_libsvm("1 1:1 2:2\n-1 2:1\n"),
                    Dataset([0, 1, 2], [0, 2**31], [1.0, 2.0], [1, -1], 2**31 + 1)):
-            X = ds.matrix()
+            X = scipy_matrix(ds)
             for name in ("indptr", "indices", "data"):
                 assert np.shares_memory(getattr(X, name), getattr(ds, name)), name
 
@@ -659,3 +670,102 @@ class TestDataset:
             assert isinstance(x, SparseVec) and x.n == 3
             assert np.array_equal(x.indices, ds.indices[a:b])
             assert np.array_equal(x.values, ds.data[a:b])
+
+
+# rows of two stored -0.0 entries and an empty row
+KERNEL_TEXT = "+1 2:0.5 5:-1.25 9:3\n-1 1:2 3:-0 7:0.75\n+1\n-1 4:-0.5 9:1 10:-0.0\n"
+
+
+def _kernel_sets():
+    """The parsed sparse set and acceptance criterion 5's dense set, built
+    when called (so under any patch of the index dtype rule)."""
+    return [parse_libsvm(KERNEL_TEXT), synthetic_separable_dataset(2000, 20, seed=31415)]
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestKernels:
+    """Dataset's products run scipy's compiled kernels on the dataset's own
+    arrays; each must have the bits of the public scipy product."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_kernels(self):
+        data_module._sparsetools.cache_clear()
+        yield
+        data_module._sparsetools.cache_clear()
+
+    @staticmethod
+    def products(ds):
+        rng = np.random.default_rng(ds.m)
+        W, v = rng.standard_normal((61, ds.n)), rng.standard_normal(ds.m)
+        return W, v, {
+            **{B: ds.dot_rows(W[:B]) for B in (1, 2, 8, 61)},
+            "dot_all": ds.dot_all(W[0]), "dot_t": ds.dot_t(v), "toarray": ds.toarray()}
+
+    def check(self, ds):
+        X = scipy_matrix(ds)
+        W, v, got = self.products(ds)
+        for B in (1, 2, 8, 61):
+            assert got[B].flags.c_contiguous
+            assert_same_bits(got[B], X.dot(W[:B].T).T)
+        assert_same_bits(got["dot_all"], X.dot(W[0]))
+        assert_same_bits(got["dot_t"], X.T.dot(v))
+        assert_same_bits(got["toarray"], X.toarray())
+        return got
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["parsed", "criterion5"])
+    def test_products_match_scipy(self, which):
+        ds = _kernel_sets()[which]
+        assert ds.indices.dtype == ds.indptr.dtype == np.int32
+        self.check(ds)
+
+    def test_stored_negative_zero_reads_as_positive_zero(self):
+        ds = parse_libsvm(KERNEL_TEXT)
+        assert np.count_nonzero(np.signbit(ds.data) & (ds.data == 0.0)) == 2
+        dense = ds.toarray()
+        assert np.array_equal(dense[3], [0, 0, 0, -0.5, 0, 0, 0, 0, 1, 0])
+        assert not np.signbit(dense[dense == 0.0]).any()
+        assert not dense[2].any()
+
+    def test_operands_of_the_wrong_shape_are_refused(self):
+        # the kernels read an operand by the sizes they are given, so a
+        # short one would be read past its end
+        ds = parse_libsvm(KERNEL_TEXT)
+        m, n = ds.m, ds.n
+        calls = [(ds.dot_all, (n - 1,)), (ds.dot_all, (n + 1,)), (ds.dot_all, (1, n)),
+                 (ds.dot_rows, (n,)), (ds.dot_rows, (2, n - 1)), (ds.dot_rows, (1, n + 1)),
+                 (ds.dot_t, (m - 1,)), (ds.dot_t, (m + 1,))]
+        for product, shape in calls:
+            with pytest.raises(InputError, match="shape"):
+                product(np.zeros(shape))
+        assert ds.dot_rows(np.zeros((0, n))).shape == (0, m)
+
+    def test_int64_indices(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_INT32_MAX", 0)
+        for ds in _kernel_sets():
+            assert ds.indices.dtype == ds.indptr.dtype == np.int64
+            self.check(ds)
+
+    def test_kernels_are_loaded_from_the_installed_file(self):
+        path = data_module._sparsetools_file()
+        assert data_module._sparsetools().__file__ == path
+        assert os.path.dirname(path) == os.path.join(
+            importlib.util.find_spec("scipy").submodule_search_locations[0], "sparse")
+
+    def test_a_missing_kernel_file_is_an_import_error_naming_the_paths(self, monkeypatch, tmp_path):
+        # scipy's spec as find_spec gives it, with no scipy and then with a
+        # scipy whose sparse kernels are missing
+        find_spec = importlib.util.find_spec
+        scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        specs = {"scipy": None}
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *args: specs[name] if name in specs else find_spec(name, *args))
+        with pytest.raises(ImportError, match="scipy is not installed"):
+            data_module._sparsetools()
+        scipy.submodule_search_locations.append(str(tmp_path))
+        specs["scipy"] = scipy
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "sparse" / "_sparsetools"))):
+            data_module._sparsetools()

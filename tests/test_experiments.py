@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -472,8 +473,8 @@ def hinge_ties(ds, lam, feasible, T, seed, trial):
     rec = run_sgd(problem, SvmOracleFactory(ds, lam)(RngStream(seed, trial)), config,
                   [make_averager("final")])
     rows = RngStream(seed, trial).generator().integers(ds.m, size=T)
-    margins = ds.labels[rows] * np.einsum(
-        "ij,ij->i", ds.matrix()[rows].toarray(), rec.trajectory.X)
+    X = sp.csr_matrix((ds.data, ds.indices, ds.indptr), shape=(ds.m, ds.n))
+    margins = ds.labels[rows] * np.einsum("ij,ij->i", X[rows].toarray(), rec.trajectory.X)
     return np.nonzero(np.abs(margins - 1.0) <= 1e-9)[0] + 1
 
 
@@ -683,12 +684,13 @@ class TestScaledSvmTables:
     @pytest.mark.parametrize("kind", ["none", "ball", "box"])
     def test_index_tables_take_the_dataset_dtype(self, monkeypatch, kind):
         # 3 trials on SPARSE_TEXT's 10 rows and 12 columns: the sample
-        # indices lie below 10, the gathered flat columns and owners below
-        # 36. Each table is int32 while the bound fits and int64 past it, the
-        # gaps keep their bits either way, and predraw_bytes counts what the
-        # engine allocates: its arrays, 16 bytes per entry for the arrays the
-        # gather builds them from, and per step of a sub-block the labels
-        # and the step's size, shrink, fold flag, offset and each a_t.
+        # indices lie below 10, int32 while the bound fits and int64 past
+        # it; the gathered flat columns and owners are intp whatever the
+        # bound. The gaps keep their bits either way, and predraw_bytes
+        # counts what the engine allocates: its arrays, 16 bytes per entry
+        # for the arrays the gather builds them from, and per step of a
+        # sub-block the labels and the step's size, shrink, fold flag,
+        # offset and each a_t.
         ds = parse_libsvm(SPARSE_TEXT)
         lam = 1.0 / ds.m
         feasible = {"none": Unconstrained(), "ball": L2Ball(0.4, np.zeros(ds.n)),
@@ -705,8 +707,8 @@ class TestScaledSvmTables:
 
         monkeypatch.setattr(batched_svm, "_ScaledSvm", Recording)
         trials, gaps = 3, set()
-        for limit, sample, entry in [(2**31 - 1, np.int32, np.int32), (20, np.int32, np.int64),
-                                     (9, np.int64, np.int64)]:
+        entry = np.intp
+        for limit, sample in [(2**31 - 1, np.int32), (20, np.int32), (9, np.int64)]:
             monkeypatch.setattr(data_module, "_INT32_MAX", limit)
             got = run_trials(problem, SvmOracleFactory(ds, lam), config,
                              ["final", "uniform", "suffix", "nonuniform"], trials, 8)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdavg import data as data_module
 from sgdavg import oracles
 from sgdavg.core import InputError
 from sgdavg.data import Dataset, parse_libsvm, synthetic_separable_dataset
@@ -32,6 +34,11 @@ def sample(noise, count, n, rng):
     out = np.empty((1, count, n))
     noise.fill((rng,), out)
     return out[0]
+
+
+def scipy_matrix(ds):
+    """The dataset's features as a scipy CSR matrix, the reference for its products."""
+    return sp.csr_matrix((ds.data, ds.indices, ds.indptr), shape=(ds.m, ds.n))
 
 
 def one_point_dataset():
@@ -172,7 +179,7 @@ class TestSvmOracle:
     ], ids=["text", "dense"])
     def test_step_reads_the_sampled_row_as_its_dense_form(self, ds):
         # the row's inner product and hinge update agree with the dense row
-        dense = np.asarray(ds.matrix().todense())
+        dense = np.asarray(scipy_matrix(ds).todense())
         rng = np.random.default_rng(0)
         lam = 0.25
         for k in range(40):
@@ -189,7 +196,7 @@ class TestSvmOracle:
         # w is scaled so the sampled row's margin sits 1e-9 to either side of
         # 1: the hinge fires exactly when the dense inner product says so
         ds = parse_libsvm("+1 2:0.5 5:-1.25 9:3\n-1 1:2 3:0.75\n-1 4:-0.5 9:1\n", n=10)
-        dense = np.asarray(ds.matrix().todense())
+        dense = np.asarray(scipy_matrix(ds).todense())
         rng = np.random.default_rng(1)
         lam = 0.25
         for k in range(40):
@@ -249,6 +256,52 @@ def reference_svm_objective(w, dataset, lam):
     margins = dataset.labels * dataset.dot_all(w)
     hinge = np.maximum(0.0, 1.0 - margins)
     return 0.5 * lam * float(w @ w) + float(hinge.mean())
+
+
+def scipy_svm_objective_rows(W, ds, lam):
+    """The SVM objective of each row of W, by the formula of
+    ``_svm_objective_rows`` with its product taken by scipy's csr_matrix."""
+    hinge = np.ascontiguousarray(scipy_matrix(ds).dot(W.T).T)
+    hinge *= ds.labels
+    np.subtract(1.0, hinge, out=hinge)
+    np.maximum(0.0, hinge, out=hinge)
+    return 0.5 * lam * oracles._squared_norms(W) + hinge.mean(axis=1)
+
+
+class TestSvmProductBits:
+    """The SVM objective and full subgradient take their products from
+    Dataset's kernels: bit for bit those of scipy's csr_matrix."""
+
+    @staticmethod
+    def sets():
+        # a parsed set with an empty row and a stored -0.0, and acceptance
+        # criterion 5's dense set
+        return [parse_libsvm("+1 2:0.5 5:-1.25 9:3\n-1 1:2 3:-0 7:0.75\n+1\n-1 4:-0.5 9:1\n"),
+                synthetic_separable_dataset(2000, 20, seed=31415)]
+
+    def check(self, ds):
+        lam = 1.0 / ds.m
+        W = np.random.default_rng(ds.m).standard_normal((61, ds.n))
+        obj, sub, X = SvmObjective(ds, lam), svm_problem(ds, lam).subgradient, scipy_matrix(ds)
+        for B in (1, 2, 8, 61):
+            got = obj.rows(W[:B])
+            assert got.tobytes() == scipy_svm_objective_rows(W[:B], ds, lam).tobytes()
+        for w in W[:8]:
+            active = (ds.labels * X.dot(w) < 1.0).astype(np.float64)
+            want = lam * w + X.T.dot(-(ds.labels * active) / ds.m)
+            assert sub(w).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["parsed", "criterion5"])
+    def test_int32_indices(self, which):
+        ds = self.sets()[which]
+        assert ds.indices.dtype == np.int32
+        self.check(ds)
+
+    def test_int64_indices(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_INT32_MAX", 0)
+        for ds in self.sets():
+            assert ds.indices.dtype == np.int64
+            self.check(ds)
 
 
 class TestRowObjectives:
@@ -471,6 +524,29 @@ class TestLawDraws:
         got = fill_trial_major(law, seed, trials, T, dim, sizes, strided)
         for i in range(trials):
             assert np.array_equal(got[i], draw_in_blocks(law, RngStream(seed, i), T, dim, [T]))
+
+    def test_one_step_of_the_window_in_rows_of_8_steps(self):
+        # each trial's row of the buffer holds 8 steps and a block one step,
+        # so the window's signs lie 64 bytes apart, where numpy 2.4's
+        # in-place np.negative read the wrong elements
+        law = LowerBoundOracleFactory(8)
+        got = fill_trial_major(law, 0, 3, 8, 1, [1])
+        for i in range(3):
+            assert np.array_equal(got[i], draw_in_blocks(law, RngStream(0, i), 8, 1, [8]))
+
+    @pytest.mark.parametrize("flip", [
+        lambda u: u.__imul__(-1.0),
+        pytest.param(lambda u: np.negative(u, out=u), marks=pytest.mark.xfail(
+            strict=False, reason="numpy 2.4's in-place np.negative reads a column of a "
+                                 "(3, 8) float64 array as contiguous")),
+    ], ids=["multiply", "np.negative"])
+    def test_in_place_sign_flip_of_a_column_64_bytes_apart(self, flip):
+        # numpy alone, in the layout of the window above: one column of
+        # rows of 8 float64
+        buf = np.arange(1.0, 25.0).reshape(3, 8)
+        u = buf[:, 4:5]
+        flip(u)
+        assert np.array_equal(u.ravel(), [-5.0, -13.0, -21.0])
 
     @pytest.mark.parametrize("bound", [1.0, 0.3, 2.5, 1e-300])
     @pytest.mark.parametrize("strided", [False, True])

@@ -277,13 +277,13 @@ class TestBudgetInMeta:
         problem = svm_problem(ds, 0.1)
         config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=50)
         # bytes per step of 4 trials on rows of 3 entries with one averaged
-        # scheme: the int32 sample indices; the sub-block tables (int32 flat
+        # scheme: the int32 sample indices; the sub-block tables (intp flat
         # column and owner, value and update coefficient per entry, its
         # applied flag and 16 bytes for the arrays the gather builds them
         # from; label, s and the scheme's observed and logged A per trial;
         # the step's size, shrink, fold flag, offset and a_t); and once the
         # carried s and logged A per trial
-        index, rows, carry = 4 * 4, 4 * (3 * 41 + 16 + 16) + 5 * 8, 4 * 2 * 8
+        index, rows, carry = 4 * 4, 4 * (3 * 49 + 16 + 16) + 5 * 8, 4 * 2 * 8
         # a whole run fits in one block of each table
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
                     250 * (index + rows) + carry)
@@ -299,11 +299,10 @@ class TestBudgetInMeta:
         # a horizon past the 283 steps of the index block below
         config = RunConfig(T=300, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=50)
         # the bytes per step of test_svm_index_table
-        index, rows, carry = 4 * 4, 4 * (3 * 41 + 16 + 16) + 5 * 8, 4 * 2 * 8
+        index, rows, carry = 4 * 4, 4 * (3 * 49 + 16 + 16) + 5 * 8, 4 * 2 * 8
         # a quarter of the block bytes holds 3 steps of the sub-block tables
         # and the index block 283 steps, both sized as for 8-byte indices
-        monkeypatch.setattr(batched_svm, "_INDEX_BLOCK_BYTES",
-                            4 * 3 * (4 * (3 * 49 + 16 + 16) + 5 * 8) + 3)
+        monkeypatch.setattr(batched_svm, "_INDEX_BLOCK_BYTES", 4 * 3 * rows + 3)
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
                     283 * index + 3 * rows + carry)
 
@@ -323,8 +322,8 @@ class TestBudgetInMeta:
         config = RunConfig(T=1500, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=1500)
         got = run_trials(svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config,
                          ["final", "uniform"], 1000, 5)
-        rows, carry = 1000 * (3 * 41 + 16 + 16) + 5 * 8, 1000 * 2 * 8
-        assert 2_000_000 // (1000 * (3 * 49 + 16 + 16) + 5 * 8) == 11
+        rows, carry = 1000 * (3 * 49 + 16 + 16) + 5 * 8, 1000 * 2 * 8
+        assert 2_000_000 // rows == 11
         assert got.meta["predraw_bytes"] == 1000 * 1000 * 4 + 11 * rows + carry
 
     def test_noiseless_run_draws_nothing(self, tmp_path):
