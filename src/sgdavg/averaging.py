@@ -2,7 +2,7 @@
 the online weight-proportional-to-t average.
 
 Each averaged scheme reports sum_{i<=t} a_i x_i / total(t), given both as
-its recurrence (``observe``, run by ``run_sgd`` and the quadratic engine) and
+its recurrence (``observe``, run by ``run_sgd``) and
 as its weights a_t and their running total (``weights``, ``total``, read by
 the SVM engine). The final iterate is no weighted sum (``weighted`` False).
 """

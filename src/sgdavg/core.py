@@ -59,14 +59,24 @@ class BudgetExceeded(InputError, MemoryError):
     InputError, so the command line reports it as a usage error (exit 2)."""
 
 
-def _reserve(nbytes: int, what: str, budget: int = _BUDGET_BYTES) -> int:
-    """Refuse, before allocating, buffers over the byte budget; returns ``nbytes``."""
-    if nbytes > budget:
+def _reserve(nbytes: int, what: str) -> int:
+    """Refuse, before allocating, buffers over the byte budget (read at call
+    time); returns ``nbytes``."""
+    if nbytes > _BUDGET_BYTES:
         raise BudgetExceeded(
             f"{what} need {nbytes} bytes, above the batched engine's budget of "
-            f"{budget} bytes"
+            f"{_BUDGET_BYTES} bytes"
         )
     return nbytes
+
+
+def _block_steps(table_bytes: int, step_bytes: int, T: int, held_step_bytes: int = 0) -> int:
+    """Steps per block of a table of ``step_bytes`` per step: as many as fit
+    in ``table_bytes`` and, at ``held_step_bytes`` per step for all the
+    tables held with it (by default just this one), in the budget; at least
+    one and at most T."""
+    return max(1, min(T, table_bytes // step_bytes,
+                      _BUDGET_BYTES // (held_step_bytes or step_bytes)))
 
 
 class SparseVec:
@@ -118,10 +128,14 @@ class FeasibleSet:
     """A closed convex set with an exact Euclidean projection."""
 
     def project(self, p: np.ndarray) -> np.ndarray:
+        """The projection of each row of a (..., n) array, each row on its
+        own; ``p`` itself when every row is feasible."""
         raise NotImplementedError
 
     def distance(self, p: np.ndarray) -> float:
-        return float(np.linalg.norm(p - self.project(p)))
+        q = self.project(p)
+        # a feasible p projects to itself, and then nothing is allocated
+        return 0.0 if q is p else float(np.linalg.norm(p - q))
 
     def contains(self, p: np.ndarray, tol: float = 1e-12) -> bool:
         return self.distance(p) <= tol * max(1.0, float(np.linalg.norm(p)))
@@ -131,9 +145,6 @@ class FeasibleSet:
 class Unconstrained(FeasibleSet):
     def project(self, p: np.ndarray) -> np.ndarray:
         return p
-
-    def project_rows(self, Y: np.ndarray) -> np.ndarray:
-        return Y
 
 
 @dataclass(frozen=True)
@@ -148,14 +159,10 @@ class Interval(FeasibleSet):
             raise InputError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
 
     def project(self, p: np.ndarray) -> np.ndarray:
+        """Each entry clipped to [lo, hi]."""
         if p.min() >= self.lo and p.max() <= self.hi:
             return p
-        return self.project_rows(p)
-
-    def project_rows(self, Y: np.ndarray) -> np.ndarray:
-        """The projection of each row of a (B, n) array (of any array: it
-        clips each entry)."""
-        return np.minimum(np.maximum(Y, self.lo), self.hi)
+        return np.minimum(np.maximum(p, self.lo), self.hi)
 
 
 # Points within this relative slack of an L2 ball boundary count as inside;
@@ -174,26 +181,32 @@ class L2Ball(FeasibleSet):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
 
     def project(self, p: np.ndarray) -> np.ndarray:
-        if p.shape != self.center.shape:
+        """Each row outside the ball moved radially onto its boundary. A row
+        projects to the same bits alone or among others."""
+        if p.shape[-1:] != self.center.shape:
             raise InputError(
-                f"dimension mismatch: point has {p.shape[0]}, ball has {self.center.shape[0]}"
+                f"dimension mismatch: point has {p.shape[-1]}, ball has {self.center.shape[0]}"
             )
-        Y = p[None, :]
-        out = self.project_rows(Y)
-        return p if out is Y else out[0]
-
-    def project_rows(self, Y: np.ndarray) -> np.ndarray:
-        """The projection of each row of a (B, n) array; ``Y`` itself when
-        every row is inside. A row projects to the same bits alone or in a
-        batch."""
-        D = Y - self.center
-        nrm = np.sqrt(np.einsum("ij,ij->i", D, D))
+        D = p - self.center
+        nrm = np.sqrt(_squared_norms(D.reshape(-1, D.shape[-1]))).reshape(p.shape[:-1])
         outside = nrm > self.radius * (1.0 + _BALL_SLACK)
         if not outside.any():
-            return Y
-        Y = Y.copy()
-        Y[outside] = self.center + D[outside] * (self.radius / nrm[outside])[:, None]
-        return Y
+            return p
+        out = p.copy()
+        out[outside] = self.center + D[outside] * (self.radius / nrm[outside])[:, None]
+        return out
+
+
+def _squared_norms(W: np.ndarray) -> np.ndarray:
+    """||w||^2 of each row of a (B, n) array, summed as einsum sums the rows
+    of a many-row array. einsum takes a lone row of more than 8192 entries
+    through its buffered loop, whose pieces round differently, so a lone row
+    goes through as two broadcast copies: a row's value does not depend on
+    how many rows come with it."""
+    if W.shape[0] == 1:
+        pair = np.broadcast_to(W, (2, W.shape[1]))
+        return np.einsum("ij,ij->i", pair, pair)[:1]
+    return np.einsum("ij,ij->i", W, W)
 
 
 def project(s: FeasibleSet, p: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The lockstep engine's SVM path, which ``run_all`` loads only for SVM
+"""The scaled-weight SVM engine, which ``run_all`` loads only for SVM
 runs.
 
 SVM problems cost O(nnz) per trial and step. Each trial's iterate is held as
@@ -42,7 +42,7 @@ updates give. The sample indices (below m) take ``Dataset``'s index dtype
 rule: int32 while it holds their bound, else int64. The flat columns and
 owners are gathered as intp, numpy's own index type, which a step's
 indexing, ``np.bincount`` and ``np.add.at`` take without a conversion. The
-index block is trial-major, as the lockstep engine's noise blocks are: the
+index block is trial-major, as a lockstep Oracle's noise blocks are: the
 law's ``fill`` draws row i from trial i's generator, and a sub-block reads
 its steps as columns. It is sized from ``_INDEX_BLOCK_BYTES`` (8 MB, read
 at call time, as the budget is): ``Generator.integers`` has no ``out=``, so
@@ -62,12 +62,11 @@ from functools import partial
 import numpy as np
 
 from ..averaging import make_averager
-from ..core import L2Ball, Problem, Unconstrained, _BALL_SLACK, step_size
+from ..core import L2Ball, Problem, Unconstrained, _BALL_SLACK, _block_steps, _reserve, step_size
 from ..data import _index_dtype
-from ..oracles import SvmOracleFactory
-from ..sgd import checkpoint_iterations
-from .batched import (_NON_FINITE, LockstepRun, _block_steps, _failure, _finite, _generators,
-                      _reserve)
+from ..oracles import SvmOracleFactory, _generators
+from ..sgd import (_NON_FINITE, RunAborted, RunRecord, _finite_objectives, _first_bad,
+                   checkpoint_iterations)
 
 # Bytes of the index block, sized as 8-byte indices. A sub-block's tables
 # take a quarter of it and a checkpoint chunk an eighth.
@@ -113,18 +112,17 @@ def _trials_per_chunk(trial_bytes: int) -> int:
     return max(1, _INDEX_BLOCK_BYTES // 8 // trial_bytes)
 
 
-def _evaluate_chunked(problem: Problem, reports: dict, t: int, base_seed: int, trials: int,
-                      chunk: int):
-    """_evaluate, scheme by scheme and ``chunk`` trials at a time: ``reports``
-    maps each scheme to a function from a slice of trials to their (rows,
-    dim) reports."""
+def _evaluate_chunked(problem: Problem, reports: dict, t: int, trials: int, chunk: int):
+    """The checkpoint objectives of every trial's report, scheme by scheme
+    and ``chunk`` trials at a time: ``reports`` maps each scheme to a
+    function from a slice of trials to their (rows, dim) reports."""
     vals = {}
     for nm, report in reports.items():
         v = np.empty(trials)
         for lo in range(0, trials, chunk):
             rows = slice(lo, lo + chunk)
             v[rows] = problem.objective_rows(report(rows))
-        vals[nm] = _finite(v, nm, t, base_seed)
+        vals[nm] = _finite_objectives(v, nm, t)
     return vals
 
 
@@ -155,7 +153,6 @@ class _ScaledSvm:
         self.labels = d.labels
         self.lam = factory.lam
         self.mu, self.schedule = problem.mu, config.schedule
-        self.base_seed = base_seed
         self.schemes = [make_averager(nm, T=config.T, suffix_alpha=suffix_alpha)
                         for nm in scheme_names]
         # the schemes held as sums A[k]*v - U[k], k indexing this list
@@ -164,7 +161,7 @@ class _ScaledSvm:
         centered = isinstance(feasible, L2Ball) and not feasible.center.any()
         self.radius = feasible.radius if centered else None
         bounded = not (centered or isinstance(feasible, Unconstrained))
-        self.project = feasible.project_rows if bounded else None
+        self.project = feasible.project if bounded else None
 
         # the sample indices (below m) take Dataset's index dtype: int32
         # while it holds them
@@ -367,8 +364,7 @@ class _ScaledSvm:
         self.U[:, rows] -= A[:, rows, None] * v
         v *= scale
         if not np.isfinite(v).all():
-            bad = int(rows[np.nonzero(~np.isfinite(v).all(axis=1))[0][0]])
-            raise _failure(bad, self.base_seed, t, _NON_FINITE)
+            raise RunAborted(t, _NON_FINITE, int(rows[_first_bad(~np.isfinite(v))]))
         self.v[rows] = v
         if self.vv is not None:
             self.vv[rows] = np.einsum("ij,ij->i", v, v)
@@ -426,7 +422,7 @@ class _ScaledSvm:
                                        minlength=self.trials)
             if not np.isfinite(new).all():
                 bad = ~np.isfinite(new)
-                raise _failure(int(owner[np.argmax(bad)]), self.base_seed, t, _NON_FINITE)
+                raise RunAborted(t, _NON_FINITE, int(owner[np.argmax(bad)]))
         self.done = j + 1
         if self.radius is not None:
             s = self.S[j + 1]
@@ -462,7 +458,6 @@ def _run_svm(problem, factory, config, scheme_names, trials, base_seed, suffix_a
     chunk = _trials_per_chunk(8 * (d.n + d.m))
     for t in range(1, config.T + 1):
         if t in cp_set:
-            cp_values.append((t, _evaluate_chunked(problem, plan.reports(t), t, base_seed,
-                                                   trials, chunk)))
+            cp_values.append((t, _evaluate_chunked(problem, plan.reports(t), t, trials, chunk)))
         plan.step(t)
-    return LockstepRun(cp_values, {}, plan.reserved)
+    return RunRecord({}, cp_values, predraw_bytes=plan.reserved)

@@ -10,6 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..averaging import SCHEME_NAMES
+from .. import core
 from ..core import InputError, Problem
 from ..sgd import RunConfig, TrialFailure, checkpoint_iterations
 from . import batched
@@ -110,7 +111,7 @@ def run_trials(
         # the optimum subtracted from every entry; None: the entries are raw objectives
         "fstar": fstar,
         "predraw_bytes": run.predraw_bytes,
-        "budget_bytes": batched._BUDGET_BYTES,
+        "budget_bytes": core._BUDGET_BYTES,
     }
     matrix = TrialMatrix(gaps=gaps, checkpoints=cps, scheme_names=scheme_names, meta=meta)
     matrix.validate()

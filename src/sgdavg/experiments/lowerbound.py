@@ -4,8 +4,8 @@ simulation-versus-enumeration comparison.
 With the 1/(t+1) step sizes, start 0, and the adversarial noise, the
 weighted report collapses to (1/2) * (mean of the T/4 realized signs), so
 its objective value has an exact binomial distribution. The simulator
-runs the full SGD pipeline for all trials in lockstep (the batched engine,
-bitwise equal to ``run_sgd`` trial by trial) and measures the Kolmogorov
+runs the full SGD pipeline for all trials in lockstep (``run_sgd`` on the
+stacked trials, bitwise equal to it trial by trial) and measures the Kolmogorov
 distance to that law.
 """
 

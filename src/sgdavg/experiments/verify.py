@@ -340,7 +340,7 @@ def fleet_trajectories(
     run, bitwise equal to its ``run_sgd`` record."""
     problem, run = _fleet_run(runs, T, base_seed, noise_bound, x1)
     for i in range(runs):
-        yield problem, run.record(i)
+        yield problem, run.trial(i)
 
 
 _FLEET_CHECKS = ("diameter", "recursive", "chicken-and-egg", "product-identity", "mgf")

@@ -23,6 +23,9 @@ from .core import (
     Problem,
     Unconstrained,
     FeasibleSet,
+    _block_steps,
+    _reserve,
+    _squared_norms,
     project,
 )
 
@@ -68,14 +71,23 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass
 class GradientSample:
-    """Oracle reply: the noisy subgradient, plus the true subgradient and the
-    noise term when the oracle knows them (ghat = g - zhat)."""
+    """Oracle reply: the noisy subgradient ghat, and the noise term zhat when
+    the oracle knows it (ghat = g - zhat). The true subgradient g is then
+    ghat + zhat, formed on first access unless given: the decomposition is
+    exactly consistent, and a run that never reads g never forms it."""
 
-    ghat: np.ndarray
-    g: Optional[np.ndarray] = None
-    zhat: Optional[np.ndarray] = None
+    __slots__ = ("ghat", "zhat", "_g")
+
+    def __init__(self, ghat: np.ndarray, g: Optional[np.ndarray] = None,
+                 zhat: Optional[np.ndarray] = None):
+        self.ghat, self._g, self.zhat = ghat, g, zhat
+
+    @property
+    def g(self) -> Optional[np.ndarray]:
+        if self._g is None and self.zhat is not None:
+            self._g = self.ghat + self.zhat
+        return self._g
 
 
 # Draws per sub-batch of empirical_mgf_check (1 MB of float64).
@@ -124,7 +136,7 @@ class BoundedUniformBall(NoiseModel):
 
     def __post_init__(self):
         # the one-dimensional draw scales by 2*bound, which must be finite too
-        if not (self.bound > 0 and math.isfinite(2.0 * self.bound)):
+        if not (self.bound > 0 and math.isfinite(2.0 * float(self.bound))):
             raise InputError(f"noise bound must be positive with 2*bound finite, "
                              f"got {self.bound}")
 
@@ -188,18 +200,6 @@ def _svm_objective_rows(W: np.ndarray, dataset: Dataset, lam: float) -> np.ndarr
     np.subtract(1.0, hinge, out=hinge)
     np.maximum(0.0, hinge, out=hinge)
     return 0.5 * lam * _squared_norms(W) + hinge.mean(axis=1)
-
-
-def _squared_norms(W: np.ndarray) -> np.ndarray:
-    """||w||^2 of each row of a (B, n) array, summed as einsum sums the rows
-    of a many-row array. einsum takes a lone row of more than 8192 entries
-    through its buffered loop, whose pieces round differently, so a lone row
-    goes through as two broadcast copies: a row's value does not depend on
-    how many rows come with it."""
-    if W.shape[0] == 1:
-        pair = np.broadcast_to(W, (2, W.shape[1]))
-        return np.einsum("ij,ij->i", pair, pair)[:1]
-    return np.einsum("ij,ij->i", W, W)
 
 
 def _mgf_pool_size(batches: int) -> int:
@@ -290,28 +290,87 @@ def gaussian_mgf_exact(scale: float, kappa: float, n: int) -> float:
     return (1.0 - a) ** (-n / 2.0)
 
 
-class Oracle:
-    """One trial's oracle: a law (an oracle factory) bound to the trial's
-    RngStream. query(x, t) draws step t's randomness with the law's
-    ``fill``, the same fill that fills the lockstep engine's blocks, and
-    replies with the law's ``ghat``."""
+# Bytes of a lockstep oracle's draw block. At 1000 one-dimensional trials a
+# block is 500 steps, so each trial's generator fills 500 steps in place per call.
+_BLOCK_BYTES = 4_000_000
 
-    def __init__(self, law, stream: RngStream):
+
+def _generators(trials: int, base_seed: int, block: int, T: int):
+    """Each trial's generator, in trial order: a list kept across blocks, or,
+    when one block covers the run, made one at a time as the draw reaches
+    it (thousands of live generators take megabytes)."""
+    gens = (RngStream(base_seed, i).generator() for i in range(trials))
+    return gens if block >= T else list(gens)
+
+
+class Oracle:
+    """A law (an oracle factory) bound to RngStreams: one trial's oracle,
+    queried at (dim,) iterates, or with ``trials`` the oracle of trials
+    0..trials-1 of ``stream.seed`` (trial i on RngStream(seed, i)), queried
+    at their stacked (trials, dim) iterates in lockstep.
+
+    query(x, t) replies with the law's ``ghat`` from step t's draw, which the
+    law's ``fill`` draws with a block of steps into a trial-major (trials,
+    steps, ...) array. A lone trial draws one step per query into a new
+    array, so a reply never changes after a later query. A lockstep run
+    (readied by ``begin``) draws its noise straight into a recorded zhat, or
+    else reuses one block of at most ``_BLOCK_BYTES`` (and never less than
+    one step), so its draws take O(trials * block * dim) memory whatever the
+    horizon and a reply is valid until the next query; a noiseless run holds
+    no block.
+    """
+
+    def __init__(self, law, stream: RngStream, trials: Optional[int] = None):
         if not isinstance(stream, RngStream):
             raise InputError(f"an oracle draws from an RngStream, got {type(stream)!r}")
         self.law = law
-        self.rng = stream.generator()
+        self.stream = stream
+        self.trials = trials
+        if trials is None:
+            self.rng = stream.generator()
+            self._gens = (self.rng,)
+        self._steps, self._blocks = 1, None  # a new one-step block per query
+
+    def begin(self, x: np.ndarray, T: int, zhat: Optional[np.ndarray] = None) -> int:
+        """Ready a lockstep run of T steps from x, drawing into the recorded
+        (T, trials, dim) ``zhat`` when it is given; returns the bytes
+        reserved for the draws. A lone trial needs no readying."""
+        if self.trials is None:
+            return 0
+        law = self.law
+        noiseless = isinstance(getattr(law, "noise", None), NoNoise)
+        steps = _block_steps(_BLOCK_BYTES, x.nbytes, T)
+        self._T, self._steps, self._blocks = T, steps, None
+        reserved = 0
+        if zhat is not None and law.draws_zhat:
+            self._blocks = zhat.swapaxes(0, 1)
+        elif noiseless:
+            self._steps = 1
+        else:
+            reserved = _reserve(steps * x.nbytes, "one block of noise draws")
+            self._blocks = law.draw_buffer(self.trials, steps, x.shape[-1])
+        self._gens = () if noiseless else _generators(self.trials, self.stream.seed, steps, T)
+        return reserved
 
     def query(self, x: np.ndarray, t: int) -> GradientSample:
         law = self.law
-        out = law.draw_buffer(1, 1, x.shape[0])
-        law.fill((self.rng,), out, t - 1)
-        draw = out[0, 0]
+        k = (t - 1) % self._steps
+        if k == 0:
+            self._fill(t - 1, x.shape[-1])
+        draw = self._block[:, k] if self.trials is not None else self._block[0, k]
         ghat = law.ghat(x, t, draw)
-        if law.draws_zhat:
-            # g stored as ghat + zhat, keeping the decomposition exactly consistent
-            return GradientSample(ghat, ghat + draw, draw)
-        return GradientSample(ghat)
+        return GradientSample(ghat, zhat=draw if law.draws_zhat else None)
+
+    def _fill(self, t0: int, dim: int) -> None:
+        """Draw the block that step t0+1 starts."""
+        blocks = self._blocks
+        if blocks is None:
+            block = self.law.draw_buffer(self.trials or 1, 1, dim)
+        else:
+            lo = t0 % blocks.shape[1]  # 0 in the reused block, t0 in the recorded zhat
+            block = blocks[:, lo:lo + min(self._steps, self._T - t0)]
+        self.law.fill(self._gens, block, t0)
+        self._block = block
 
 
 class _Law:

@@ -4,6 +4,10 @@ Each step queries the oracle at the current iterate x_t, takes the step
 y_{t+1} = x_t - eta_t * ghat_t, and projects back onto the feasible set.
 Averaging schemes observe x_t (the pre-update iterate) for t = 1..T, so the
 reported averages cover exactly x_1..x_T.
+
+The iterate is one (dim,) point or, for trials run in lockstep
+(``batched.run_all``), a stacked (trials, dim) array: every operation of a
+step acts on each row alone, so a row's results are bitwise its trial's.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .averaging import Averager, WindowNotStarted
-from .core import InputError, Problem, StepSchedule, step_size
+from .core import InputError, Problem, StepSchedule, _reserve, step_size
 from .oracles import GradientSample
 
 __all__ = [
@@ -31,11 +35,31 @@ __all__ = [
 
 class RunAborted(RuntimeError):
     """A run hit a non-finite iterate or objective, or a failing oracle;
-    names the iteration."""
+    names the iteration. ``row`` is the first failing trial of a lockstep
+    run (0 for a run of one trial, and for an oracle failure, which fails
+    every trial)."""
 
-    def __init__(self, iteration: int, reason: str):
+    def __init__(self, iteration: int, reason: str, row: int = 0):
         self.iteration = iteration
+        self.row = row
         super().__init__(f"run aborted at iteration {iteration}: {reason}")
+
+
+_NON_FINITE = "non-finite iterate (NaN/Inf)"
+
+
+def _first_bad(bad: np.ndarray) -> int:
+    """The first row of a (..., n) mask with any entry set."""
+    return int(np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=1)))
+
+
+def _finite_objectives(v: np.ndarray, name: str, t: int) -> np.ndarray:
+    """The checkpoint objectives ``v`` of scheme ``name``'s reports, one per
+    trial, when all are finite; else abort at the first trial whose value is not."""
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise RunAborted(t, f"non-finite {name} objective at checkpoint", int(np.argmax(bad)))
+    return v
 
 
 class TrialFailure(RuntimeError):
@@ -87,8 +111,8 @@ def checkpoint_iterations(config: RunConfig) -> list[int]:
 class Trajectory:
     """A recorded run: the iterates x_t and the oracle's replies stacked
     along a leading step axis, so ``X[t-1]`` is x_t. ``zhat`` is None when
-    the oracle does not report its noise. A lockstep run stores (T, B, n)
-    arrays and ``trial(b)`` is one trial's (T, n) view.
+    the oracle does not report its noise. A lockstep run stores (T, trials,
+    n) arrays and ``trial(b)`` is one trial's (T, n) view.
 
     Item ``t-1`` is the pair (x_t, GradientSample) that the oracle replied
     at step t; its true subgradient is ghat + zhat, as the oracles that
@@ -102,11 +126,11 @@ class Trajectory:
     @classmethod
     def from_pairs(cls, pairs) -> "Trajectory":
         """Stack (x_t, GradientSample) pairs; the noise is kept only when
-        every sample carries the full decomposition."""
+        every sample carries it."""
         pairs = list(pairs)
         if not pairs:
             raise InputError("a recorded trajectory is required")
-        decomposed = all(s.zhat is not None and s.g is not None for _, s in pairs)
+        decomposed = all(s.zhat is not None for _, s in pairs)
         return cls(
             X=np.stack([x for x, _ in pairs]),
             ghat=np.stack([s.ghat for _, s in pairs]),
@@ -117,11 +141,8 @@ class Trajectory:
         return self.X.shape[0]
 
     def __getitem__(self, k: int) -> tuple[np.ndarray, GradientSample]:
-        ghat = self.ghat[k]
-        if self.zhat is None:
-            return self.X[k], GradientSample(ghat)
-        z = self.zhat[k]
-        return self.X[k], GradientSample(ghat, ghat + z, z)
+        z = None if self.zhat is None else self.zhat[k]
+        return self.X[k], GradientSample(self.ghat[k], zhat=z)
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
@@ -135,11 +156,38 @@ class Trajectory:
 class RunRecord:
     """Per-run artifacts: final report per scheme, checkpoint objective
     values (schemes whose report is not yet defined are absent from a
-    checkpoint's map), and optionally the stored trajectory."""
+    checkpoint's map), optionally the stored trajectory, and the bytes
+    reserved against the budget for the oracle's draws and the recording.
+    A lockstep run holds a trial axis after any step axis, and ``trial(b)``
+    is trial b's record alone; an SVM engine's run keeps no reports."""
 
     reported: dict[str, np.ndarray]
-    checkpoints: list[tuple[int, dict[str, float]]]
+    checkpoints: list[tuple[int, dict]]
     trajectory: Optional[Trajectory] = None
+    predraw_bytes: int = 0
+
+    def trial(self, b: int) -> "RunRecord":
+        return RunRecord(
+            reported={nm: z[b] for nm, z in self.reported.items()},
+            checkpoints=[(t, {nm: float(v[b]) for nm, v in vals.items()})
+                         for t, vals in self.checkpoints],
+            trajectory=self.trajectory.trial(b) if self.trajectory is not None else None,
+        )
+
+
+def _checkpoint(problem: Problem, schemes: list[Averager], t: int) -> dict:
+    """Each scheme's report's objective, from one ``objective_rows`` call:
+    a float, or per trial of stacked iterates. An unopened suffix is left out."""
+    vals = {}
+    for av in schemes:
+        try:
+            report = av.report()
+        except WindowNotStarted:
+            continue
+        v = problem.objective_rows(report.reshape(-1, report.shape[-1]))
+        v = _finite_objectives(v, av.name, t)
+        vals[av.name] = v if report.ndim > 1 else float(v[0])
+    return vals
 
 
 def run_sgd(
@@ -148,11 +196,15 @@ def run_sgd(
     config: RunConfig,
     schemes: list[Averager],
 ) -> RunRecord:
-    """Execute exactly T oracle queries of projected subgradient descent.
+    """Execute exactly T oracle queries of projected subgradient descent
+    from ``config.x1``, a (dim,) point or stacked (trials, dim) starts.
 
     Aborts with RunAborted on a failing oracle, a non-finite iterate or a
-    non-finite checkpoint objective, naming the iteration. Checkpoint values
-    use the full deterministic objective of each scheme's current report.
+    non-finite checkpoint objective, naming the iteration and the first
+    failing row. Checkpoint values use the full deterministic objective of
+    each scheme's current report. A recorded run fills (T, *x.shape) arrays,
+    reserved against the budget; an oracle with ``begin`` (``Oracle``) is
+    readied with them and reserves its own draws.
     """
     if not schemes:
         raise InputError("at least one averaging scheme is required")
@@ -160,48 +212,53 @@ def run_sgd(
     if len(set(names)) != len(names):
         raise InputError(f"duplicate scheme names: {names}")
 
-    x = np.array(config.x1, dtype=np.float64)
-    feasible = problem.feasible
-    if feasible.distance(x) > 1e-12 * max(1.0, float(np.linalg.norm(x))):
-        raise InputError("x1 must be feasible for the problem's set")
+    # never written in place, so stacked starts may be a read-only broadcast
+    x = config.x1
+    T = config.T
+    record = config.record_iterates
+    reserved = 0
+    # the buffers are reserved, and refused, before anything of their size is made
+    if record:
+        reserved = _reserve(3 * T * x.nbytes, "recorded trajectories")
+        Xs, Gs, Zs = np.empty((T, *x.shape)), np.empty((T, *x.shape)), np.zeros((T, *x.shape))
+        decomposed = True  # every reply so far carried its noise
+    begin = getattr(oracle, "begin", None)
+    if begin is not None:
+        reserved += begin(x, T, Zs if record else None)
 
+    feasible = problem.feasible
+    if not feasible.contains(x):
+        raise InputError("x1 must be feasible for the problem's set")
     sched = config.schedule
     if sched.mu_scaled and not problem.mu > 0:
         raise InputError("mu-scaled schedule requires mu > 0")
 
     cp_set = set(checkpoint_iterations(config))
-    checkpoints: list[tuple[int, dict[str, float]]] = []
-    recorded: Optional[list] = [] if config.record_iterates else None
-    objective = problem.objective
+    checkpoints: list[tuple[int, dict]] = []
     query = oracle.query
     proj = feasible.project
 
-    for t in range(1, config.T + 1):
+    for t in range(1, T + 1):
         for av in schemes:
             av.observe(x, t)
         try:
             sample = query(x, t)
         except Exception as exc:
             raise RunAborted(t, f"oracle failure: {exc}") from exc
-        if recorded is not None:
-            recorded.append((x, sample))
+        if record:
+            Xs[t - 1] = x
+            Gs[t - 1] = sample.ghat
+            decomposed = decomposed and sample.zhat is not None
+            if decomposed:
+                Zs[t - 1] = sample.zhat
         if t in cp_set:
-            vals: dict[str, float] = {}
-            for av in schemes:
-                try:
-                    value = float(objective(av.report()))
-                except WindowNotStarted:
-                    continue
-                if not math.isfinite(value):
-                    raise RunAborted(t, f"non-finite {av.name} objective at checkpoint")
-                vals[av.name] = value
-            checkpoints.append((t, vals))
+            checkpoints.append((t, _checkpoint(problem, schemes, t)))
         y = x - step_size(sched, problem.mu, t) * sample.ghat
         # the sum is a quick screen; finite entries can still overflow it
         if not math.isfinite(float(y.sum())) and not np.isfinite(y).all():
-            raise RunAborted(t, "non-finite iterate (NaN/Inf)")
+            raise RunAborted(t, _NON_FINITE, _first_bad(~np.isfinite(y)))
         x = proj(y)
 
     reported = {av.name: av.report() for av in schemes}
-    trajectory = Trajectory.from_pairs(recorded) if recorded is not None else None
-    return RunRecord(reported=reported, checkpoints=checkpoints, trajectory=trajectory)
+    trajectory = Trajectory(Xs, Gs, Zs if decomposed else None) if record else None
+    return RunRecord(reported, checkpoints, trajectory, reserved)

@@ -196,6 +196,28 @@ class TestTrials:
                        "standardized copy need 6400000000 bytes, above the batched "
                        "engine's budget of 1600000000 bytes\n")
 
+    @pytest.mark.parametrize("command", ["run", "trials"])
+    @pytest.mark.parametrize("problem, feasible", [
+        ("quadratic", ["--set", "interval"]),
+        ("quadratic", ["--set", "ball", "--radius", "1", "--dim", "2"]),
+        ("svm", ["--set", "interval"]),
+        ("svm", ["--set", "ball", "--radius", "1"]),
+    ])
+    def test_infeasible_start_exits_two(self, capsys, tmp_path, command, problem, feasible):
+        # both engines of trials refuse the start that run refuses
+        args = [command, "--x1", "10", "--T", "20", "--seed", "1", *feasible]
+        if command == "trials":
+            args += ["--trials", "3", "--csv", str(tmp_path / "out.csv")]
+        if problem == "svm":
+            path = tmp_path / "d.txt"
+            path.write_text(TestSvmCommandsUseTheCsrArrays.TEXT)
+            args += ["--problem", "svm", "--dataset", str(path)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: x1 must be feasible for the problem's set\n"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_unwritable_csv_path_exits_one(self, capsys):
         code, _, err = run_cli(
             self.ARGS + ["--csv", "/nonexistent-dir/out.csv"], capsys
@@ -363,6 +385,15 @@ class TestConsoleScript:
     def test_module_invocation_works(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "sgdavg.cli", "lb", "--T", "8", "--exact"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "1/8" in proc.stdout
+
+    def test_package_invocation_works(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgdavg", "lb", "--T", "8", "--exact"],
             capture_output=True, text=True, cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": SRC_DIR},
         )

@@ -112,6 +112,35 @@ class TestProjection:
                 dq = float(np.linalg.norm(p - q))
                 assert dp <= dq + 1e-12 * max(1.0, dq) + 2e-12 * radius
 
+    # a row's distance from the boundary, as a multiple of the radius (of the
+    # interval's upper end): inside, within _BALL_SLACK of the boundary on
+    # either side, on it, and outside
+    SCALES = [0.0, 0.3, 1.0 - 2e-12, 1.0 - 5e-13, 1.0, 1.0 + 5e-13, 1.0 + 2e-12, 1.5, 40.0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 6, 9000]), st.integers(1, 5),
+           st.sampled_from(["unconstrained", "interval", "ball", "off-centre ball"]),
+           st.floats(0.1, 10.0), st.integers(0, 2**32 - 1), st.data())
+    def test_stacked_rows_project_as_alone(self, dim, rows, kind, radius, seed, data):
+        # rows of more than 8192 entries too, where einsum sums a lone row
+        # in other pieces than a row of a stack
+        rng = np.random.default_rng(seed)
+        center = rng.uniform(-5.0, 5.0, dim) if kind == "off-centre ball" else np.zeros(dim)
+        fs = {"unconstrained": Unconstrained(), "interval": Interval(-2.0 * radius, radius),
+              "ball": L2Ball(radius, center), "off-centre ball": L2Ball(radius, center)}[kind]
+        scales = data.draw(st.lists(st.sampled_from(self.SCALES), min_size=rows,
+                                    max_size=rows))
+        d = rng.standard_normal((rows, dim))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        P = center + d * (radius * np.array(scales))[:, None]
+        got = fs.project(P)
+        each = list(P)
+        alone = [fs.project(p) for p in each]
+        for b in range(rows):
+            assert got[b].tobytes() == alone[b].tobytes(), b
+        # the stack comes back itself exactly when every row does
+        assert (got is P) == all(a is p for a, p in zip(alone, each))
+
     def test_interval_validation(self):
         with pytest.raises(InputError):
             Interval(2.0, 2.0)

@@ -133,6 +133,7 @@ class TestNoiseModels:
         with pytest.raises(InputError):
             GaussianNoise(-1.0)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bound", [math.inf, math.nan, 1e308, 0.9 * np.finfo(float).max])
     def test_ball_bound_whose_double_overflows_is_refused(self, bound):
         # the one-dimensional draw is -bound + 2*bound*u
@@ -496,6 +497,22 @@ class TestLawDraws:
         assert len(whole) == T
         assert np.array_equal(draw_in_blocks(law, stream, T, dim, [1]), whole)
         assert np.array_equal(draw_in_blocks(law, stream, T, dim, sizes), whole)
+
+    @pytest.mark.parametrize("case", range(len(LAWS)))
+    def test_a_reply_outlives_later_queries(self, case):
+        # a lone trial's reply is its own: the queries after it, and the
+        # noise decomposition read from it only after them, leave it as it was
+        law, T, dim = LAWS[case]
+        oracle = law(RngStream(43, case))
+        x = np.full(dim, 0.75)
+        replies = [oracle.query(x, t) for t in range(1, T + 1)]
+        again = law(RngStream(43, case))
+        for t, s in enumerate(replies, start=1):
+            want = again.query(x, t)
+            assert np.array_equal(s.ghat, want.ghat)
+            if law.draws_zhat:
+                assert np.array_equal(s.zhat, want.zhat)
+                assert np.array_equal(s.g, s.ghat + s.zhat)
 
     @pytest.mark.parametrize("case", range(len(LAWS)))
     def test_every_block_split_and_the_oracle_agree(self, case):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdavg import core, oracles
 from sgdavg.averaging import SCHEME_NAMES, make_averager
 from sgdavg.core import DEFAULT_SCHEDULE, LOWER_BOUND_SCHEDULE, InputError, Interval, L2Ball
 from sgdavg.data import synthetic_separable_dataset
@@ -92,7 +93,7 @@ class TestRecordedRunsMatchRunSgd:
         for i in range(trials):
             avs = [make_averager(nm, T=T) for nm in SCHEME_NAMES]
             want = run_sgd(problem, LowerBoundOracle(T, RngStream(seed, i)), config, avs)
-            assert_same_record(run.record(i), want)
+            assert_same_record(run.trial(i), want)
 
     def test_noiseless_quadratic_records_zero_noise(self):
         problem = quadratic_problem(2, mu=0.5)
@@ -103,7 +104,7 @@ class TestRecordedRunsMatchRunSgd:
         for i in range(3):
             avs = [make_averager("final"), make_averager("uniform")]
             want = run_sgd(problem, factory(RngStream(5, i)), config, avs)
-            assert_same_record(run.record(i), want)
+            assert_same_record(run.trial(i), want)
         assert not run.trajectory.zhat.any()
 
     def test_run_without_recording_holds_no_trajectory(self):
@@ -111,7 +112,7 @@ class TestRecordedRunsMatchRunSgd:
         run = batched.run_all(problem, LowerBoundOracleFactory(8), lb_run_config(8, record=False),
                               ["nonuniform"], 2, 0, 0.5)
         assert run.trajectory is None
-        assert run.record(1).trajectory is None
+        assert run.trial(1).trajectory is None
 
 
 class TestLowerBoundFactory:
@@ -174,7 +175,7 @@ class TestLowerBoundFactory:
 
 class TestPredrawBudget:
     def _expect_refusal(self, monkeypatch, call, nbytes):
-        monkeypatch.setattr(batched, "_BUDGET_BYTES", 1000)
+        monkeypatch.setattr(core, "_BUDGET_BYTES", 1000)
         # a first, untraced refusal: the first call of a session allocates
         # caches that are not the engine's buffers
         with pytest.raises(MemoryError):
@@ -228,7 +229,7 @@ class TestPredrawBudget:
         for problem, factory, x1 in settings_:
             config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=x1, eval_every=T // 2)
             want = run_trials(problem, factory, config, ["final", "nonuniform"], trials, 3)
-            monkeypatch.setattr(batched, "_BUDGET_BYTES", budget)
+            monkeypatch.setattr(core, "_BUDGET_BYTES", budget)
             tracemalloc.start()
             try:
                 got = run_trials(problem, factory, config, ["final", "nonuniform"], trials, 3)
@@ -269,7 +270,7 @@ class TestBudgetInMeta:
         # a whole run fits in one block: the buffer holds all 300 steps
         self._check(tmp_path, problem, factory, config, 6, 300 * 6 * 2 * 8)
         # blocks of 7 steps: the buffer holds 7 steps of 6 trials in 2-D
-        monkeypatch.setattr(batched, "_BLOCK_BYTES", 7 * 6 * 2 * 8 + 5)
+        monkeypatch.setattr(oracles, "_BLOCK_BYTES", 7 * 6 * 2 * 8 + 5)
         self._check(tmp_path, problem, factory, config, 6, 7 * 6 * 2 * 8)
 
     def test_svm_index_table(self, tmp_path, monkeypatch):
@@ -364,7 +365,7 @@ class TestStreamedDraws:
     def test_quadratic_engines_agree(self, case):
         trials, dim = case["trials"], case["dim"]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(batched, "_BLOCK_BYTES", case["block"] * trials * dim * 8)
+            mp.setattr(oracles, "_BLOCK_BYTES", case["block"] * trials * dim * 8)
             self._check_quadratic(**case)
 
     def _check_quadratic(self, problem, factory, T, dim, eval_every, trials, block, seed, x1):
@@ -381,7 +382,7 @@ class TestStreamedDraws:
         for i in range(trials):
             avs = [make_averager(nm, T=T) for nm in schemes]
             want = run_sgd(problem, factory(RngStream(seed, i)), rec_config, avs)
-            assert_same_record(run.record(i), want)
+            assert_same_record(run.trial(i), want)
 
     @settings(max_examples=30, deadline=None)
     @given(quarter=st.integers(1, 12), trials=st.integers(1, 4), block=st.integers(1, 3),
@@ -391,13 +392,13 @@ class TestStreamedDraws:
         config = RunConfig(T=T, schedule=LOWER_BOUND_SCHEDULE, x1=np.zeros(1),
                            eval_every=3, record_iterates=True)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(batched, "_BLOCK_BYTES", block * trials * 8)
+            mp.setattr(oracles, "_BLOCK_BYTES", block * trials * 8)
             run = batched.run_all(lb_problem(), LowerBoundOracleFactory(T), config,
                                   list(SCHEME_NAMES), trials, seed, 0.5)
         for i in range(trials):
             avs = [make_averager(nm, T=T) for nm in SCHEME_NAMES]
             want = run_sgd(lb_problem(), LowerBoundOracle(T, RngStream(seed, i)), config, avs)
-            assert_same_record(run.record(i), want)
+            assert_same_record(run.trial(i), want)
 
     @settings(max_examples=30, deadline=None)
     @given(T=st.integers(1, 40), trials=st.integers(1, 4), block=st.integers(1, 3),
