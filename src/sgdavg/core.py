@@ -70,6 +70,15 @@ def _reserve(nbytes: int, what: str) -> int:
     return nbytes
 
 
+# Bytes of one chunk of rows' temporaries: SVM margins, or dense SVM reports.
+_CHUNK_BYTES = 1_000_000
+
+
+def _rows_per_chunk(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` each that fit in _CHUNK_BYTES; at least one."""
+    return max(1, _CHUNK_BYTES // row_bytes)
+
+
 def _block_steps(table_bytes: int, step_bytes: int, T: int, held_step_bytes: int = 0) -> int:
     """Steps per block of a table of ``step_bytes`` per step: as many as fit
     in ``table_bytes`` and, at ``held_step_bytes`` per step for all the

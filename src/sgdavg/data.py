@@ -122,6 +122,13 @@ class Dataset:
             for a, b, y in zip(ptr, ptr[1:], self.labels.tolist())
         )
 
+    def row_entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR positions of the entries of the points ``rows`` (an int
+        array), point after point, and each point's entry count."""
+        lo = self.indptr[rows]
+        lens = self.indptr[rows + 1] - lo
+        return np.arange(int(lens.sum())) + (lo - lens.cumsum() + lens).repeat(lens), lens
+
     # The products below call the kernels as scipy's csr_matrix does: on a
     # zeroed output, csr_matvec for one vector and csr_matvecs for more, so
     # every value has the bits of the scipy product.

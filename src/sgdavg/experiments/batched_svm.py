@@ -1,21 +1,22 @@
-"""The scaled-weight SVM engine, which ``run_all`` loads only for SVM
-runs.
+"""The scaled-weight SVM engine, which ``run_all`` loads only for the SVM
+runs it serves: unrecorded, on no set or on an L2 ball about the origin.
 
 SVM problems cost O(nnz) per trial and step. Each trial's iterate is held as
 w = s*v with a scalar s, so the shrink by (1 - eta*lam) touches only s and
 the hinge step touches only the sampled row's columns of v (the scaled-weight
-trick of Pegasos). Each averaged scheme's sum sum_i a_i w_i, with the
-weights a_i and the total that divides it read from the scheme's averager
-(``weights``, ``total``), is held as A*v - U with a scalar A, and U changes
-only where v does (the lazily updated average of ASGD). Dense vectors are
-built only at checkpoints and at folds, which write the pending scale into v. A
-checkpoint builds and evaluates the reports scheme by scheme, a chunk of
-trials at a time, whose dense reports and margins take about 1 MB; no
-report is kept past its checkpoint. An L2 ball about the origin rescales s
-alone. Any other bounded set (the interval box, a ball off the origin)
-folds every trial at every step, which costs O(n), and then projects v:
-after a fold A = 0, so the sums keep their values. The results agree with
-``run_sgd`` up to rounding, not bitwise, and no trajectory is recorded.
+trick of Pegasos; Shalev-Shwartz, Singer & Srebro 2007). Each averaged
+scheme's sum sum_i a_i w_i, with the weights a_i and the total that divides
+it read from the scheme's averager (``weights``, ``total``), is held as
+A*v - U with a scalar A, and U changes only where v does (the lazily updated
+average of ASGD). Dense vectors are built only at checkpoints and at folds,
+which write the pending scale into v. A checkpoint builds and evaluates the
+reports scheme by scheme, a chunk of trials at a time, whose dense reports
+and margins take about 1 MB; no report is kept past its checkpoint. The
+projection onto an L2 ball about the origin rescales s alone. Any other
+set would need a dense fold and projection of every trial at every step,
+O(n), the cost of a dense step: ``run_all`` sends such runs, and recorded
+ones, to ``run_sgd``. The results agree with ``run_sgd`` up to rounding,
+not bitwise.
 
 A step makes a fixed, small number of numpy calls on arrays of about
 trials * nnz-per-row entries, and only for the work that depends on the
@@ -28,10 +29,9 @@ of an array of steps), s before and after each shrink
 as its update is logged (np.cumsum, restarted at each fold) and every
 entry's update coefficient eta*y/s*x. These accumulations add and multiply
 in step order, as per-step updates would, so every value keeps its bits.
-Unconstrained runs and the sets that fold at every step know their folds
-and one s for all trials in advance; under an L2 ball about the origin the
-rescale makes s depend on the iterate, and each step fills its own row of
-the same tables.
+Unconstrained runs know their folds and one s for all trials in advance;
+under the ball the rescale makes s depend on the iterate, and each step
+fills its own row of the same tables.
 
 The gathered sub-block is also the log of deferred updates: a step marks
 which of its entries it applied to v, and U[k][cols] += A[k]*coef is applied
@@ -62,14 +62,13 @@ from functools import partial
 import numpy as np
 
 from ..averaging import make_averager
-from ..core import L2Ball, Problem, Unconstrained, _BALL_SLACK, _block_steps, _reserve, step_size
+from ..core import Problem, _BALL_SLACK, _block_steps, _reserve, _rows_per_chunk, step_size
 from ..data import _index_dtype
 from ..oracles import SvmOracleFactory, _generators
 from ..sgd import (_NON_FINITE, RunAborted, RunRecord, _finite_objectives, _first_bad,
                    checkpoint_iterations)
 
-# Bytes of the index block, sized as 8-byte indices. A sub-block's tables
-# take a quarter of it and a checkpoint chunk an eighth.
+# Bytes of the index block, sized as 8-byte indices; a sub-block takes a quarter.
 _INDEX_BLOCK_BYTES = 8_000_000
 
 # An SVM trial folds its scale into v before a step takes |s| below this, or
@@ -105,13 +104,6 @@ def _sub_block_bytes(trials: int, longest: int, k: int, width: int) -> int:
     return trials * (longest * (2 * width + 33) + 16 + 16 * k) + (k + 4) * 8
 
 
-def _trials_per_chunk(trial_bytes: int) -> int:
-    """Trials per chunk of a checkpoint evaluation that holds ``trial_bytes``
-    per trial (an SVM's dense report and margins, n + m floats): as many as
-    fit in an eighth of _INDEX_BLOCK_BYTES (1 MB), and at least one."""
-    return max(1, _INDEX_BLOCK_BYTES // 8 // trial_bytes)
-
-
 def _evaluate_chunked(problem: Problem, reports: dict, t: int, trials: int, chunk: int):
     """The checkpoint objectives of every trial's report, scheme by scheme
     and ``chunk`` trials at a time: ``reports`` maps each scheme to a
@@ -130,17 +122,14 @@ class _ScaledSvm:
     """Stacked SVM trials with iterates w = s*v and, per averaged scheme k,
     sums A[k]*v - U[k]; see the module docstring. ``radius`` is set for an
     L2 ball about the origin, whose projection rescales s using the running
-    ||v||^2 in ``vv``. ``project`` is set for any other bounded set: every
-    step then folds every trial and projects v.
+    ||v||^2 in ``vv``, and None for an unconstrained run.
 
     The tables of a sub-block of steps, j = 0 .. steps-1: S[j] is s as step
     j starts and S[steps] as the sub-block ends; A_obs[:, j] is A as step j
     reports, after adding a_t*s; A_log[:, 0] is A as the sub-block starts
     and A_log[:, j+1] is A as step j's update is made, after any fold of
     that step; coef holds every gathered entry's update eta*y/s*x, with the
-    s of that update. Without the ball's rescale s is one scalar for all
-    trials whose folds are known in advance, and _fill fills every row;
-    under the ball each step fills its own row."""
+    s of that update."""
 
     def __init__(self, problem, factory: SvmOracleFactory, config, scheme_names,
                  trials, base_seed, suffix_alpha):
@@ -148,8 +137,7 @@ class _ScaledSvm:
         self.T = config.T
         self.trials = trials
         self.law = factory
-        self.starts, self.indices, self.data = d.indptr[:-1], d.indices, d.data
-        self.lens = np.diff(d.indptr)
+        self.indices, self.data = d.indices, d.data
         self.labels = d.labels
         self.lam = factory.lam
         self.mu, self.schedule = problem.mu, config.schedule
@@ -157,17 +145,11 @@ class _ScaledSvm:
                         for nm in scheme_names]
         # the schemes held as sums A[k]*v - U[k], k indexing this list
         self.averaged = [av for av in self.schemes if av.weighted]
-        feasible = problem.feasible
-        centered = isinstance(feasible, L2Ball) and not feasible.center.any()
-        self.radius = feasible.radius if centered else None
-        bounded = not (centered or isinstance(feasible, Unconstrained))
-        self.project = feasible.project if bounded else None
+        self.radius = getattr(problem.feasible, "radius", None)  # a ball about the origin
 
-        # the sample indices (below m) take Dataset's index dtype: int32
-        # while it holds them
-        sample = _index_dtype(d.m)
+        sample = _index_dtype(d.m)  # of the sample indices, below m
         k = len(self.averaged)
-        longest = int(self.lens.max())
+        longest = int(np.diff(d.indptr).max())
         # the block lengths are those of 8-byte indices, at which they were
         # timed; the tables then take the bytes of their own dtypes. The
         # tables of s and logged A hold one more row, the carry.
@@ -233,12 +215,9 @@ class _ScaledSvm:
         steps = min(self.sub, self.block - k0, self.T - t0)
         # (steps, trials): the gathered entries run step- and trial-major
         sel = np.ascontiguousarray(self.idx[:, k0:k0 + steps].T)
-        lens = self.lens[sel].ravel()
+        pos, lens = self.law.dataset.row_entries(sel.ravel())
         ends = lens.cumsum()
-        used = int(ends[-1])
-        # positions of the sampled rows' entries in the CSR arrays, step- and trial-major
-        pos = (self.starts[sel].ravel() - ends + lens).repeat(lens)
-        pos += np.arange(used)
+        used = pos.size
         owner = self.owner[:used]
         owner[:] = np.tile(self.trial_ids, steps).repeat(lens)
         flat = self.flat[:used]
@@ -267,27 +246,21 @@ class _ScaledSvm:
             self._fill(eta, shrink)
 
     def _fill(self, eta, shrink):
-        """Fill every row of the step tables, for a set whose s is one scalar
-        for all trials: s shrinks by (1 - eta*lam) and folds to 1 at the
-        steps _folds marks, after every step on a projected set, and A adds
-        a_t*s and resets to 0 at every fold. The sequential accumulations
-        add and multiply in step order, as per-step updates do."""
+        """Fill every row of the step tables of an unconstrained run, whose s
+        is one scalar for all trials: s shrinks by (1 - eta*lam) and folds to
+        1 at the steps _folds marks, and A adds a_t*s and resets to 0 at
+        every fold. The sequential accumulations add and multiply in step
+        order, as per-step updates do."""
         steps = len(shrink)
         s = self.S[:steps + 1, 0].copy()
-        if self.project is not None:
-            # every step starts from the fold that ended the one before: s = 1, A = 0
-            s[:] = 1.0
-            folds = ~_scale_kept(shrink, shrink)
-            A = 0.0 + self.W
-        else:
-            folds = self._folds(s, shrink)
-            X = self.W * s[:-1]
-            A = np.empty_like(X)
-            lo, carry = 0, self.A_log[:, 0, :1]
-            for hi in np.flatnonzero(folds[:-1]).tolist() + [steps - 1]:
-                A[:, lo:hi + 1] = np.cumsum(
-                    np.concatenate([carry, X[:, lo:hi + 1]], axis=1), axis=1)[:, 1:]
-                lo, carry = hi + 1, np.zeros_like(carry)
+        folds = self._folds(s, shrink)
+        X = self.W * s[:-1]
+        A = np.empty_like(X)
+        lo, carry = 0, self.A_log[:, 0, :1]
+        for hi in np.flatnonzero(folds[:-1]).tolist() + [steps - 1]:
+            A[:, lo:hi + 1] = np.cumsum(
+                np.concatenate([carry, X[:, lo:hi + 1]], axis=1), axis=1)[:, 1:]
+            lo, carry = hi + 1, np.zeros_like(carry)
         # s at each step's update: 1 after a fold of that step
         at = np.where(folds, 1.0, s[:-1] * shrink)
         self.S[:steps + 1] = s[:, None]
@@ -356,12 +329,13 @@ class _ScaledSvm:
         R /= total
         return R
 
-    def fold(self, rows, scale, t, A):
-        """Write the sums of the given trials densely into U, from their A,
-        then v <- scale*v; the caller sets their s to 1 and A to 0."""
+    def fold(self, rows, scale, t):
+        """Write the sums of the given trials densely into U, from their A as
+        the current step reports it, then v <- scale*v; the caller sets their
+        s to 1 and A to 0."""
         self._flush()
         v = self.v[rows]
-        self.U[:, rows] -= A[:, rows, None] * v
+        self.U[:, rows] -= self.A_obs[:, self.j, rows, None] * v
         v *= scale
         if not np.isfinite(v).all():
             raise RunAborted(t, _NON_FINITE, int(rows[_first_bad(~np.isfinite(v))]))
@@ -381,7 +355,7 @@ class _ScaledSvm:
         folded = not kept.all()
         if folded:
             rows = np.flatnonzero(~kept)
-            self.fold(rows, s[rows, None], t, self.A_obs[:, j])
+            self.fold(rows, s[rows, None], t)
             A[:, rows] = 0.0
             s[rows] = 1.0
         self.S[j + 1] = s
@@ -402,7 +376,7 @@ class _ScaledSvm:
             if self._ball_row(j, t, a, b, owner):
                 old = vflat[flat]
         elif self.folds[j]:
-            self.fold(self.trial_ids, self.S[j, 0] * self.shrink[j], t, self.A_obs[:, j])
+            self.fold(self.trial_ids, self.S[j, 0] * self.shrink[j], t)
             old = vflat[flat]
 
         active = margins < 1.0
@@ -431,11 +405,6 @@ class _ScaledSvm:
             over = nrm > self.radius * (1.0 + _BALL_SLACK)
             if over.any():
                 s[over] *= self.radius / nrm[over]
-        elif self.project is not None:
-            # after the fold A = 0, so projecting v leaves every sum A*v - U as it is
-            scale = 1.0 if self.folds[j] else self.S[j, 0] * self.shrink[j]
-            self.fold(self.trial_ids, scale, t, self.A_log[:, j + 1])
-            self.v[:] = self.project(self.v)
         if t < self.T:
             self._enter(t + 1)
 
@@ -455,7 +424,8 @@ def _run_svm(problem, factory, config, scheme_names, trials, base_seed, suffix_a
     cp_set = set(checkpoint_iterations(config))
     cp_values: list[tuple[int, dict[str, np.ndarray]]] = []
     d = factory.dataset
-    chunk = _trials_per_chunk(8 * (d.n + d.m))
+    # a trial's dense report and its margins
+    chunk = _rows_per_chunk(8 * (d.n + d.m))
     for t in range(1, config.T + 1):
         if t in cp_set:
             cp_values.append((t, _evaluate_chunked(problem, plan.reports(t), t, trials, chunk)))

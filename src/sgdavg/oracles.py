@@ -25,6 +25,7 @@ from .core import (
     FeasibleSet,
     _block_steps,
     _reserve,
+    _rows_per_chunk,
     _squared_norms,
     project,
 )
@@ -182,26 +183,6 @@ class GaussianNoise(NoiseModel):
         out *= self.scale / math.sqrt(out.shape[2])
 
 
-def full_svm_objective(w: np.ndarray, dataset: Dataset, lam: float) -> float:
-    """(lam/2)*||w||^2 + mean hinge loss over the whole dataset."""
-    return float(_svm_objective_rows(np.asarray(w)[None, :], dataset, lam)[0])
-
-
-def _svm_objective_rows(W: np.ndarray, dataset: Dataset, lam: float) -> np.ndarray:
-    """full_svm_objective of each row of a (B, n) array, with one sparse
-    product for all the hinge terms, computed in place."""
-    if not lam > 0:
-        raise InputError(f"regularization parameter must be positive, got {lam}")
-    W = np.asarray(W, dtype=np.float64)
-    # (B, m) in C order: each row's hinge mean is then summed exactly as a
-    # lone row's is, whatever B
-    hinge = dataset.dot_rows(W)
-    hinge *= dataset.labels
-    np.subtract(1.0, hinge, out=hinge)
-    np.maximum(0.0, hinge, out=hinge)
-    return 0.5 * lam * _squared_norms(W) + hinge.mean(axis=1)
-
-
 def _mgf_pool_size(batches: int) -> int:
     """Threads for the MGF check: one per usable core, at most one per batch."""
     if hasattr(os, "sched_getaffinity"):
@@ -339,7 +320,10 @@ class Oracle:
             return 0
         law = self.law
         noiseless = isinstance(getattr(law, "noise", None), NoNoise)
-        steps = _block_steps(_BLOCK_BYTES, x.nbytes, T)
+        # a step's bytes, read off a block of no steps
+        empty = law.draw_buffer(self.trials, 0, x.shape[-1])
+        step = empty.itemsize * math.prod(empty.shape[:1] + empty.shape[2:])
+        steps = _block_steps(_BLOCK_BYTES, step, T)
         self._T, self._steps, self._blocks = T, steps, None
         reserved = 0
         if zhat is not None and law.draws_zhat:
@@ -347,7 +331,7 @@ class Oracle:
         elif noiseless:
             self._steps = 1
         else:
-            reserved = _reserve(steps * x.nbytes, "one block of noise draws")
+            reserved = _reserve(steps * step, "one block of draws")
             self._blocks = law.draw_buffer(self.trials, steps, x.shape[-1])
         self._gens = () if noiseless else _generators(self.trials, self.stream.seed, steps, T)
         return reserved
@@ -484,17 +468,23 @@ class SvmOracleFactory(_Law):
             row[:] = gen.integers(self.dataset.m, size=row.shape[0])
 
     def ghat(self, w: np.ndarray, t: int, i) -> np.ndarray:
+        """The reply at a (n,) iterate for sample i, or row by row at stacked
+        (trials, n) iterates for their (trials,) samples; margins are summed
+        in entry order, so a lone iterate gets its row's bits."""
         d = self.dataset
-        if w.shape != (d.n,):
+        if w.shape[-1:] != (d.n,):
             raise InputError(f"dimension mismatch: iterate has shape {w.shape}, "
                              f"dataset dimension is {d.n}")
-        lo, hi = d.indptr[i], d.indptr[i + 1]
-        idx, vals = d.indices[lo:hi], d.data[lo:hi]
-        y_i = d.labels[i]
-        ghat = self.lam * w
-        if y_i * np.dot(w[idx], vals) < 1.0:
-            ghat[idx] += -y_i * vals
-        return ghat
+        W, rows = w.reshape(-1, d.n), np.reshape(i, -1)
+        pos, lens = d.row_entries(rows)
+        owner = np.arange(rows.size).repeat(lens)
+        at = owner * d.n + d.indices[pos]  # in the rows' flat view
+        vals, y = d.data[pos], d.labels[rows]
+        margins = np.bincount(owner, weights=W.take(at) * vals, minlength=rows.size) * y
+        ghat = self.lam * W
+        on = (margins < 1.0)[owner]
+        ghat.reshape(-1)[at[on]] += -y[owner[on]] * vals[on]
+        return ghat.reshape(w.shape)
 
 
 # one trial's quadratic and lower-bound oracles, by their laws' arguments
@@ -566,12 +556,35 @@ class SvmObjective:
     dataset: Dataset
     lam: float
 
+    def __post_init__(self):
+        if not self.lam > 0:
+            raise InputError(f"regularization parameter must be positive, got {self.lam}")
+
     def __call__(self, w: np.ndarray) -> float:
-        return full_svm_objective(w, self.dataset, self.lam)
+        return float(self.rows(np.asarray(w)[None, :])[0])
 
     def rows(self, W: np.ndarray) -> np.ndarray:
-        """The objective of each row of a (B, n) array."""
-        return _svm_objective_rows(W, self.dataset, self.lam)
+        """The objective of each row of a (B, n) array, one sparse product
+        per chunk of rows whose margins take about _CHUNK_BYTES."""
+        d = self.dataset
+        W = np.asarray(W, dtype=np.float64)
+        means = np.empty(W.shape[0])
+        chunk = _rows_per_chunk(8 * d.m)
+        for lo in range(0, W.shape[0], chunk):
+            # (rows, m) in C order: each row's hinge mean is then summed
+            # exactly as a lone row's is, whatever the chunk
+            hinge = d.dot_rows(W[lo:lo + chunk])
+            hinge *= d.labels
+            np.subtract(1.0, hinge, out=hinge)
+            np.maximum(0.0, hinge, out=hinge)
+            means[lo:lo + chunk] = hinge.mean(axis=1)
+            del hinge  # before the next chunk's product
+        return 0.5 * self.lam * _squared_norms(W) + means
+
+
+def full_svm_objective(w: np.ndarray, dataset: Dataset, lam: float) -> float:
+    """(lam/2)*||w||^2 + mean hinge loss over the whole dataset."""
+    return SvmObjective(dataset, lam)(w)
 
 
 @dataclass(frozen=True, eq=False)

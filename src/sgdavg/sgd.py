@@ -159,7 +159,7 @@ class RunRecord:
     checkpoint's map), optionally the stored trajectory, and the bytes
     reserved against the budget for the oracle's draws and the recording.
     A lockstep run holds a trial axis after any step axis, and ``trial(b)``
-    is trial b's record alone; an SVM engine's run keeps no reports."""
+    is trial b's record alone; the scaled SVM engine's run keeps no reports."""
 
     reported: dict[str, np.ndarray]
     checkpoints: list[tuple[int, dict]]

@@ -452,9 +452,10 @@ class TestConsoleScript:
         assert "kolmogorov gap" in proc.stdout
 
     def test_quadratic_commands_leave_the_svm_engine_unloaded(self, tmp_path):
-        # each command loads only its own modules: the SVM engine and the data
-        # layer only for SVM runs, the CSV writer only for trials, the
-        # lower-bound law only for lb, the verifiers only for verify
+        # each command loads only its own modules: the data layer only for SVM
+        # runs, the scaled SVM engine only for those it serves, the CSV writer
+        # only for trials, the lower-bound law only for lb, the verifiers only
+        # for verify
         (tmp_path / "d.txt").write_text("+1 1:0.5 2:1\n-1 2:0.3\n+1 1:-0.2\n")
         commands = [
             (['trials', '--problem', 'quadratic', '--noise', 'ball', '--set', 'interval',
@@ -470,6 +471,11 @@ class TestConsoleScript:
             (['trials', '--problem', 'svm', '--dataset', 'd.txt', '--T', '20', '--trials', '2',
               '--seed', '1', '--csv', 's.csv'],
              ['sgdavg.experiments.verify', 'sgdavg.experiments.lowerbound']),
+            # SVM trials on the box run through run_sgd, without the scaled engine
+            (['trials', '--problem', 'svm', '--dataset', 'd.txt', '--set', 'interval',
+              '--T', '20', '--trials', '2', '--seed', '1', '--csv', 'b.csv'],
+             ['sgdavg.experiments.batched_svm', 'sgdavg.experiments.verify',
+              'sgdavg.experiments.lowerbound']),
         ]
         for argv, unloaded in commands:
             script = (

@@ -15,6 +15,7 @@ from sgdavg.core import (
     L2Ball,
     Unconstrained,
 )
+from sgdavg import core as core_module
 from sgdavg import data as data_module
 from sgdavg.data import Dataset, parse_libsvm, synthetic_separable_dataset
 from sgdavg.oracles import (
@@ -482,7 +483,8 @@ def hinge_ties(ds, lam, feasible, T, seed, trial):
 # seed 8, lam = 1/m, default schedule, all four schemes), one line per trial
 # and checkpoint in the order final, uniform, suffix, nonuniform, as
 # float.hex, computed before the SVM engine's step tables replaced its
-# per-step updates: the tables must leave every bit in place.
+# per-step updates: the tables must leave every bit in place. Box and
+# shifted-ball runs go through run_sgd, and are checked against it bitwise.
 PINNED_SVM_GAPS = {
     "none": (
         "0x1.a6ec7544e2c27p-2 0x1.9eb41213b16b5p-2 nan 0x1.8a3e559006e56p-2",
@@ -536,32 +538,6 @@ PINNED_SVM_GAPS = {
         "0x1.a7bc2d50fe438p-1 0x1.ae4702a35c717p-1 0x1.a8d5e2634669fp-1 0x1.aa05aa1e95045p-1",
         "0x1.a67aefac728c0p-1 0x1.ad7b49b34dcd2p-1 0x1.a89b0791a64a4p-1 0x1.a98b2a11d3c7bp-1",
     ),
-    "box": (
-        "0x1.ea659c21799e1p-1 0x1.ec4e2c86d3263p-1 nan 0x1.eae068a5c654ap-1",
-        "0x1.ea4e501bbe2abp-1 0x1.eb5a4cb4b14b3p-1 nan 0x1.ea6e9aafb8e9cp-1",
-        "0x1.e08303922193cp-1 0x1.e99cccd18ab57p-1 nan 0x1.e80c16150ab5ap-1",
-        "0x1.e792f0d8b1819p-1 0x1.e8a2f78898591p-1 nan 0x1.e71b6a82627d3p-1",
-        "0x1.e32b731610301p-1 0x1.e78b66fc1ddbdp-1 0x1.e33965f5d1816p-1 0x1.e5b4c78e4d288p-1",
-        "0x1.e18e3a0f1cf9ap-1 0x1.e6e8d70947089p-1 0x1.e37ecf0eaf210p-1 0x1.e51716666c9b0p-1",
-        "0x1.e3d8670e7aae1p-1 0x1.e6726858d0b97p-1 0x1.e390ccf70a5bep-1 0x1.e4b88683fefc3p-1",
-        "0x1.e1b2b3daf2063p-1 0x1.e5d7569dc3dacp-1 0x1.e31501a5bfe89p-1 0x1.e3fd85d63a925p-1",
-        "0x1.e86f34f2396d7p-1 0x1.ed05e8bf2585fp-1 nan 0x1.ebd21aeba01bdp-1",
-        "0x1.e9cb63e2a9ed5p-1 0x1.ea717e4865590p-1 nan 0x1.e90f33c52f964p-1",
-        "0x1.eb08be3472be1p-1 0x1.e8666e7bbc766p-1 nan 0x1.e673b2d68b923p-1",
-        "0x1.e2412df8bc7dcp-1 0x1.e7692aa4ac41ep-1 nan 0x1.e58687f6b6de4p-1",
-        "0x1.e1ebd3b62fe25p-1 0x1.e6c08be0744ccp-1 0x1.e425568365d9cp-1 0x1.e500d4d612a53p-1",
-        "0x1.e24e2550873b7p-1 0x1.e60301df4ed14p-1 0x1.e340a1a26919cp-1 0x1.e435674db1a49p-1",
-        "0x1.e426ae48d21c3p-1 0x1.e5ab1c89c64b9p-1 0x1.e361f11a1d04cp-1 0x1.e40ec4f951f5ap-1",
-        "0x1.e15d28e791fd9p-1 0x1.e51c3728dd3a3p-1 0x1.e2d7797f58a47p-1 0x1.e36539a6cbc6cp-1",
-        "0x1.eeb21a9b3bac5p-1 0x1.eb7359cbb16f1p-1 nan 0x1.eaf61f83da559p-1",
-        "0x1.e8b164d60f0bep-1 0x1.e90740e889cc5p-1 nan 0x1.e7ae800186cd6p-1",
-        "0x1.e33afdc83b7f3p-1 0x1.e7d11f2341e68p-1 nan 0x1.e65dc711e92d1p-1",
-        "0x1.e338f3dc2f9afp-1 0x1.e727b3d17b66dp-1 nan 0x1.e5de9e3764803p-1",
-        "0x1.e11ae6ff43af1p-1 0x1.e67ad4b8ae001p-1 0x1.e3d6ca0a8f2e0p-1 0x1.e51d1328a6cadp-1",
-        "0x1.e15f2f5cf486bp-1 0x1.e5c37a52633d4p-1 0x1.e305da07b5aa7p-1 0x1.e437d7f2e8fd9p-1",
-        "0x1.e200b100cfa77p-1 0x1.e54c641b2d82dp-1 0x1.e2da362906ed0p-1 0x1.e3c2d0ebbff5bp-1",
-        "0x1.e22ade2555886p-1 0x1.e4fa49781552cp-1 0x1.e2d329b6bd70bp-1 0x1.e3880c5c80514p-1",
-    ),
 }
 
 
@@ -578,11 +554,11 @@ class TestScaledSvmTables:
            seed=st.integers(0, 2**32 - 1))
     def test_tables_of_1_to_3_steps_agree(self, kind, T, eval_every, trials, sizes, seed):
         # rows with 0 to 9 features; under the default schedule the scale
-        # folds at t = 1 and again near t = 14 and t = 140 (on the box and
-        # the shifted ball at every step), and the suffix window opens at
-        # T/2. Any table sizes give the default sizes' gaps bitwise, and
-        # run_sgd's up to rounding, at every checkpoint up to the first step
-        # whose margin ties 1.
+        # folds at t = 1 and again near t = 14 and t = 140, and the suffix
+        # window opens at T/2. Any table sizes give the default sizes' gaps
+        # bitwise, and run_sgd's up to rounding, at every checkpoint up to
+        # the first step whose margin ties 1. The box and the shifted ball
+        # run through run_sgd: its gaps bitwise, ties and all.
         ds = parse_libsvm(SPARSE_TEXT)
         lam = 1.0 / ds.m
         feasible = {"none": Unconstrained(), "ball": L2Ball(0.4, np.zeros(ds.n)),
@@ -599,6 +575,9 @@ class TestScaledSvmTables:
             small = run_trials(problem, factory, config, schemes, trials, seed)
         assert np.array_equal(small.gaps, default.gaps, equal_nan=True)
         seq = per_trial_gaps(problem, factory, config, schemes, trials, seed)
+        if kind in ("box", "shifted ball"):
+            assert np.array_equal(small.gaps, seq, equal_nan=True)
+            return
         assert np.array_equal(np.isnan(small.gaps), np.isnan(seq))
         cps = np.array(small.checkpoints)
         for i in range(trials):
@@ -607,24 +586,23 @@ class TestScaledSvmTables:
             agree = cps <= (ties[0] if ties.size else T)
             assert not (np.abs(small.gaps[i, agree] - seq[i, agree]) > 1e-12).any()
 
-    @pytest.mark.parametrize("kind", ["none", "box"])
+    # the one set whose s, and so every table row, is known in advance
+    @pytest.mark.parametrize("kind", ["none"])
     @pytest.mark.parametrize("sub", [7, 13])
     def test_step_tables_follow_the_scalar_recurrence(self, monkeypatch, kind, sub):
         # Under the default schedule s folds at t = 1, 14 and 145, and the
         # suffix window opens at t = 101. Sub-blocks of 7 steps fold on their
         # first step (t = 1), on their last (t = 14) and inside one (t = 145);
         # those of 13 steps on their first step (t = 14) and inside one; both
-        # open the window inside a sub-block. On the box s folds at t = 1 and
-        # every step ends in a fold. Every table row must be the per-step
-        # recurrence's value, bit for bit.
+        # open the window inside a sub-block. Every table row must be the
+        # per-step recurrence's value, bit for bit.
         from sgdavg.averaging import suffix_window_start
         from sgdavg.core import step_size
 
         ds = parse_libsvm(SPARSE_TEXT)
         lam = 1.0 / ds.m
         T, trials, seed = 200, 3, 6
-        feasible = Unconstrained() if kind == "none" else Interval(-0.05, 0.05)
-        problem = svm_problem(ds, lam, feasible=feasible)
+        problem = svm_problem(ds, lam)
         config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n), eval_every=T)
 
         # the recurrence: s and the sums' A of uniform, suffix and nonuniform
@@ -645,9 +623,7 @@ class TestScaledSvmTables:
             logged.append(A)
             at.append(s)
             etas.append(eta)
-            if kind == "box":
-                s, A = 1.0, [0.0, 0.0, 0.0]
-        assert folds == ([1, 14, 145] if kind == "none" else [1])
+        assert folds == [1, 14, 145]
         samples = [RngStream(seed, b).generator().integers(ds.m, size=T) for b in range(trials)]
 
         tables = []
@@ -681,7 +657,7 @@ class TestScaledSvmTables:
                     for p in range(ds.indptr[r], ds.indptr[r + 1])]
             assert np.array_equal(bits(coef), bits(want))
 
-    @pytest.mark.parametrize("kind", ["none", "ball", "box"])
+    @pytest.mark.parametrize("kind", ["none", "ball"])
     def test_index_tables_take_the_dataset_dtype(self, monkeypatch, kind):
         # 3 trials on SPARSE_TEXT's 10 rows and 12 columns: the sample
         # indices lie below 10, int32 while the bound fits and int64 past
@@ -693,8 +669,7 @@ class TestScaledSvmTables:
         # offset and each a_t.
         ds = parse_libsvm(SPARSE_TEXT)
         lam = 1.0 / ds.m
-        feasible = {"none": Unconstrained(), "ball": L2Ball(0.4, np.zeros(ds.n)),
-                    "box": Interval(-0.05, 0.05)}[kind]
+        feasible = {"none": Unconstrained(), "ball": L2Ball(0.4, np.zeros(ds.n))}[kind]
         problem = svm_problem(ds, lam, feasible=feasible)
         config = RunConfig(T=300, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
                            eval_every=50)
@@ -721,12 +696,11 @@ class TestScaledSvmTables:
             gaps.add(got.gaps.tobytes())
         assert len(gaps) == 1
 
-    @pytest.mark.parametrize("kind", ["none", "ball", "box"])
+    @pytest.mark.parametrize("kind", ["none", "ball"])
     def test_gaps_keep_their_pinned_bits(self, kind):
         ds = parse_libsvm(SPARSE_TEXT)
         lam = 1.0 / ds.m
-        feasible = {"none": Unconstrained(), "ball": L2Ball(0.4, np.zeros(ds.n)),
-                    "box": Interval(-0.05, 0.05)}[kind]
+        feasible = {"none": Unconstrained(), "ball": L2Ball(0.4, np.zeros(ds.n))}[kind]
         problem = svm_problem(ds, lam, feasible=feasible)
         config = RunConfig(T=1600, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n),
                            eval_every=200)
@@ -734,6 +708,26 @@ class TestScaledSvmTables:
                          ["final", "uniform", "suffix", "nonuniform"], 3, 8)
         lines = [" ".join(float(g).hex() for g in row) for row in got.gaps.reshape(-1, 4)]
         assert lines == list(PINNED_SVM_GAPS[kind])
+
+    @pytest.mark.parametrize("kind", ["box", "wide box", "shifted ball"])
+    @pytest.mark.parametrize("data", ["sparse", "300x12"])
+    def test_box_and_shifted_ball_trials_are_run_sgd_bitwise(self, kind, data):
+        # the pinned gaps' setting, T = 1600 on SPARSE_TEXT, and a 300 x 12
+        # set at T = 600: these sets run through run_sgd in lockstep, whose
+        # trial i is run_sgd on RngStream(8, i), margin ties and all
+        ds = (parse_libsvm(SPARSE_TEXT) if data == "sparse"
+              else synthetic_separable_dataset(300, 12, seed=5))
+        lam = 1.0 / ds.m
+        feasible = {"box": Interval(-0.05, 0.05), "wide box": Interval(-6, 6),
+                    "shifted ball": L2Ball(0.4, np.full(ds.n, 0.05))}[kind]
+        problem = svm_problem(ds, lam, feasible=feasible)
+        T = 1600 if data == "sparse" else 600
+        config = RunConfig(T=T, schedule=DEFAULT_SCHEDULE, x1=np.zeros(ds.n), eval_every=200)
+        schemes = ["final", "uniform", "suffix", "nonuniform"]
+        got = run_trials(problem, SvmOracleFactory(ds, lam), config, schemes, 3, 8)
+        want = per_trial_gaps(problem, SvmOracleFactory(ds, lam), config, schemes, 3, 8)
+        assert np.array_equal(got.gaps, want, equal_nan=True)
+        assert not np.isnan(got.gaps[:, -1]).any()
 
 
 def sparse_dataset(m, n, per_row, seed):
@@ -764,11 +758,11 @@ class TestCheckpointChunks:
         want = run_trials(problem, factory, config, schemes, 5, 9)
         assert np.isnan(want.gaps[:, 0, 2]).all() and not np.isnan(want.gaps[:, -1]).any()
         for chunk in (1, 3):
-            monkeypatch.setattr(batched_svm, "_trials_per_chunk", lambda trial_bytes: chunk)
+            monkeypatch.setattr(batched_svm, "_rows_per_chunk", lambda row_bytes: chunk)
             got = run_trials(problem, factory, config, schemes, 5, 9)
             assert np.array_equal(got.gaps, want.gaps, equal_nan=True), chunk
 
-    def test_objective_rows_do_not_depend_on_the_chunk(self):
+    def test_objective_rows_do_not_depend_on_the_chunk(self, monkeypatch):
         ds = sparse_dataset(40, 9000, 4, 2)
         objective = svm_problem(ds, 0.1).objective
         W = np.random.default_rng(3).standard_normal((5, ds.n))
@@ -779,6 +773,28 @@ class TestCheckpointChunks:
         for chunk in (1, 2, 3):
             got = np.concatenate([objective.rows(W[lo:lo + chunk]) for lo in range(0, 5, chunk)])
             assert np.array_equal(got, want), chunk
+            # the objective's own chunks of margins: 8 * m bytes per row
+            monkeypatch.setattr(core_module, "_CHUNK_BYTES", 8 * ds.m * chunk)
+            assert np.array_equal(objective.rows(W), want), chunk
+
+    def test_objective_margins_are_bounded(self):
+        # 64 rows of a 20000 x 50 set: their margins take 10.24 MB at once,
+        # and a chunk of 6 rows (about 1 MB of margins) 0.96 MB, which the
+        # sparse product makes in two copies. The bound is 2.5 MB.
+        import tracemalloc
+
+        ds = sparse_dataset(20_000, 50, 5, 4)
+        objective = svm_problem(ds, 0.1).objective
+        W = np.random.default_rng(5).standard_normal((64, ds.n))
+        want = objective.rows(W[:1])  # a first, untraced call allocates caches
+        tracemalloc.start()
+        try:
+            got = objective.rows(W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got[0] == want[0]
+        assert peak < 2_500_000, peak
 
     def test_non_finite_objective_in_a_later_chunk(self, monkeypatch):
         # the largest uniform objective at the first checkpoint, that of
@@ -809,7 +825,7 @@ class TestCheckpointChunks:
         poisoned = dataclasses.replace(problem, objective=Poisoned())
         for chunk in (None, 1, 2, 3):
             if chunk is not None:
-                monkeypatch.setattr(batched_svm, "_trials_per_chunk", lambda trial_bytes: chunk)
+                monkeypatch.setattr(batched_svm, "_rows_per_chunk", lambda row_bytes: chunk)
             with pytest.raises(TrialFailure) as err:
                 run_trials(poisoned, factory, config, ["uniform", "final"], 5, 5)
             assert str(err.value) == (

@@ -226,6 +226,30 @@ class TestSvmOracle:
             want[idx] = lam * w[idx] - ds.labels[i] * vals
             assert np.array_equal(s.ghat, want)
 
+    def test_lone_reply_is_its_row_of_a_stacked_reply(self):
+        # SPARSE_TEXT's rows, one empty: a lone iterate's reply is bitwise
+        # its row of the stacked reply, also where the margin lies within
+        # 1e-9 of 1 and rounding decides whether the hinge fires
+        ds = parse_libsvm("+1 1:0.5 3:1.2 7:-0.4\n-1 2:0.9 4:0.3\n+1\n"
+                          "-1 1:-1.1 2:0.2 3:0.7 5:1.5 6:-0.3 8:0.8 9:0.1 10:-0.6 11:0.4\n"
+                          "+1 6:2.0\n-1 3:-0.5 9:1.1 12:0.6\n", n=12)
+        dense = np.asarray(scipy_matrix(ds).todense())
+        law = SvmOracleFactory(ds, 0.25)
+        rng = np.random.default_rng(4)
+        rows = np.array([0, 1, 2, 3, 4, 5, 3, 0, 5, 1, 4, 3])
+        W = rng.standard_normal((rows.size, ds.n))
+        for b in range(6, rows.size):  # these rows' margins sit 1e-9 to either side of 1
+            x, y = dense[rows[b]], ds.labels[rows[b]]
+            W[b] *= (1.0 + (1e-9 if b % 2 else -1e-9)) / (y * float(x @ W[b]))
+        stacked = law.ghat(W, 1, rows)
+        assert stacked.shape == W.shape
+        for b, i in enumerate(rows):
+            assert np.array_equal(law.ghat(W[b], 1, i), stacked[b]), b
+        # the hinge fired on exactly the rows with a margin below 1
+        fired = np.array([not np.array_equal(stacked[b], 0.25 * W[b]) for b in range(rows.size)])
+        margins = ds.labels[rows] * np.einsum("ij,ij->i", dense[rows], W)
+        assert np.array_equal(fired, (margins < 1.0) & (np.diff(ds.indptr)[rows] > 0))
+
     def test_iterate_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):
             SvmOracleFactory(one_point_dataset(), 0.5)(RngStream(0)).query(np.zeros(2), 1)
@@ -261,7 +285,7 @@ def reference_svm_objective(w, dataset, lam):
 
 def scipy_svm_objective_rows(W, ds, lam):
     """The SVM objective of each row of W, by the formula of
-    ``_svm_objective_rows`` with its product taken by scipy's csr_matrix."""
+    ``SvmObjective.rows`` with its product taken by scipy's csr_matrix."""
     hinge = np.ascontiguousarray(scipy_matrix(ds).dot(W.T).T)
     hinge *= ds.labels
     np.subtract(1.0, hinge, out=hinge)
