@@ -216,10 +216,14 @@ def cmd_run(args) -> int:
 def cmd_trials(args) -> int:
     from .experiments.harness import run_trials
     from .experiments.io import export_csv, render_svg
-    from .experiments.tails import tail_fit
+    from .experiments.tails import _check_tail_request, tail_fit
 
     seed = _resolve_seed(args)
     problem, factory, config = _build_setting(args)
+    if args.deltas and args.trials > 0:  # run_trials refuses fewer trials
+        # refused before the first step, not after the batch and its files
+        _check_tail_request(args.tail_scheme, args.deltas, args.schemes, args.trials,
+                           gaps=problem.fstar is not None)
     matrix = run_trials(problem, factory, config, args.schemes, args.trials, seed,
                         suffix_alpha=args.suffix_alpha)
     if args.csv:

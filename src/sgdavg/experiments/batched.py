@@ -11,10 +11,11 @@ on its stream. A recorded run holds every trial's trajectory as (T, trials,
 dim) arrays, with the noise drawn straight into the recorded zhat; the
 verifier fleet and the lower-bound simulation run this way.
 
-An unrecorded SVM run on no set or on an L2 ball about the origin runs
-instead in ``batched_svm`` (imported only then), whose scaled-weight steps
-do O(nnz) work where a dense step does O(n); under any other set it would
-project densely at every step, and ``run_sgd`` is as fast.
+An unrecorded SVM run on no set runs instead in ``batched_svm`` (imported
+only then), whose scaled-weight steps do O(nnz) work where a dense step
+does O(n). Under a feasible set the projection would make each trial's
+scale depend on its iterate, so every constrained SVM run, the ball about
+the origin included, goes to ``run_sgd``.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ def run_all(
     suffix_alpha: float,
 ) -> RunRecord:
     """Trials 0..trials-1 of ``run_sgd``, in lockstep; trial i draws from
-    RngStream(base_seed, i). An unrecorded SVM run on no set or on an L2
-    ball about the origin goes to the scaled-weight engine, any other run
-    to ``run_sgd`` on the stacked starts. Raises InputError for an oracle
-    factory or feasible set that is not built in, a lower-bound oracle off
-    the run's horizon or off one dimension, and a start outside the
-    feasible set. A failing trial raises the TrialFailure that names it."""
+    RngStream(base_seed, i). An unrecorded SVM run on no set goes to the
+    scaled-weight engine, any other run to ``run_sgd`` on the stacked
+    starts. Raises InputError for an oracle factory or feasible set that is
+    not built in, a lower-bound oracle off the run's horizon or off one
+    dimension, and a start outside the feasible set. A failing trial raises
+    the TrialFailure that names it."""
     feasible = problem.feasible
     if not isinstance(feasible, (Unconstrained, Interval, L2Ball)):
         raise InputError(f"unsupported feasible set {type(feasible).__name__}")
@@ -59,10 +60,9 @@ def run_all(
         raise InputError(f"unsupported oracle factory {type(oracle_factory).__name__}")
     if not feasible.contains(config.x1):
         raise InputError("x1 must be feasible for the problem's set")
-    centred = isinstance(feasible, Unconstrained) or (
-        isinstance(feasible, L2Ball) and not feasible.center.any())
     try:
-        if isinstance(oracle_factory, SvmOracleFactory) and centred and not config.record_iterates:
+        if (isinstance(oracle_factory, SvmOracleFactory) and isinstance(feasible, Unconstrained)
+                and not config.record_iterates):
             from .batched_svm import _run_svm
 
             return _run_svm(problem, oracle_factory, config, scheme_names, trials, base_seed,

@@ -58,23 +58,21 @@ class TailReport:
         return "\n".join(lines)
 
 
-def tail_fit(matrix: TrialMatrix, scheme: str, deltas) -> TailReport:
-    """Quantiles of the final-checkpoint gaps at each delta, fitted through
-    the origin against log(1/delta)/T. Refused for raw objectives (``fstar``
-    recorded as None), which do not go to 0."""
-    if "fstar" in matrix.meta and matrix.meta["fstar"] is None:
+def _check_tail_request(scheme: str, deltas, scheme_names, trials: int,
+                        gaps: bool) -> list[float]:
+    """``deltas`` as floats, or InputError unless a tail fit of ``scheme``
+    at each of them can be made from ``trials`` trials of ``scheme_names``
+    whose entries are gaps (``gaps``; raw objectives do not go to 0). The
+    command line checks this before a run, ``tail_fit`` on its matrix."""
+    if not gaps:
         raise InputError(
             "no tail fit without a known optimum: the entries are raw objective "
             "values, not gaps")
+    if scheme not in scheme_names:
+        raise InputError(f"unknown scheme {scheme!r}; have {list(scheme_names)}")
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise InputError("at least one delta is required")
-    T = int(matrix.meta.get("T", matrix.checkpoints[-1]))
-    if matrix.checkpoints[-1] != T:
-        raise InputError(
-            f"final checkpoint is at iteration {matrix.checkpoints[-1]}, expected T={T}"
-        )
-    trials = matrix.trials
     min_delta = 2.0 / trials
     for d in deltas:
         if not 0.0 < d < 1.0:
@@ -83,6 +81,20 @@ def tail_fit(matrix: TrialMatrix, scheme: str, deltas) -> TailReport:
             raise InputError(
                 f"delta {d} is unresolvable with {trials} trials; minimum feasible delta is {min_delta}"
             )
+    return deltas
+
+
+def tail_fit(matrix: TrialMatrix, scheme: str, deltas) -> TailReport:
+    """Quantiles of the final-checkpoint gaps at each delta, fitted through
+    the origin against log(1/delta)/T. Refused for raw objectives (``fstar``
+    recorded as None), which do not go to 0."""
+    deltas = _check_tail_request(scheme, deltas, matrix.scheme_names, matrix.trials,
+                                gaps=matrix.meta.get("fstar", 0.0) is not None)
+    T = int(matrix.meta.get("T", matrix.checkpoints[-1]))
+    if matrix.checkpoints[-1] != T:
+        raise InputError(
+            f"final checkpoint is at iteration {matrix.checkpoints[-1]}, expected T={T}"
+        )
     gaps = matrix.final_gaps(scheme)
     rows = []
     for d in sorted(deltas):
@@ -93,4 +105,4 @@ def tail_fit(matrix: TrialMatrix, scheme: str, deltas) -> TailReport:
     quants = np.array([r.quantile for r in rows])
     denom = float(shapes @ shapes)
     constant = float(shapes @ quants) / denom if denom > 0 else 0.0
-    return TailReport(rows=rows, constant=constant, scheme=scheme, T=T, trials=trials)
+    return TailReport(rows=rows, constant=constant, scheme=scheme, T=T, trials=matrix.trials)

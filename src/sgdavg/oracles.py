@@ -565,11 +565,12 @@ class SvmObjective:
 
     def rows(self, W: np.ndarray) -> np.ndarray:
         """The objective of each row of a (B, n) array, one sparse product
-        per chunk of rows whose margins take about _CHUNK_BYTES."""
+        per chunk of rows whose margins, which ``Dataset.dot_rows`` holds in
+        two copies, take about _CHUNK_BYTES."""
         d = self.dataset
         W = np.asarray(W, dtype=np.float64)
         means = np.empty(W.shape[0])
-        chunk = _rows_per_chunk(8 * d.m)
+        chunk = _rows_per_chunk(16 * d.m)
         for lo in range(0, W.shape[0], chunk):
             # (rows, m) in C order: each row's hinge mean is then summed
             # exactly as a lone row's is, whatever the chunk

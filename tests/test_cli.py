@@ -183,6 +183,34 @@ class TestTrials:
         assert err == ("error: no tail fit without a known optimum: the entries are "
                        "raw objective values, not gaps\n")
 
+    @pytest.mark.parametrize("case", ["small delta", "raw svm", "tail scheme not run",
+                                      "no trials"])
+    def test_unfittable_tail_request_exits_two_before_the_run(self, capsys, tmp_path, case):
+        # a delta below 2/trials, a problem with no known optimum, a tail
+        # scheme the run does not report and no trials at all are refused
+        # before the first step: no CSV is written
+        data = tmp_path / "d.txt"
+        data.write_text(TestSvmCommandsUseTheCsrArrays.TEXT)
+        csv = tmp_path / "x.csv"
+        argv, err_want = {
+            "small delta": (["--noise", "ball", "--set", "interval", "--T", "2000",
+                             "--trials", "50", "--deltas", "0.01"],
+                            "delta 0.01 is unresolvable with 50 trials; minimum feasible "
+                            "delta is 0.04"),
+            "raw svm": (["--problem", "svm", "--dataset", str(data), "--T", "100",
+                         "--trials", "20", "--deltas", "0.1"],
+                        "no tail fit without a known optimum: the entries are raw "
+                        "objective values, not gaps"),
+            "tail scheme not run": (["--noise", "ball", "--T", "100", "--trials", "20",
+                                     "--schemes", "final,uniform", "--deltas", "0.1"],
+                                    "unknown scheme 'nonuniform'; have ['final', 'uniform']"),
+            "no trials": (["--T", "10", "--trials", "0", "--deltas", "0.1"],
+                          "need at least one trial, got 0"),
+        }[case]
+        code, out, err = run_cli(["trials", *argv, "--seed", "1", "--csv", str(csv)], capsys)
+        assert (code, out, err) == (2, "", f"error: {err_want}\n")
+        assert not csv.exists()
+
     def test_standardize_over_budget_exits_two(self, capsys, tmp_path):
         # two stored entries whose dense form is 2 x 2e8 float64
         path = tmp_path / "wide.txt"
@@ -474,6 +502,11 @@ class TestConsoleScript:
             # SVM trials on the box run through run_sgd, without the scaled engine
             (['trials', '--problem', 'svm', '--dataset', 'd.txt', '--set', 'interval',
               '--T', '20', '--trials', '2', '--seed', '1', '--csv', 'b.csv'],
+             ['sgdavg.experiments.batched_svm', 'sgdavg.experiments.verify',
+              'sgdavg.experiments.lowerbound']),
+            # and so do those on the ball about the origin
+            (['trials', '--problem', 'svm', '--dataset', 'd.txt', '--set', 'ball',
+              '--T', '20', '--trials', '2', '--seed', '1', '--csv', 'c.csv'],
              ['sgdavg.experiments.batched_svm', 'sgdavg.experiments.verify',
               'sgdavg.experiments.lowerbound']),
         ]

@@ -302,10 +302,10 @@ class TestBudgetInMeta:
         # scheme: the int32 sample indices; the sub-block tables (intp flat
         # column and owner, value and update coefficient per entry, its
         # applied flag and 16 bytes for the arrays the gather builds them
-        # from; label, s and the scheme's observed and logged A per trial;
-        # the step's size, shrink, fold flag, offset and a_t); and once the
-        # carried s and logged A per trial
-        index, rows, carry = 4 * 4, 4 * (3 * 49 + 16 + 16) + 5 * 8, 4 * 2 * 8
+        # from; the label per trial; the step's size, shrink, fold flag,
+        # offset, s, and the scheme's a_t and observed and logged A); and
+        # once the carried s and logged A
+        index, rows, carry = 4 * 4, 4 * (3 * 49 + 8) + 8 * 8, 2 * 8
         # a whole run fits in one block of each table
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
                     250 * (index + rows) + carry)
@@ -328,15 +328,15 @@ class TestBudgetInMeta:
     def test_svm_sub_blocks_fill_a_quarter_block(self, tmp_path, monkeypatch):
         ds = synthetic_separable_dataset(40, 3, 1)
         problem = svm_problem(ds, 0.1)
-        # a horizon past the 283 steps of the index block below
+        # a horizon past the 256 steps of the index block below
         config = RunConfig(T=300, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=50)
         # the bytes per step of test_svm_index_table
-        index, rows, carry = 4 * 4, 4 * (3 * 49 + 16 + 16) + 5 * 8, 4 * 2 * 8
+        index, rows, carry = 4 * 4, 4 * (3 * 49 + 8) + 8 * 8, 2 * 8
         # a quarter of the block bytes holds 3 steps of the sub-block tables
-        # and the index block 283 steps, both sized as for 8-byte indices
+        # and the index block 256 steps, both sized as for 8-byte indices
         monkeypatch.setattr(batched_svm, "_INDEX_BLOCK_BYTES", 4 * 3 * rows + 3)
         self._check(tmp_path, problem, SvmOracleFactory(ds, 0.1), config, 4,
-                    283 * index + 3 * rows + carry)
+                    256 * index + 3 * rows + carry)
 
     def test_tail_study_noise_block_is_4_mb(self):
         # 1000 one-dimensional trials: a 4 MB block holds 500 steps
@@ -348,15 +348,15 @@ class TestBudgetInMeta:
 
     def test_svm_index_block_stays_8_mb(self):
         # 1000 trials: the index block, sized as 8-byte indices, holds 1000
-        # steps of int32 indices, and the 2 MB sub-block 11 steps of the
+        # steps of int32 indices, and the 2 MB sub-block 12 steps of the
         # tables of test_svm_index_table
         ds = synthetic_separable_dataset(40, 3, 1)
         config = RunConfig(T=1500, schedule=DEFAULT_SCHEDULE, x1=np.zeros(3), eval_every=1500)
         got = run_trials(svm_problem(ds, 0.1), SvmOracleFactory(ds, 0.1), config,
                          ["final", "uniform"], 1000, 5)
-        rows, carry = 1000 * (3 * 49 + 16 + 16) + 5 * 8, 1000 * 2 * 8
-        assert 2_000_000 // rows == 11
-        assert got.meta["predraw_bytes"] == 1000 * 1000 * 4 + 11 * rows + carry
+        rows, carry = 1000 * (3 * 49 + 8) + 8 * 8, 2 * 8
+        assert 2_000_000 // rows == 12
+        assert got.meta["predraw_bytes"] == 1000 * 1000 * 4 + 12 * rows + carry
 
     def test_noiseless_run_draws_nothing(self, tmp_path):
         config = RunConfig(T=250, schedule=DEFAULT_SCHEDULE, x1=np.ones(2), eval_every=50)
